@@ -1,4 +1,4 @@
-"""BENCH_scale gate: the 100k-row streaming suite must stay sub-quadratic.
+"""BENCH_scale gate: the 100k-row suite must stay sub-quadratic in memory.
 
 One end-to-end pass over an ``n = 100,000``, ``d = 10`` synthetic dataset
 that would be impossible with dense ``n x n`` assembly (the full distance
@@ -7,15 +7,15 @@ matrix alone is 80 GB):
 * **fit** — HiCS subspace search with the seeded-subsample Monte Carlo
   contrast (``subsample_size`` rows per subspace instead of the full
   database), so the search cost scales with the subsample.
-* **rank** — streaming LOF over the best subspace through the row-blocked
-  ``SharedNeighborEngine``: per-chunk squared-difference assembly with exact
-  top-k merging, never materialising more than one chunk pair.
+* **rank** — exact LOF over the best subspace through the shared engine,
+  which assembles budget-sized row bands once an ``n x n`` block exceeds
+  its memory budget, so no more than one band is alive at a time.
 * **approx** — full-space LOF through the approximate subsample backend
   (``algorithm="subsample"``): exact distances against a deterministic
   2048-row reference set, linear in the dataset size.
-* **exactness** — a small-``n`` cross-check that the streaming ranking is
-  bit-for-bit identical to the dense shared engine, so the scale numbers
-  above are for the *same* algorithm, not an approximation drift.
+* **exactness** — a small-``n`` cross-check that the row-band ranking is
+  bit-for-bit identical to the per-subspace brute-force path, so the scale
+  numbers above are for the *same* algorithm, not an approximation drift.
 
 ``--profile 1m`` runs the out-of-core cell instead: an ``n = 1,000,000``,
 ``d = 10`` dataset persisted with :meth:`Dataset.to_npy` and reopened as a
@@ -74,20 +74,22 @@ def timed(phases: dict, name: str, fn):
 
 
 def exactness_check(rng: np.random.Generator) -> None:
-    """Streaming ranking must equal the dense shared engine bit for bit."""
+    """Row-band ranking must equal the per-subspace brute-force path bit for bit."""
     from repro.types import Subspace
 
     data = rng.normal(size=(1500, 10))
-    data[100] = data[101]  # duplicate rows exercise the tie-break across chunks
+    data[100] = data[101]  # duplicate rows exercise the tie-break across bands
     subspaces = [Subspace((0, 1)), Subspace((2, 3, 4))]
+    # 4 MiB holds no 1500 x 1500 block: the shared engine runs the row bands
+    # the 100k rank runs.
     results = {}
-    for engine in ("shared", "streaming"):
+    for engine in ("shared", "per-subspace"):
         ranker = SubspaceOutlierRanker(
-            LOFScorer(min_pts=10, algorithm="brute"), engine=engine
+            LOFScorer(min_pts=10, algorithm="brute"), engine=engine, memory_budget_mb=4.0
         )
         results[engine] = ranker.rank(data, subspaces).scores
-    if not np.array_equal(results["shared"], results["streaming"]):
-        raise SystemExit("FAIL: streaming ranking diverged from the dense engine")
+    if not np.array_equal(results["shared"], results["per-subspace"]):
+        raise SystemExit("FAIL: row-band ranking diverged from the per-subspace path")
 
 
 def memmap_exactness_check() -> None:
@@ -235,12 +237,12 @@ def run_100k(args, phases: dict) -> dict:
         "rank",
         lambda: SubspaceOutlierRanker(
             LOFScorer(min_pts=10, algorithm="brute"),
-            engine="streaming",
+            engine="shared",
             memory_budget_mb=512.0,
         ).rank(data, best),
     )
     if ranking.scores.shape != (args.objects,) or not np.all(np.isfinite(ranking.scores)):
-        raise SystemExit("FAIL: streaming ranking produced malformed scores")
+        raise SystemExit("FAIL: row-band ranking produced malformed scores")
 
     approx = timed(
         phases,
@@ -259,7 +261,7 @@ def main(argv=None) -> int:
         "--profile",
         choices=("100k", "1m"),
         default="100k",
-        help="'100k': the streaming suite (default); '1m': the out-of-core "
+        help="'100k': the in-memory suite (default); '1m': the out-of-core "
         "memmap cell gated by the scale_1m suite",
     )
     parser.add_argument(

@@ -143,11 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--scoring-engine",
             default="shared",
-            choices=["shared", "streaming", "per-subspace"],
+            choices=["shared", "per-subspace"],
             help="scoring engine: 'shared' (default) computes one distance pass "
-            "for all fitted subspaces, 'streaming' is its row-blocked variant "
-            "that never materialises an n x n matrix (for large datasets), "
-            "'per-subspace' is the bit-for-bit identical reference path",
+            "for all fitted subspaces, in budget-sized row bands when an n x n "
+            "matrix exceeds --memory-budget-mb; 'per-subspace' is the "
+            "bit-for-bit identical reference path",
         )
         sub.add_argument(
             "--memory-budget-mb",
@@ -236,13 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     contrast.add_argument("--top", type=int, default=10, help="number of subspaces to print")
     contrast.add_argument(
         "--deviation", default="welch", choices=["welch", "ks"], help="statistical test"
-    )
-    contrast.add_argument(
-        "--engine",
-        default="batch",
-        choices=["batch", "scalar"],
-        help="contrast engine: vectorised batch (default) or the scalar "
-        "reference path; both produce identical contrasts",
     )
     add_parallel_arguments(contrast)
 
@@ -627,7 +620,6 @@ def _command_contrast(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         deviation=args.deviation,
         random_state=args.seed,
-        engine=args.engine,
         n_jobs=args.n_jobs,
         backend=args.backend,
         storage=args.storage,

@@ -33,7 +33,9 @@ _NAME_RE = re.compile(r"[a-z_][a-z0-9_.\-]*")
 
 #: Words the spec grammar claims for itself (engine selectors and literals);
 #: a component registered under one of these could never be addressed.
-_RESERVED = frozenset({"shared", "per-subspace", "per_subspace", "true", "false", "none"})
+_RESERVED = frozenset(
+    {"shared", "per-subspace", "per_subspace", "streaming", "true", "false", "none"}
+)
 
 
 def _register_function(module: ModuleInfo, func: ast.expr) -> Optional[str]:

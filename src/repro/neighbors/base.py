@@ -14,7 +14,24 @@ import numpy as np
 
 from ..exceptions import ParameterError
 
-__all__ = ["KNNResult", "NearestNeighborSearcher", "create_knn_searcher"]
+__all__ = [
+    "KNNResult",
+    "NearestNeighborSearcher",
+    "check_knn_algorithm",
+    "create_knn_searcher",
+]
+
+#: kNN backend names :func:`create_knn_searcher` accepts.
+KNN_ALGORITHMS = ("auto", "brute", "kdtree", "shared", "subsample")
+
+
+def check_knn_algorithm(algorithm: str) -> str:
+    """Validate a kNN backend name, so a scorer fails at construction time."""
+    if algorithm not in KNN_ALGORITHMS:
+        raise ParameterError(
+            f"algorithm must be one of {KNN_ALGORITHMS}, got {algorithm!r}"
+        )
+    return algorithm
 
 
 @dataclass(frozen=True)

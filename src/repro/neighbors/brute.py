@@ -15,14 +15,18 @@ import numpy as np
 from ..exceptions import DataError, ParameterError
 from ..utils.validation import check_data_matrix, check_positive_int
 from .base import KNNResult, NearestNeighborSearcher
-from .distance import pairwise_distances, squared_difference_block
-from .topk import merge_top_k, top_k_smallest
+from .distance import pairwise_distances
+from .topk import top_k_smallest
 
 __all__ = ["BruteForceKNN"]
 
 
 class BruteForceKNN(NearestNeighborSearcher):
     """Exact kNN via a dense pairwise distance matrix.
+
+    The dense reference the other exact backends are tested against;
+    :class:`~repro.neighbors.engine.SharedNeighborEngine` is the exact
+    searcher that scales past one ``n x n`` matrix.
 
     Parameters
     ----------
@@ -32,13 +36,6 @@ class BruteForceKNN(NearestNeighborSearcher):
         Optional attribute indices restricting the distance to a subspace.
     p:
         Minkowski order of the distance (2 = Euclidean).
-    chunk_rows:
-        When given, :meth:`kneighbors` runs row-blocked with this chunk edge
-        and never materialises (or caches) the dense ``n x n`` matrix.  The
-        blocked path accumulates the same per-attribute squared-difference
-        floats in the same order and merges per-reference-chunk top-k winners
-        under the library tie-break, so results are bit-for-bit identical to
-        the dense path for every chunk size.  Euclidean (``p=2``) only.
     """
 
     def __init__(
@@ -47,7 +44,6 @@ class BruteForceKNN(NearestNeighborSearcher):
         attributes: Optional[Sequence[int]] = None,
         *,
         p: float = 2.0,
-        chunk_rows: Optional[int] = None,
     ):
         self._data = check_data_matrix(data, name="data", min_objects=2)
         self._attributes = None if attributes is None else tuple(int(a) for a in attributes)
@@ -60,13 +56,6 @@ class BruteForceKNN(NearestNeighborSearcher):
                     f"{self._data.shape[1]}-dimensional data"
                 )
         self._p = float(p)
-        if chunk_rows is not None:
-            chunk_rows = check_positive_int(chunk_rows, name="chunk_rows")
-            if self._p != 2.0:
-                raise ParameterError(
-                    f"chunk_rows requires the Euclidean distance (p=2), got p={p}"
-                )
-        self._chunk_rows = chunk_rows
         self._distance_matrix: Optional[np.ndarray] = None
 
     @property
@@ -90,8 +79,6 @@ class BruteForceKNN(NearestNeighborSearcher):
             raise ParameterError(
                 f"k={k} is too large for {n} objects (max {max_k} with exclude_self={exclude_self})"
             )
-        if self._chunk_rows is not None:
-            return self._kneighbors_chunked(k, exclude_self=exclude_self)
         distances = self.distance_matrix
         # Temporarily mask the diagonal in place instead of copying the cached
         # n x n matrix per query; the true diagonal is exactly zero, so
@@ -107,50 +94,3 @@ class BruteForceKNN(NearestNeighborSearcher):
             if exclude_self:
                 np.fill_diagonal(distances, 0.0)
         return KNNResult(indices=order, distances=neighbor_distances)
-
-    def _kneighbors_chunked(self, k: int, *, exclude_self: bool) -> KNNResult:
-        """Row-blocked exact kNN: no dense matrix, same bits as the dense path.
-
-        Per (query-chunk, reference-chunk) block, squared-difference blocks
-        are accumulated per attribute in the same order as
-        :func:`~repro.neighbors.distance.pairwise_distances`, and the
-        per-reference-chunk local top-k winners are folded through
-        :func:`~repro.neighbors.topk.merge_top_k`, which preserves the
-        (value, index) lexicographic tie-break exactly.
-        """
-        n = self.n_objects
-        chunk = min(self._chunk_rows, n)
-        if self._attributes is None:
-            columns = tuple(range(self._data.shape[1]))
-        else:
-            columns = self._attributes
-        diagonal = np.inf if exclude_self else 0.0
-        indices = np.empty((n, k), dtype=np.intp)
-        distances = np.empty((n, k), dtype=float)
-        for qstart in range(0, n, chunk):
-            qstop = min(qstart + chunk, n)
-            best_idx = best_val = None
-            for rstart in range(0, n, chunk):
-                rstop = min(rstart + chunk, n)
-                squared = np.zeros((qstop - qstart, rstop - rstart))
-                for attribute in columns:
-                    squared += squared_difference_block(
-                        self._data[qstart:qstop, attribute],
-                        self._data[rstart:rstop, attribute],
-                    )
-                rows = np.sqrt(squared)
-                lo, hi = max(qstart, rstart), min(qstop, rstop)
-                if hi > lo:
-                    diag = np.arange(lo, hi)
-                    rows[diag - qstart, diag - rstart] = diagonal
-                local_idx, local_val = top_k_smallest(rows, min(k, rstop - rstart))
-                local_idx = local_idx + rstart
-                if best_idx is None:
-                    best_idx, best_val = local_idx, local_val
-                else:
-                    best_idx, best_val = merge_top_k(
-                        best_idx, best_val, local_idx, local_val, k
-                    )
-            indices[qstart:qstop] = best_idx[:, :k]
-            distances[qstart:qstop] = best_val[:, :k]
-        return KNNResult(indices=indices, distances=distances)

@@ -14,6 +14,9 @@ heavily share dimensions, yet the per-subspace path rebuilds its own
   partial sums of that prefix,
 * top-k neighbour queries run row-chunked via ``argpartition`` with the
   library-wide stable index tie-break (:func:`~repro.neighbors.topk.top_k_smallest`),
+* when one ``n x n`` block does not fit the budget, the same floats are
+  accumulated per budget-sized row band straight from the data columns, so
+  peak memory stays ``O(chunk * n)`` at any dataset size,
 * an asymmetric query-vs-reference mode scores new points against the fitted
   reference without Python-level per-object loops.
 
@@ -21,8 +24,8 @@ Thread safety
 -------------
 The engine is mutated by reads: assemblies update the LRU block cache, top-k
 queries recycle a persistent scratch buffer and memoise neighbour lists.  All
-cache-touching entry points (:meth:`SharedNeighborEngine.squared_distances`,
-:meth:`~SharedNeighborEngine.distance_matrix`,
+cache-touching entry points (:meth:`SharedNeighborEngine.distance_matrix`,
+:meth:`~SharedNeighborEngine.iter_distance_rows`,
 :meth:`~SharedNeighborEngine.kneighbors`) therefore serialise on an internal
 lock, so a warm engine shared by concurrent scoring threads (the serving
 path) returns exactly the scores a serial caller would see — pinned bit for
@@ -52,27 +55,53 @@ from ..exceptions import DataError, ParameterError
 from ..utils.validation import check_data_matrix, check_positive_int
 from .base import KNNResult, NearestNeighborSearcher
 from .distance import squared_difference_block
-from .topk import merge_top_k, top_k_smallest
+# merge_top_k has no caller here; perfbench/layers.py traces it at this path.
+from .topk import merge_top_k, top_k_smallest  # noqa: F401
 
-__all__ = ["SharedNeighborEngine", "SharedEngineKNN", "normalise_engine_mode"]
+__all__ = [
+    "SharedNeighborEngine",
+    "SharedEngineKNN",
+    "check_memory_budget_mb",
+    "normalise_engine_mode",
+]
 
 #: Canonical engine-mode names accepted everywhere an engine switch appears
-#: (pipeline, ranker, config, spec grammar, CLI).  ``streaming`` is the
-#: row-blocked variant of ``shared`` that never materialises an ``n x n``
-#: array — bit-for-bit identical scores, sub-quadratic peak memory.
-ENGINE_MODES = ("shared", "streaming", "per-subspace")
+#: (pipeline, ranker, config, spec grammar, CLI).  ``per-subspace`` is the
+#: reference path that rebuilds every subspace's distances from scratch.
+ENGINE_MODES = ("shared", "per-subspace")
+
+#: Retired engine names and the mode that now computes the same scores.
+#: ``streaming`` was a row-blocked variant of ``shared``; the shared engine
+#: switches to row bands by itself when an ``n x n`` block exceeds the budget.
+LEGACY_ENGINE_MODES = {"streaming": "shared"}
 
 
 def normalise_engine_mode(value: object) -> str:
-    """Validate an engine-mode name, accepting ``per_subspace`` as an alias."""
+    """Validate an engine-mode name, accepting ``per_subspace`` as an alias.
+
+    Saved pipelines and spec strings that name a retired mode keep loading:
+    the name maps to its survivor through :data:`LEGACY_ENGINE_MODES`.
+    """
     if not isinstance(value, str):
         raise ParameterError(f"engine must be a string, got {type(value).__name__}")
     key = value.strip().lower().replace("_", "-")
+    key = LEGACY_ENGINE_MODES.get(key, key)
     if key not in ENGINE_MODES:
         raise ParameterError(
             f"unknown scoring engine {value!r}; expected one of {ENGINE_MODES}"
         )
     return key
+
+
+def check_memory_budget_mb(value: object) -> float:
+    """Validate a scoring-engine cache budget in MiB: a finite positive number."""
+    try:
+        budget = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"memory_budget_mb must be a number, got {value!r}") from exc
+    if not np.isfinite(budget) or budget <= 0:
+        raise ParameterError(f"memory_budget_mb must be positive, got {value}")
+    return budget
 
 
 class SharedNeighborEngine:
@@ -87,28 +116,15 @@ class SharedNeighborEngine:
         Upper bound (in MiB) on the memory spent on cached per-dimension
         blocks and prefix partial sums, the persistent scratch rows and the
         memoised neighbour lists.  Least-recently-used entries are evicted
-        when the budget is exceeded; a budget too small for a single
-        ``n x n`` block simply disables block caching, in which case every
-        assembly is recomputed chunk-by-chunk — slower, but never above
-        budget.
-    streaming:
-        When ``True`` the engine runs in **streaming mode**: no ``n x n``
-        array is ever materialised.  Squared-difference blocks are computed
-        per query chunk, neighbour queries fold per-reference-chunk top-k
-        winners through :func:`~repro.neighbors.topk.merge_top_k`, and the
-        dense entry points (:meth:`distance_matrix`,
-        :meth:`squared_distances`) are disabled.  Every index and distance
-        the streaming mode produces is bit-for-bit identical to the dense
-        path — the distances are the same per-attribute
-        :func:`~repro.neighbors.distance.squared_difference_block` floats
-        accumulated in the same ascending-attribute order, and the chunk
-        merge preserves the library's (value, index) lexicographic
-        tie-break exactly, for every chunk size.
+        when the budget is exceeded.  A budget too small for a single
+        ``n x n`` block disables block caching: every query then assembles
+        budget-sized row bands straight from the data columns — the same
+        floats, never above budget.
     chunk_rows:
-        Optional fixed chunk edge for the streaming row blocks (both the
-        query and the reference axis).  ``None`` (default) sizes chunks
-        from the memory budget.  Exposed for tests and tuning; results are
-        identical for every value.
+        Optional fixed row-band height for :meth:`kneighbors` and
+        :meth:`iter_distance_rows`.  ``None`` (default) sizes bands from the
+        memory budget.  Exposed for tests and tuning; results are identical
+        for every value.
     """
 
     def __init__(
@@ -116,21 +132,11 @@ class SharedNeighborEngine:
         data: np.ndarray,
         *,
         memory_budget_mb: float = 256.0,
-        streaming: bool = False,
         chunk_rows: Optional[int] = None,
     ):
         self._data = check_data_matrix(data, name="data", min_objects=2)
-        try:
-            budget = float(memory_budget_mb)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(
-                f"memory_budget_mb must be a number, got {memory_budget_mb!r}"
-            ) from exc
-        if not np.isfinite(budget) or budget <= 0:
-            raise ParameterError(f"memory_budget_mb must be positive, got {memory_budget_mb}")
-        self.memory_budget_mb = budget
-        self._budget_bytes = int(budget * 1024 * 1024)
-        self.streaming = bool(streaming)
+        self.memory_budget_mb = check_memory_budget_mb(memory_budget_mb)
+        self._budget_bytes = int(self.memory_budget_mb * 1024 * 1024)
         if chunk_rows is not None:
             chunk_rows = check_positive_int(chunk_rows, name="chunk_rows")
         self._chunk_override = chunk_rows
@@ -145,7 +151,7 @@ class SharedNeighborEngine:
         # request: a one-shot scoring pass touches every subspace exactly
         # once, and parking its matrices in the cache would both evict the
         # (constantly reused) dimension blocks and starve the allocator of
-        # reusable pages.  Streaming workloads re-request and get cached.
+        # reusable pages.  Scoring a stream of batches re-requests and gets cached.
         self._assembly_requests: dict = {}
         # Reusable scratch rows for assemble-and-partition passes, so the hot
         # top-k loop runs on warm pages instead of fresh allocations.  Charged
@@ -153,8 +159,8 @@ class SharedNeighborEngine:
         self._scratch: Optional[np.ndarray] = None
         self._scratch_bytes = 0
         # Memoised kneighbors() results keyed by (attrs, k, exclude_self).
-        # Small (n x k each) but hot: streaming independent scoring re-reads
-        # the same reference neighbour lists for every incoming batch.
+        # Small (n x k each) but hot: independent scoring of a request stream
+        # re-reads the same reference neighbour lists for every batch.
         self._knn_cache: OrderedDict[Tuple, KNNResult] = OrderedDict()
         self._knn_bytes = 0
         # Serialises every cache-mutating query (see module docstring): the
@@ -244,17 +250,8 @@ class SharedNeighborEngine:
         """Bytes currently charged against the budget (blocks, scratch, kNN)."""
         return self._charged_bytes()
 
-    def _require_dense(self, method: str) -> None:
-        if self.streaming:
-            raise ParameterError(
-                f"{method}() materialises an n x n array, which streaming mode "
-                f"forbids; use kneighbors(), iter_distance_rows() or the "
-                f"query_* methods instead"
-            )
-
     def _block(self, attribute: int) -> np.ndarray:
         """The cached squared-difference block of one dimension."""
-        self._require_dense("_block")
         key = (attribute,)
         cached = self._cache_get(key)
         if cached is not None:
@@ -341,46 +338,27 @@ class SharedNeighborEngine:
         """Squared distances of rows ``[start, stop)`` to all objects.
 
         Served from the prefix cache when a full block fits the budget;
-        otherwise (and always in streaming mode) the row band is accumulated
-        directly from the data columns, which keeps peak memory at
-        ``O(chunk * n)`` — same floats either way: per-attribute squared
-        differences are elementwise, and both paths add them left-to-right
-        in ascending attribute order.
+        otherwise the row band is accumulated directly from the data columns,
+        which keeps peak memory at ``O(chunk * n)`` — same floats either way:
+        per-attribute squared differences are elementwise, and both paths add
+        them left-to-right in ascending attribute order.
         """
-        if not self.streaming and self._block_nbytes <= self._budget_bytes:
+        if self._block_nbytes <= self._budget_bytes:
             return self._squared_prefix(attrs)[start:stop]
-        return self._squared_block(attrs, start, stop, 0, self.n_objects)
-
-    def _squared_block(
-        self, attrs: Tuple[int, ...], qstart: int, qstop: int, rstart: int, rstop: int
-    ) -> np.ndarray:
-        """Squared distances of rows ``[qstart, qstop)`` to ``[rstart, rstop)``.
-
-        The ``O(q_chunk * r_chunk)`` building block of streaming assembly;
-        bit-for-bit equal to the same slice of the dense squared matrix.
-        """
-        squared = np.zeros((qstop - qstart, rstop - rstart))
+        squared = np.zeros((stop - start, self.n_objects))
         for attribute in attrs:
             squared += squared_difference_block(
-                self._data[qstart:qstop, attribute], self._data[rstart:rstop, attribute]
+                self._data[start:stop, attribute], self._data[:, attribute]
             )
         return squared
 
     # ------------------------------------------------------------ queries
-
-    def squared_distances(self, attributes: Optional[Iterable[int]] = None) -> np.ndarray:
-        """Assembled squared subspace distances, shape ``(n, n)`` (fresh array)."""
-        self._require_dense("squared_distances")
-        attrs = self._attributes(attributes)
-        with self._query_lock:
-            return self._squared_prefix(attrs).copy()
 
     def distance_matrix(self, attributes: Optional[Iterable[int]] = None) -> np.ndarray:
         """Subspace distance matrix, bit-for-bit equal to ``pairwise_distances``.
 
         Returns a fresh array the caller may mutate.
         """
-        self._require_dense("distance_matrix")
         attrs = self._attributes(attributes)
         with self._query_lock:
             distances = np.sqrt(self._squared_prefix(attrs))
@@ -398,7 +376,7 @@ class SharedNeighborEngine:
         ``rows`` has shape ``(stop - start, n_objects)`` and holds exactly the
         floats of ``distance_matrix(attributes)[start:stop]``, including the
         exact ``0.0`` diagonal — but only one band is alive at a time, so the
-        peak footprint is ``O(chunk * n)`` in both engine modes.  The yielded
+        peak footprint beyond the block cache is ``O(chunk * n)``.  The yielded
         band is reused internally: consumers must finish with (or copy) a band
         before advancing the iterator.
         """
@@ -423,58 +401,6 @@ class SharedNeighborEngine:
             return min(self._chunk_override, n)
         per_row = n * 8 * 3  # squared chunk + sqrt + comparison scratch
         return int(max(1, min(n, self._budget_bytes // max(per_row, 1) or 1)))
-
-    def _stream_chunks(self) -> Tuple[int, int]:
-        """Streaming ``(query_chunk, reference_chunk)`` block edges.
-
-        Balanced square blocks minimise redundant per-attribute column reads
-        for a fixed block byte ceiling; ``chunk_rows`` pins both edges when
-        given.  The 24-byte-per-cell divisor mirrors ``_chunk_rows``: squared
-        block + sqrt + top-k comparison scratch.
-        """
-        n = self.n_objects
-        if self._chunk_override is not None:
-            side = min(self._chunk_override, n)
-        else:
-            side = max(1, min(n, int(np.sqrt(self._budget_bytes / 24.0))))
-        return side, side
-
-    def _kneighbors_streaming(
-        self, attrs: Tuple[int, ...], k: int, diagonal: float
-    ) -> KNNResult:
-        """Row-blocked exact top-k: fold reference-chunk winners via merge.
-
-        Each reference chunk contributes its own ``min(k, width)`` smallest
-        (distance, index) pairs — a superset of the chunk's share of the
-        global top-k — and :func:`~repro.neighbors.topk.merge_top_k` keeps the
-        running k smallest pairs under the library tie-break, so the final
-        result equals the dense path bit for bit, for every chunk size.
-        """
-        n = self.n_objects
-        qchunk, rchunk = self._stream_chunks()
-        indices = np.empty((n, k), dtype=np.intp)
-        distances = np.empty((n, k), dtype=float)
-        for qstart in range(0, n, qchunk):
-            qstop = min(qstart + qchunk, n)
-            best_idx = best_val = None
-            for rstart in range(0, n, rchunk):
-                rstop = min(rstart + rchunk, n)
-                rows = np.sqrt(self._squared_block(attrs, qstart, qstop, rstart, rstop))
-                lo, hi = max(qstart, rstart), min(qstop, rstop)
-                if hi > lo:
-                    diag = np.arange(lo, hi)
-                    rows[diag - qstart, diag - rstart] = diagonal
-                local_idx, local_val = top_k_smallest(rows, min(k, rstop - rstart))
-                local_idx = local_idx + rstart
-                if best_idx is None:
-                    best_idx, best_val = local_idx, local_val
-                else:
-                    best_idx, best_val = merge_top_k(
-                        best_idx, best_val, local_idx, local_val, k
-                    )
-            indices[qstart:qstop] = best_idx[:, :k]
-            distances[qstart:qstop] = best_val[:, :k]
-        return KNNResult(indices=indices, distances=distances)
 
     def kneighbors(
         self,
@@ -503,30 +429,26 @@ class SharedNeighborEngine:
                 self._knn_cache.move_to_end(cache_key)
                 return cached
             diagonal = np.inf if exclude_self else 0.0
-            if self.streaming:
-                result = self._kneighbors_streaming(attrs, k, diagonal)
+            chunk = self._chunk_rows()
+            if chunk >= n:
+                # Fused fast path: assemble and square-root in one persistent
+                # scratch buffer so the top-k partition runs on warm pages.
+                rows = self._scratch_rows(n)
+                self._assemble_squared_into(attrs, rows)
+                np.sqrt(rows, out=rows)
+                rows[np.arange(n), np.arange(n)] = diagonal
+                indices, distances = top_k_smallest(rows, k)
             else:
-                chunk = self._chunk_rows()
-                if chunk >= n:
-                    # Fused fast path: assemble and square-root in one
-                    # persistent scratch buffer so the top-k partition runs on
-                    # warm pages.
-                    rows = self._scratch_rows(n)
-                    self._assemble_squared_into(attrs, rows)
-                    np.sqrt(rows, out=rows)
-                    rows[np.arange(n), np.arange(n)] = diagonal
-                    indices, distances = top_k_smallest(rows, k)
-                else:
-                    indices = np.empty((n, k), dtype=np.intp)
-                    distances = np.empty((n, k), dtype=float)
-                    for start in range(0, n, chunk):
-                        stop = min(start + chunk, n)
-                        rows = np.sqrt(self._squared_rows(attrs, start, stop))
-                        rows[np.arange(stop - start), np.arange(start, stop)] = diagonal
-                        idx, vals = top_k_smallest(rows, k)
-                        indices[start:stop] = idx
-                        distances[start:stop] = vals
-                result = KNNResult(indices=indices, distances=distances)
+                indices = np.empty((n, k), dtype=np.intp)
+                distances = np.empty((n, k), dtype=float)
+                for start in range(0, n, chunk):
+                    stop = min(start + chunk, n)
+                    rows = np.sqrt(self._squared_rows(attrs, start, stop))
+                    rows[np.arange(stop - start), np.arange(start, stop)] = diagonal
+                    idx, vals = top_k_smallest(rows, k)
+                    indices[start:stop] = idx
+                    distances[start:stop] = vals
+            result = KNNResult(indices=indices, distances=distances)
             # Memoise under the shared byte budget; a result that still does
             # not fit after eviction is simply served uncached.
             result_nbytes = result.indices.nbytes + result.distances.nbytes

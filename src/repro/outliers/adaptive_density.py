@@ -53,8 +53,8 @@ def _density_from_distances(
 ) -> np.ndarray:
     """Epanechnikov kernel densities from a (zero-diagonal) distance matrix.
 
-    Shared by the per-subspace reference path and the engine-backed batch
-    path so both produce identical floats.
+    Used by the per-subspace reference path and independent scoring; the
+    engine-backed batch path computes the same floats band by band.
     """
     n = distances.shape[0]
     bandwidth = _adaptive_bandwidth(n, n_dims, bandwidth_scale)
@@ -151,13 +151,17 @@ class AdaptiveDensityScorer(OutlierScorer):
         *,
         engine: Optional[SharedNeighborEngine] = None,
     ) -> List[np.ndarray]:
-        """Engine-backed batch scoring: one assembled distance matrix per subspace.
+        """Engine-backed batch scoring: one pass over distance bands per subspace.
 
         The reference :meth:`score` computes the pairwise matrix twice per
         subspace (once for the densities, once for the neighbourhoods) and
-        full-sorts every row; here the matrix is assembled once from the
-        shared dimension blocks and the neighbourhoods come from the engine's
-        partial-sort top-k — identical scores either way.
+        full-sorts every row.  Here one pass over
+        :meth:`~repro.neighbors.engine.SharedNeighborEngine.iter_distance_rows`
+        computes both the kernel-density row sums and the per-row top-k, so
+        no ``n x n`` matrix is alive beyond the engine's own block cache.
+        The scores are identical: the kernel is elementwise, the density is a
+        per-row sum over the same full-width floats, and the band-local top-k
+        sees complete rows.
         """
         if engine is None:
             return super().score_batch(data, subspaces, engine=engine)
@@ -169,49 +173,21 @@ class AdaptiveDensityScorer(OutlierScorer):
         for subspace in subspaces:
             attributes = self._subspace_attributes(data, subspace)
             n_dims = len(attributes) if attributes else data.shape[1]
-            if engine.streaming:
-                densities, neighbours = self._streaming_density_pass(
-                    engine, attributes, n_dims, k
-                )
-            else:
-                distances = engine.distance_matrix(attributes)
-                densities = _density_from_distances(
-                    distances, n_dims, self.bandwidth_scale
-                )
-                # The matrix is a fresh assembly this scorer owns, so the
-                # neighbourhoods come straight from it — no second assembly.
-                np.fill_diagonal(distances, np.inf)
-                neighbours = top_k_smallest(distances, k)[0]
+            bandwidth = _adaptive_bandwidth(n, n_dims, self.bandwidth_scale)
+            densities = np.empty(n)
+            neighbours = np.empty((n, k), dtype=np.intp)
+            for start, stop, rows in engine.iter_distance_rows(attributes):
+                band = np.arange(start, stop)
+                scaled = rows / bandwidth
+                kernel = np.maximum(0.0, 1.0 - scaled**2)
+                kernel[band - start, band] = 0.0
+                densities[start:stop] = kernel.sum(axis=1) / (n - 1)
+                rows[band - start, band] = np.inf
+                neighbours[start:stop] = top_k_smallest(rows, k)[0]
             mu = densities[neighbours].mean(axis=1)
             floor = max(float(densities.mean()) * 1e-6, np.finfo(float).tiny)
             scores.append(np.maximum(0.0, mu / np.maximum(densities, floor)))
         return scores
-
-    def _streaming_density_pass(
-        self, engine: SharedNeighborEngine, attributes, n_dims: int, k: int
-    ) -> tuple:
-        """Densities and neighbourhoods from full-width distance bands.
-
-        One pass over :meth:`~repro.neighbors.engine.SharedNeighborEngine.iter_distance_rows`
-        computes both the kernel-density row sums and the per-row top-k, so no
-        ``n x n`` matrix is ever alive.  Bit-for-bit equal to the dense
-        branch: the kernel is elementwise, the density is a per-row sum over
-        the same full-width floats, and the band-local top-k sees complete
-        rows, so no merge is even needed.
-        """
-        n = engine.n_objects
-        bandwidth = _adaptive_bandwidth(n, n_dims, self.bandwidth_scale)
-        densities = np.empty(n)
-        neighbours = np.empty((n, k), dtype=np.intp)
-        for start, stop, rows in engine.iter_distance_rows(attributes):
-            band = np.arange(start, stop)
-            scaled = rows / bandwidth
-            kernel = np.maximum(0.0, 1.0 - scaled**2)
-            kernel[band - start, band] = 0.0
-            densities[start:stop] = kernel.sum(axis=1) / (n - 1)
-            rows[band - start, band] = np.inf
-            neighbours[start:stop] = top_k_smallest(rows, k)[0]
-        return densities, neighbours
 
     def score_samples_independent(
         self,

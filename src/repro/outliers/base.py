@@ -153,25 +153,19 @@ class OutlierScorer:
             )
         return data
 
-    def _shared_reference_engine(
-        self, memory_budget_mb: float, *, streaming: bool = False
-    ) -> SharedNeighborEngine:
+    def _shared_reference_engine(self, memory_budget_mb: float) -> SharedNeighborEngine:
         """Engine over the fitted reference data, cached across scoring calls.
 
         The per-dimension blocks and precomputed neighbour lists it holds are
-        what makes streaming ``independent=True`` scoring cheap: they are paid
-        once per fit, not once per batch.  Construction is double-checked
-        under a module lock so concurrent scoring threads share one engine;
-        the engine itself serialises its cache-mutating queries (see
-        :class:`~repro.neighbors.engine.SharedNeighborEngine`).
+        what makes ``independent=True`` scoring of a request stream cheap:
+        they are paid once per fit, not once per batch.  Construction is
+        double-checked under a module lock so concurrent scoring threads
+        share one engine; the engine itself serialises its cache-mutating
+        queries (see :class:`~repro.neighbors.engine.SharedNeighborEngine`).
         """
 
         def _stale(candidate: Optional[SharedNeighborEngine]) -> bool:
-            return (
-                candidate is None
-                or candidate.memory_budget_mb != memory_budget_mb
-                or candidate.streaming != streaming
-            )
+            return candidate is None or candidate.memory_budget_mb != memory_budget_mb
 
         engine = getattr(self, "_reference_engine_", None)
         if _stale(engine):
@@ -179,9 +173,7 @@ class OutlierScorer:
                 engine = getattr(self, "_reference_engine_", None)
                 if _stale(engine):
                     engine = SharedNeighborEngine(
-                        self.reference_data_,
-                        memory_budget_mb=memory_budget_mb,
-                        streaming=streaming,
+                        self.reference_data_, memory_budget_mb=memory_budget_mb
                     )
                     self._reference_engine_ = engine
         return engine
@@ -232,11 +224,9 @@ class OutlierScorer:
         evaluates :meth:`score_batch` on it, returning only the scores of the
         new rows.  With ``engine="shared"`` a
         :class:`SharedNeighborEngine` over the combined matrix shares the
-        per-dimension distance blocks across all subspaces;
-        ``engine="streaming"`` uses the engine's row-blocked mode that never
-        materialises an ``n x n`` array; with ``engine="per-subspace"`` (or
-        ``None``) every subspace recomputes its own distances — all produce
-        identical scores, bit for bit.
+        per-dimension distance blocks across all subspaces; with
+        ``engine="per-subspace"`` (or ``None``) every subspace recomputes its
+        own distances — both produce identical scores, bit for bit.
 
         .. note:: **Batch semantics.**  The new objects are scored *jointly*:
            they participate in each other's neighbourhoods, so a batch of
@@ -252,12 +242,8 @@ class OutlierScorer:
         mode = self._resolve_engine_mode(engine)
         combined = np.vstack([self.reference_data_, data])
         shared = (
-            SharedNeighborEngine(
-                combined,
-                memory_budget_mb=memory_budget_mb,
-                streaming=(mode == "streaming"),
-            )
-            if mode in ("shared", "streaming")
+            SharedNeighborEngine(combined, memory_budget_mb=memory_budget_mb)
+            if mode == "shared"
             else None
         )
         n_reference = self.reference_data_.shape[0]

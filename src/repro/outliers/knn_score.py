@@ -14,7 +14,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..exceptions import ParameterError
-from ..neighbors.base import create_knn_searcher
+from ..neighbors.base import check_knn_algorithm, create_knn_searcher
 from ..neighbors.engine import SharedNeighborEngine
 from ..types import Subspace
 from ..utils.validation import check_data_matrix, check_positive_int
@@ -46,7 +46,7 @@ def knn_distance_score(
         ``"mean"`` the average distance to all k neighbours (Angiulli &
         Pizzuti).
     algorithm:
-        kNN backend: ``"auto"``, ``"brute"`` or ``"kdtree"``.
+        kNN backend, one of :data:`~repro.neighbors.base.KNN_ALGORITHMS`.
     """
     data = check_data_matrix(data, name="data", min_objects=2)
     k = check_positive_int(k, name="k")
@@ -75,7 +75,7 @@ class KNNDistanceScorer(OutlierScorer):
         if aggregate not in ("kth", "mean"):
             raise ParameterError(f"aggregate must be 'kth' or 'mean', got {aggregate!r}")
         self.aggregate = aggregate
-        self.algorithm = algorithm
+        self.algorithm = check_knn_algorithm(algorithm)
 
     def score(self, data: np.ndarray, subspace: Optional[Subspace] = None) -> np.ndarray:
         data = check_data_matrix(data, name="data", min_objects=2)
@@ -131,15 +131,13 @@ class KNNDistanceScorer(OutlierScorer):
         """
         data = self._check_reference(data)
         mode = self._resolve_engine_mode(engine)
-        if mode not in ("shared", "streaming") or not self._engine_matches_backend(
+        if mode != "shared" or not self._engine_matches_backend(
             self.algorithm, self.reference_data_.shape[0] + 1
         ):
             return super().score_samples_independent(
                 data, subspaces, engine=engine, memory_budget_mb=memory_budget_mb
             )
-        shared = self._shared_reference_engine(
-            memory_budget_mb, streaming=(mode == "streaming")
-        )
+        shared = self._shared_reference_engine(memory_budget_mb)
         effective_k = min(self.k, self.reference_data_.shape[0])
         results = []
         for subspace in subspaces:

@@ -20,7 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..exceptions import ParameterError
-from ..neighbors.base import create_knn_searcher
+from ..neighbors.base import check_knn_algorithm, create_knn_searcher
 from ..neighbors.engine import SharedNeighborEngine
 from ..neighbors.topk import top_k_smallest
 from ..types import Subspace
@@ -28,9 +28,6 @@ from ..utils.validation import check_data_matrix, check_positive_int
 from .base import DEFAULT_MEMORY_BUDGET_MB, OutlierScorer
 
 __all__ = ["LOFScorer", "local_outlier_factor"]
-
-#: kNN backend names accepted by the LOF front ends.
-_ALGORITHMS = ("auto", "brute", "kdtree", "shared", "subsample")
 
 
 def _lof_from_knn(indices: np.ndarray, distances: np.ndarray) -> np.ndarray:
@@ -117,11 +114,7 @@ class LOFScorer(OutlierScorer):
 
     def __init__(self, min_pts: int = 10, *, algorithm: str = "auto"):
         self.min_pts = check_positive_int(min_pts, name="min_pts")
-        if algorithm not in _ALGORITHMS:
-            raise ParameterError(
-                f"algorithm must be one of {_ALGORITHMS}, got {algorithm!r}"
-            )
-        self.algorithm = algorithm
+        self.algorithm = check_knn_algorithm(algorithm)
 
     def score(self, data: np.ndarray, subspace: Optional[Subspace] = None) -> np.ndarray:
         data = check_data_matrix(data, name="data", min_objects=2)
@@ -187,16 +180,14 @@ class LOFScorer(OutlierScorer):
         # configurations (each per-query reference pass runs over
         # n_reference + 1 objects, which decides what "auto" resolves to).
         if (
-            mode not in ("shared", "streaming")
+            mode != "shared"
             or not self._engine_matches_backend(self.algorithm, n_reference + 1)
             or self.min_pts > n_reference - 1
         ):
             return super().score_samples_independent(
                 data, subspaces, engine=engine, memory_budget_mb=memory_budget_mb
             )
-        shared = self._shared_reference_engine(
-            memory_budget_mb, streaming=(mode == "streaming")
-        )
+        shared = self._shared_reference_engine(memory_budget_mb)
         k = self.min_pts
         n_queries = data.shape[0]
         columns = np.arange(k)[None, :]

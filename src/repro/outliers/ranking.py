@@ -14,8 +14,11 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ..exceptions import ParameterError
-from ..neighbors.engine import SharedNeighborEngine, normalise_engine_mode
-from ..parallel import WorkerContext, check_backend_spec, resolve_backend
+from ..neighbors.engine import (
+    SharedNeighborEngine,
+    check_memory_budget_mb,
+    normalise_engine_mode,
+)
 from ..types import RankingResult, Subspace
 from ..utils.timing import Stopwatch
 from ..utils.validation import check_data_matrix
@@ -24,19 +27,6 @@ from .base import DEFAULT_MEMORY_BUDGET_MB, OutlierScorer
 from .lof import LOFScorer
 
 __all__ = ["SubspaceOutlierRanker"]
-
-
-def _setup_scoring_worker(payload, arrays):
-    """Worker state: the shared data matrix plus a rebuilt scorer."""
-    from ..registry import component_from_dict  # lazy: avoids an import cycle
-
-    return arrays["data"], component_from_dict(payload["scorer"], "scorer")
-
-
-def _score_subspace_worker(state, attributes):
-    """Score the full dataset in one subspace; the reference `score` path."""
-    data, scorer = state
-    return scorer.score(data, Subspace(attributes))
 
 
 class SubspaceOutlierRanker:
@@ -56,21 +46,13 @@ class SubspaceOutlierRanker:
     engine:
         ``"shared"`` (default) computes per-dimension distance blocks once
         through a :class:`~repro.neighbors.engine.SharedNeighborEngine` and
-        shares them across all subspaces; ``"streaming"`` runs the same
-        engine in its row-blocked mode, which never materialises an ``n x n``
-        array and scales to datasets whose dense distance matrix cannot fit
-        in memory; ``"per-subspace"`` is the reference path that rebuilds
-        every subspace's distances from scratch.  All produce identical
-        scores, bit for bit.
+        shares them across all subspaces; datasets whose ``n x n`` block
+        exceeds ``memory_budget_mb`` are scored in budget-sized row bands.
+        ``"per-subspace"`` is the reference path that rebuilds every
+        subspace's distances from scratch.  Both produce identical scores,
+        bit for bit.
     memory_budget_mb:
         Cache budget of the shared engine (ignored for ``"per-subspace"``).
-    backend:
-        Execution-backend spec (see :mod:`repro.parallel`) for the
-        ``"per-subspace"`` reference engine, whose independent per-subspace
-        scoring passes fan out across a process pool (the data is published
-        once through a shared-memory plane).  ``None`` (default) stays
-        inline; the shared engine ignores it — its whole point is one shared
-        pass.  Scores are bit-for-bit independent of the backend.
     """
 
     def __init__(
@@ -81,7 +63,6 @@ class SubspaceOutlierRanker:
         max_subspaces: int = 100,
         engine: str = "shared",
         memory_budget_mb: float = DEFAULT_MEMORY_BUDGET_MB,
-        backend=None,
     ):
         self.scorer = scorer if scorer is not None else LOFScorer()
         if not isinstance(self.scorer, OutlierScorer):
@@ -91,8 +72,7 @@ class SubspaceOutlierRanker:
             raise ParameterError(f"max_subspaces must be >= 1, got {max_subspaces}")
         self.max_subspaces = int(max_subspaces)
         self.engine = normalise_engine_mode(engine)
-        self.memory_budget_mb = float(memory_budget_mb)
-        self.backend = check_backend_spec(backend)
+        self.memory_budget_mb = check_memory_budget_mb(memory_budget_mb)
 
     def rank(
         self,
@@ -121,19 +101,11 @@ class SubspaceOutlierRanker:
                     metadata={"runtime_sec": stopwatch.total(), "n_subspaces": 0},
                 )
             shared = (
-                SharedNeighborEngine(
-                    data,
-                    memory_budget_mb=self.memory_budget_mb,
-                    streaming=(self.engine == "streaming"),
-                )
-                if self.engine in ("shared", "streaming")
+                SharedNeighborEngine(data, memory_budget_mb=self.memory_budget_mb)
+                if self.engine == "shared"
                 else None
             )
-            per_subspace = None
-            if shared is None and self.backend is not None and len(selected) >= 2:
-                per_subspace = self._score_batch_parallel(data, selected)
-            if per_subspace is None:
-                per_subspace = self.scorer.score_batch(data, selected, engine=shared)
+            per_subspace = self.scorer.score_batch(data, selected, engine=shared)
             combined = aggregate_scores(per_subspace, self.aggregation)
         return RankingResult(
             scores=combined,
@@ -145,42 +117,6 @@ class SubspaceOutlierRanker:
                 "aggregation": self.aggregation if isinstance(self.aggregation, str) else "custom",
             },
         )
-
-    def _score_batch_parallel(self, data: np.ndarray, selected) -> Optional[list]:
-        """Per-subspace reference scoring fanned out across worker processes.
-
-        Each worker receives the data once (shared-memory plane) and a
-        scorer rebuilt from its registry serialisation, then runs the exact
-        reference :meth:`~repro.outliers.base.OutlierScorer.score` pass per
-        subspace — bit-for-bit what the inline loop computes.  Returns
-        ``None`` (caller falls back inline) when the scorer cannot be
-        serialised or the resolved backend is not a process pool: in-process
-        backends would share one unfitted scorer across threads, which the
-        scorer contract does not promise to tolerate.
-        """
-        from ..registry import component_to_dict  # lazy: avoids an import cycle
-
-        try:
-            scorer_payload = component_to_dict(self.scorer, "scorer")
-        except ParameterError:
-            return None
-        backend, owned = resolve_backend(self.backend)
-        try:
-            if backend.kind != "process":
-                return None
-            with WorkerContext(
-                setup=_setup_scoring_worker,
-                payload={"scorer": scorer_payload},
-                arrays={"data": data},
-            ) as context:
-                return backend.map(
-                    _score_subspace_worker,
-                    [s.attributes for s in selected],
-                    context=context,
-                )
-        finally:
-            if owned:
-                backend.close()
 
     def rank_full_space(self, data: np.ndarray) -> RankingResult:
         """Convenience: rank in the full space only (the plain LOF baseline)."""

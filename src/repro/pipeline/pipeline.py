@@ -30,7 +30,6 @@ import numpy as np
 
 from ..dataset.dataset import Dataset
 from ..exceptions import DataError, NotFittedError, ParameterError, SubspaceError
-from ..neighbors.engine import normalise_engine_mode
 from ..outliers.aggregation import aggregate_scores
 from ..outliers.base import DEFAULT_MEMORY_BUDGET_MB, OutlierScorer
 from ..outliers.lof import LOFScorer
@@ -68,12 +67,12 @@ class SubspaceOutlierPipeline:
         Scoring engine: ``"shared"`` (default) computes per-dimension distance
         blocks once per dataset through a
         :class:`~repro.neighbors.engine.SharedNeighborEngine` and shares them
-        across all fitted subspaces; ``"streaming"`` runs the same engine in
-        its row-blocked mode, which never materialises an ``n x n`` array and
-        scales scoring to datasets whose dense distance matrix cannot fit in
-        memory; ``"per-subspace"`` is the reference path that recomputes
-        every subspace's distances from scratch.  All produce identical
-        scores, bit for bit — the switch is purely a throughput/memory knob.
+        across all fitted subspaces, in budget-sized row bands once an
+        ``n x n`` block exceeds ``memory_budget_mb``; ``"per-subspace"`` is
+        the reference path that recomputes every subspace's distances from
+        scratch.  Both produce identical scores, bit for bit — the switch is
+        purely a throughput/memory knob.  The retired name ``"streaming"``
+        is read as ``"shared"``.
     memory_budget_mb:
         Cache budget of the shared engine in MiB (per-dimension blocks,
         prefix partial sums and neighbour lists); ignored by
@@ -82,9 +81,8 @@ class SubspaceOutlierPipeline:
         Execution-backend spec (see :mod:`repro.parallel`), e.g.
         ``"process(n_jobs=4)"``.  ``None`` (default) leaves each component's
         own ``backend``/``n_jobs`` settings untouched; a value overrides the
-        searcher's backend at :meth:`fit` time and configures the ranker's
-        per-subspace reference engine.  Purely a throughput knob — scores
-        are bit-for-bit independent of it — and persisted with
+        searcher's backend at :meth:`fit` time.  Purely a throughput knob —
+        scores are bit-for-bit independent of it — and persisted with
         :meth:`to_dict`/:meth:`save` so a saved pipeline reloads with the
         same execution configuration.
 
@@ -121,21 +119,16 @@ class SubspaceOutlierPipeline:
         if not isinstance(self.searcher, SubspaceSearcher):
             raise ParameterError("searcher must be a SubspaceSearcher instance")
         self.scorer = scorer if scorer is not None else LOFScorer()
-        self.engine = normalise_engine_mode(engine)
-        self.memory_budget_mb = float(memory_budget_mb)
-        if not self.memory_budget_mb > 0:
-            raise ParameterError(
-                f"memory_budget_mb must be positive, got {memory_budget_mb}"
-            )
         self.backend = check_backend_spec(backend)
         self.ranker = SubspaceOutlierRanker(
             self.scorer,
             aggregation=aggregation,
             max_subspaces=max_subspaces,
-            engine=self.engine,
-            memory_budget_mb=self.memory_budget_mb,
-            backend=self.backend,
+            engine=engine,
+            memory_budget_mb=memory_budget_mb,
         )
+        self.engine = self.ranker.engine
+        self.memory_budget_mb = self.ranker.memory_budget_mb
         # Populated by fit() / fit_rank().
         self.scored_subspaces_: List[ScoredSubspace] = []
         self.reference_data_: Optional[np.ndarray] = None
@@ -387,9 +380,10 @@ class SubspaceOutlierPipeline:
             max_subspaces=max_subspaces,
             # Pre-engine payloads (format_version 1 files written before the
             # shared-neighborhood refactor) default to the shared engine —
-            # scores are identical either way.  Likewise, payloads written
-            # before the execution-backend subsystem default to backend=None
-            # (serial), the historical behaviour.
+            # scores are identical either way — and a retired engine name
+            # maps to its survivor (normalise_engine_mode).  Likewise,
+            # payloads written before the execution-backend subsystem
+            # default to backend=None (serial), the historical behaviour.
             engine=payload.get("engine", "shared"),
             memory_budget_mb=memory_budget_mb,
             backend=payload.get("backend"),

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple, Type, Union
 
 from .exceptions import ParameterError, ReproError
+from .neighbors.engine import ENGINE_MODES, LEGACY_ENGINE_MODES
 from .outliers.aggregation import (
     available_aggregations,
     get_aggregation,
@@ -189,7 +190,22 @@ def available_aggregators() -> Tuple[str, ...]:
     return available_aggregations()
 
 
+#: Retired constructor parameters, dropped when a saved payload or a spec
+#: string still names them: ``(kind, name) -> {parameter: accepted values}``.
+#: HiCS's ``engine`` chose between the batch contrast engine and a scalar
+#: per-iteration reference that produced the same contrasts bit for bit.
+_RETIRED_PARAMS: Dict[Tuple[str, str], Dict[str, Tuple[object, ...]]] = {
+    ("searcher", "hics"): {"engine": ("batch", "scalar")},
+}
+
+
 def _construct(cls: type, params: Dict[str, object], name: str, kind: str):
+    retired = _RETIRED_PARAMS.get((kind, name), {})
+    params = {
+        key: value
+        for key, value in params.items()
+        if not (key in retired and value in retired[key])
+    }
     try:
         return cls(**params)
     except ReproError:
@@ -362,10 +378,11 @@ def parse_component_spec(text: str) -> ComponentSpec:
     return ComponentSpec(name=_normalise_name(name), params=params)
 
 
-#: Spec-grammar names selecting the scoring engine (4th, optional segment).
-#: ``shared`` and ``streaming`` may carry a cache budget:
+#: Spec-grammar names selecting the scoring engine (4th, optional segment),
+#: including the ``per_subspace`` spelling and retired names that map to a
+#: survivor.  ``shared`` may carry a cache budget:
 #: ``shared(memory_budget_mb=64)``.
-_ENGINE_NAMES = ("shared", "streaming", "per-subspace", "per_subspace")
+_ENGINE_NAMES = ENGINE_MODES + ("per_subspace",) + tuple(LEGACY_ENGINE_MODES)
 
 
 def _extract_engine_spec(parts: list) -> Tuple[list, Optional[ComponentSpec]]:
@@ -404,8 +421,9 @@ def parse_spec(text: str) -> PipelineSpec:
     to LOF and the aggregation to ``"average"`` when omitted; a two-part spec
     whose second segment is a bare aggregation name rather than a scorer
     (``"hics+max"``) is accepted as searcher + aggregation.  The engine
-    segment (``shared``, ``streaming`` or ``per-subspace``) selects the
-    scoring engine and may appear after any other segment.
+    segment (``shared`` or ``per-subspace``) selects the scoring engine and
+    may appear after any other segment; the retired ``streaming`` segment
+    is still accepted and selects ``shared``.
     """
     if not isinstance(text, str) or not text.strip():
         raise ParameterError("pipeline spec must be a non-empty string")

@@ -143,8 +143,8 @@ def batch_fallback(scalar_deviation: DeviationFunction) -> BatchDeviationFunctio
 
     Used for custom / unregistered deviations that have no array-level
     implementation: the scalar function is simply applied per sample, which is
-    trivially bit-for-bit equal to the scalar engine while still benefiting
-    from the batched slice drawing.
+    trivially bit-for-bit equal to one scalar test per iteration while still
+    benefiting from the batched slice drawing.
     """
 
     def batched(

@@ -15,6 +15,7 @@ the Welch-Satterthwaite equation.  The deviation value used by HiCS is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -69,16 +70,8 @@ def welch_t_statistic(
     return float(diff / np.sqrt(se2))
 
 
-def welch_satterthwaite_df(var_a: float, n_a: int, var_b: float, n_b: int) -> float:
-    """Welch-Satterthwaite approximation of the degrees of freedom.
-
-    Returns 1.0 as a conservative lower bound when the formula is undefined
-    (e.g. both variances are zero or a sample has a single observation).
-    """
-    if n_a < 2 and n_b < 2:
-        return 1.0
-    term_a = var_a / n_a
-    term_b = var_b / n_b
+def _satterthwaite_parts(term_a: float, n_a: int, term_b: float, n_b: int):
+    """Numerator and denominator of the Welch-Satterthwaite ratio."""
     # Squares via explicit multiplication: libm pow(x, 2.0) can differ from
     # x*x in the last ulp, and the batched implementation must be able to
     # reproduce this function bit-for-bit with array arithmetic.
@@ -88,6 +81,30 @@ def welch_satterthwaite_df(var_a: float, n_a: int, var_b: float, n_b: int) -> fl
         denominator += term_a * term_a / (n_a - 1)
     if n_b > 1:
         denominator += term_b * term_b / (n_b - 1)
+    return numerator, denominator
+
+
+def welch_satterthwaite_df(var_a: float, n_a: int, var_b: float, n_b: int) -> float:
+    """Welch-Satterthwaite approximation of the degrees of freedom.
+
+    Returns 1.0 as a conservative lower bound when the formula is undefined
+    (e.g. both variances are zero or a sample has a single observation).
+    Squaring ``var / n`` overflows for data of magnitude around 1e78; such
+    cases are recomputed with both terms scaled by one power of two, which is
+    exact, so the ratio is the one the unscaled formula would give.
+    """
+    if n_a < 2 and n_b < 2:
+        return 1.0
+    term_a = float(var_a) / n_a
+    term_b = float(var_b) / n_b
+    numerator, denominator = _satterthwaite_parts(term_a, n_a, term_b, n_b)
+    largest = max(term_a, term_b)
+    overflowed = not (math.isfinite(numerator) and math.isfinite(denominator))
+    if overflowed and math.isfinite(largest):
+        scale = math.ldexp(1.0, -math.frexp(largest)[1])
+        numerator, denominator = _satterthwaite_parts(
+            term_a * scale, n_a, term_b * scale, n_b
+        )
     if numerator <= 0.0 or denominator <= 0.0:
         return 1.0
     return float(max(1.0, numerator / denominator))
@@ -124,7 +141,7 @@ def welch_satterthwaite_df_batch(var_a, n_a, var_b, n_b) -> np.ndarray:
 
     Bit-for-bit equal to the scalar routine per element, including the
     conservative 1.0 fallbacks for undefined cases (both samples of size one,
-    zero variances).
+    zero variances) and the power-of-two rescaling of overflowing rows.
     """
     var_a, n_a, var_b, n_b = np.broadcast_arrays(var_a, n_a, var_b, n_b)
     var_a = np.asarray(var_a, dtype=float)
@@ -133,12 +150,26 @@ def welch_satterthwaite_df_batch(var_a, n_a, var_b, n_b) -> np.ndarray:
     n_b = np.asarray(n_b, dtype=float)
     term_a = var_a / n_a
     term_b = var_b / n_b
-    numerator = (term_a + term_b) * (term_a + term_b)
-    denominator = np.zeros(numerator.shape, dtype=float)
     a_multi = n_a > 1
     b_multi = n_b > 1
-    denominator[a_multi] += term_a[a_multi] * term_a[a_multi] / (n_a[a_multi] - 1)
-    denominator[b_multi] += term_b[b_multi] * term_b[b_multi] / (n_b[b_multi] - 1)
+
+    def parts(term_a, term_b):
+        numerator = (term_a + term_b) * (term_a + term_b)
+        denominator = np.zeros(numerator.shape, dtype=float)
+        denominator[a_multi] += term_a[a_multi] * term_a[a_multi] / (n_a[a_multi] - 1)
+        denominator[b_multi] += term_b[b_multi] * term_b[b_multi] / (n_b[b_multi] - 1)
+        return numerator, denominator
+
+    with np.errstate(over="ignore"):
+        numerator, denominator = parts(term_a, term_b)
+        if not np.isfinite(numerator + denominator).all():
+            # Recompute the rows whose squares overflowed with both terms
+            # scaled by one power of two; scaling the other rows by 1.0
+            # leaves their floats exactly as they were.
+            largest = np.maximum(term_a, term_b)
+            rows = ~(np.isfinite(numerator) & np.isfinite(denominator)) & np.isfinite(largest)
+            scale = np.where(rows, np.ldexp(1.0, -np.frexp(largest)[1]), 1.0)
+            numerator, denominator = parts(term_a * scale, term_b * scale)
     df = np.ones(numerator.shape, dtype=float)
     defined = (a_multi | b_multi) & (numerator > 0.0) & (denominator > 0.0)
     df[defined] = np.maximum(1.0, numerator[defined] / denominator[defined])

@@ -14,23 +14,18 @@ per-condition selectivity ``alpha^(1/|S|)``.  The deviation function is a
 two-sample statistical test comparing the conditional sample against the
 marginal sample (Welch's t-test for HiCS_WT, the KS statistic for HiCS_KS).
 
-Two execution engines share one slice-drawing protocol
-(:meth:`~repro.index.SliceSampler.sample_slice_batch`):
-
-``"batch"`` (default)
-    The vectorised hot path: all ``M`` selection masks are evaluated against
-    the precomputed rank matrix at once, the conditional samples are gathered
-    with a single ``nonzero``/``split`` pass, and the deviations of all
-    iterations are computed through the array-level statistics
-    (:func:`~repro.stats.deviation.welch_deviation_batch`,
-    :func:`~repro.stats.deviation.ks_deviation_batch`).
-
-``"scalar"``
-    The reference implementation: per-iteration boolean masks built condition
-    by condition through :meth:`~repro.index.AttributeIndex.block_mask`, one
-    scalar two-sample test per iteration.  Both engines produce bit-for-bit
-    identical contrasts under a shared seed; the golden-equivalence suite
-    (``tests/test_contrast_batch.py``) enforces this.
+The estimator evaluates all ``M`` iterations of a subspace at once: the
+slices are drawn by :meth:`~repro.index.SliceSampler.sample_slice_batch`,
+whose selection masks are evaluated against the precomputed rank matrix in
+one pass, the conditional samples are gathered with a single
+``nonzero``/``split`` pass, and the deviations of all iterations are computed
+through the array-level statistics
+(:func:`~repro.stats.deviation.welch_deviation_batch`,
+:func:`~repro.stats.deviation.ks_deviation_batch`).  The result is bit-for-bit
+what the paper's per-iteration recipe gives — one boolean mask built
+condition by condition through :meth:`~repro.index.AttributeIndex.block_mask`
+and one scalar two-sample test per iteration — which is kept as the oracle of
+the golden-equivalence suite (``tests/test_contrast_batch.py``).
 
 The randomness of each subspace evaluation is derived from the estimator seed
 *and* the subspace's attributes, so a subspace's contrast does not depend on
@@ -81,8 +76,6 @@ from ..utils.validation import check_positive_int
 __all__ = ["ContrastCache", "ContrastEstimator"]
 
 logger = logging.getLogger(__name__)
-
-_ENGINES = ("batch", "scalar")
 
 
 class ContrastCache:
@@ -174,9 +167,6 @@ class ContrastEstimator:
         randomness is derived from this seed and the subspace's attributes, so
         contrasts are independent of the order in which subspaces are
         evaluated.
-    engine:
-        ``"batch"`` (vectorised, default) or ``"scalar"`` (per-iteration
-        reference).  Both produce bit-for-bit identical contrasts.
     n_jobs:
         Default worker fan-out for :meth:`contrast_many`; ``-1`` uses all
         cores, 1 (default) stays sequential.  Sugar for
@@ -242,7 +232,6 @@ class ContrastEstimator:
         min_conditional_size: int = 5,
         max_retries: int = 10,
         random_state=None,
-        engine: str = "batch",
         n_jobs: int = 1,
         backend: Union[None, str, ExecutionBackend] = None,
         cache: Union[bool, ContrastCache, None] = True,
@@ -269,9 +258,6 @@ class ContrastEstimator:
             min_conditional_size, name="min_conditional_size"
         )
         self.max_retries = check_positive_int(max_retries, name="max_retries")
-        if engine not in _ENGINES:
-            raise ParameterError(f"engine must be one of {_ENGINES}, got {engine!r}")
-        self.engine = engine
         if subsample_size is not None:
             subsample_size = check_positive_int(subsample_size, name="subsample_size")
             if subsample_size < 2:
@@ -517,10 +503,7 @@ class ContrastEstimator:
         if self.subsample_size is not None and self.subsample_size < self.n_objects:
             return self._evaluate_subsampled(subspace)
         batch = self._sample_batch(subspace)
-        if self.engine == "scalar":
-            deviations = self._deviations_scalar(batch)
-        else:
-            deviations = self._deviations_batch(batch)
+        deviations = self._deviations_batch(batch)
         contrast_value = float(np.mean(deviations)) if deviations.size else 0.0
         return ContrastResult(
             subspace=subspace,
@@ -554,7 +537,6 @@ class ContrastEstimator:
             else self.deviation,
             min_conditional_size=self.min_conditional_size,
             max_retries=self.max_retries,
-            engine=self.engine,
             n_jobs=1,
             cache=False,
             random_state=child_entropy,
@@ -568,32 +550,6 @@ class ContrastEstimator:
             n_degenerate=local.n_degenerate,
             subsample=(size, child_entropy),
         )
-
-    def _deviations_scalar(self, batch: SliceBatch) -> np.ndarray:
-        """Reference engine: per-iteration masks and scalar two-sample tests.
-
-        Rebuilds each iteration's selection mask condition by condition through
-        :meth:`~repro.index.AttributeIndex.block_mask` — deliberately *not*
-        reusing the batch-evaluated masks, so the golden-equivalence tests
-        cover the vectorised mask evaluation as well as the statistics.
-        """
-        attrs = batch.subspace.attributes
-        valid = np.flatnonzero(~batch.degenerate)
-        deviations = np.empty(valid.size, dtype=float)
-        for out_pos, m in enumerate(valid):
-            selected = np.ones(self.n_objects, dtype=bool)
-            for j, attribute in enumerate(attrs):
-                start = batch.start_ranks[m, j]
-                if start < 0:
-                    continue
-                selected &= self.index.attribute_index(attribute).block_mask(
-                    int(start), batch.block_size
-                )
-            test_attribute = int(batch.test_attributes[m])
-            conditional = self.index.values(test_attribute)[selected]
-            marginal = self.index.values(test_attribute)
-            deviations[out_pos] = float(self.deviation(conditional, marginal))
-        return deviations
 
     def _marginal_moment_arrays(
         self, test_attributes: np.ndarray
@@ -634,8 +590,8 @@ class ContrastEstimator:
         counts = batch.counts[valid]
         row_idx, obj_idx = np.nonzero(selected)
         # np.nonzero is row-major, so each row's objects come out in ascending
-        # index order — the same order as boolean-mask extraction in the
-        # scalar engine, which keeps the sample means bit-identical.
+        # index order — the same order as extracting one iteration's sample
+        # with its boolean mask, which keeps the sample means bit-identical.
         flat_values = self.index.data[obj_idx, test_attributes[row_idx]]
         samples = np.split(flat_values, np.cumsum(counts)[:-1])
         return valid, selected, test_attributes, counts, samples
@@ -651,16 +607,17 @@ class ContrastEstimator:
         return t, df
 
     def _deviations_batch(self, batch: SliceBatch) -> np.ndarray:
-        """Vectorised engine: one gather pass plus array-level statistics."""
+        """Deviations of a slice batch: one gather pass plus array statistics."""
         valid, selected, test_attributes, counts, samples = self._gather_samples(batch)
         if valid.size == 0:
             return np.empty(0, dtype=float)
 
         # The paper's two instantiations get fully grouped fast paths that
-        # exploit what the engine knows (one shared reference population whose
-        # moments / sorted order are cached, conditional samples that are
-        # sub-multisets of the marginal).  Both remain bit-for-bit equal to
-        # the scalar deviations; the golden-equivalence suite pins this.
+        # exploit what the estimator knows (one shared reference population
+        # whose moments / sorted order are cached, conditional samples that
+        # are sub-multisets of the marginal).  Both remain bit-for-bit equal
+        # to one scalar test per iteration; the golden-equivalence suite
+        # pins this.
         if self.deviation is welch_deviation:
             t, df = self._welch_t_df(test_attributes, samples)
             pvalues = student_t_two_tailed_pvalue_batch(t, df)
@@ -672,7 +629,7 @@ class ContrastEstimator:
             # their group), so the whole statistic reduces to one cumsum and
             # one row-max per iteration group — no per-sample sort or search.
             # Counts are integers, so the resulting quotients are bitwise the
-            # same floats the scalar searchsorted formulation produces.
+            # same floats the per-sample searchsorted formulation produces.
             deviations = np.empty(valid.size, dtype=float)
             for attribute in np.unique(test_attributes):
                 rows = np.flatnonzero(test_attributes == attribute)
@@ -723,8 +680,7 @@ class ContrastEstimator:
         ):
             return self._contrast_many_backend(subspace_list, exec_backend)
         if (
-            self.engine == "batch"
-            and self.deviation is welch_deviation
+            self.deviation is welch_deviation
             and len(subspace_list) >= 2
             # The level-batched Welch path assembles slice batches over the
             # full database; subsampled estimates evaluate per subspace.
@@ -850,7 +806,6 @@ class ContrastEstimator:
                 else self.deviation,
                 "min_conditional_size": self.min_conditional_size,
                 "max_retries": self.max_retries,
-                "engine": self.engine,
                 "entropy": self._entropy,
                 "subsample_size": self.subsample_size,
             }
@@ -989,7 +944,6 @@ def _setup_contrast_worker(payload: Dict[str, object], arrays: Dict[str, np.ndar
         deviation=payload["deviation"],
         min_conditional_size=payload["min_conditional_size"],
         max_retries=payload["max_retries"],
-        engine=payload["engine"],
         n_jobs=1,
         cache=False,
         random_state=0,

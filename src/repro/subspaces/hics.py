@@ -68,11 +68,6 @@ class HiCS(SubspaceSearcher):
         exposed for the pruning ablation benchmark.
     random_state:
         Seed or generator for the Monte Carlo contrast estimation.
-    engine:
-        Contrast execution engine: ``"batch"`` (vectorised, default) or
-        ``"scalar"`` (per-iteration reference).  Both are bit-for-bit
-        identical under a shared seed; the scalar path exists as the
-        reference implementation and for the perf-regression harness.
     n_jobs:
         Worker fan-out for scoring each candidate level
         (:meth:`ContrastEstimator.contrast_many`); ``-1`` uses all cores.
@@ -146,7 +141,6 @@ class HiCS(SubspaceSearcher):
         max_dimensionality: Optional[int] = None,
         prune_redundant: bool = True,
         random_state=None,
-        engine: str = "batch",
         n_jobs: int = 1,
         backend=None,
         cache: bool = True,
@@ -171,11 +165,6 @@ class HiCS(SubspaceSearcher):
         self.max_dimensionality = max_dimensionality
         self.prune_redundant = bool(prune_redundant)
         self.random_state = random_state
-        if engine not in ("batch", "scalar"):
-            raise ParameterError(
-                f"engine must be 'batch' or 'scalar', got {engine!r}"
-            )
-        self.engine = engine
         resolve_n_jobs(n_jobs)  # fail fast; stored unresolved for persistence
         self.n_jobs = n_jobs
         self.backend = check_backend_spec(backend)  # stored unresolved, too
@@ -230,7 +219,6 @@ class HiCS(SubspaceSearcher):
             alpha=self.alpha,
             deviation=self.deviation,
             random_state=self.random_state,
-            engine=self.engine,
             n_jobs=self.n_jobs,
             backend=self.backend,
             cache=self._shared_cache if self.cache else False,

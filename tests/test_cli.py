@@ -48,6 +48,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["rank", "--dataset", "glass", "--method", "SOD"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--dataset", "glass", "--scoring-engine", "streaming"],
+            ["contrast", "--dataset", "glass", "--engine", "scalar"],
+        ],
+    )
+    def test_retired_engine_flags_rejected(self, argv):
+        # Both selected bit-identical duplicates of the default path.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
 
 class TestCommands:
     def test_datasets_command_lists_builtins(self, capsys):

@@ -1,11 +1,14 @@
-"""Golden-equivalence suite: the batch engine against the scalar reference.
+"""Golden-equivalence suite: the batch contrast estimator against an oracle.
 
-The contract under test is the strongest one the library makes: the vectorised
-batch contrast engine must reproduce the scalar reference engine **bit for
-bit** under a shared seed — across deviation functions, alphas, subspace
-sizes, degenerate data (ties, constant columns) and the retry/degradation
-edge cases.  A single ulp of drift anywhere in the slicing, moment extraction
-or p-value pipeline fails these tests.
+The contract under test is the strongest one the library makes: the
+vectorised contrast estimator must reproduce the paper's per-iteration recipe
+**bit for bit** under a shared seed — across deviation functions, alphas,
+subspace sizes, degenerate data (ties, constant columns) and the
+retry/degradation edge cases.  The recipe lives here as a test oracle
+(:func:`oracle_contrast`): one boolean selection mask per iteration, built
+condition by condition, and one scalar two-sample test on the masked sample.
+A single ulp of drift anywhere in the slicing, moment extraction or p-value
+pipeline fails these tests.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ParameterError
+from repro.registry import make_searcher
 from repro.subspaces import HiCS
 from repro.subspaces.contrast import ContrastCache, ContrastEstimator
-from repro.types import Subspace
+from repro.types import ContrastResult, Subspace
 
 
 def _shadowing_welch(conditional, marginal):
@@ -29,10 +33,41 @@ def _shadowing_welch(conditional, marginal):
 _shadowing_welch.__name__ = "welch"
 
 
-def make_estimator(data, engine, **overrides):
+def make_estimator(data, **overrides):
     params = dict(n_iterations=20, random_state=5, cache=False)
     params.update(overrides)
-    return ContrastEstimator(data, engine=engine, **params)
+    return ContrastEstimator(data, **params)
+
+
+def oracle_contrast(estimator, subspace):
+    """Algorithm 1 one iteration at a time: the reference for the estimator.
+
+    Takes the estimator's slice draws (the seeded draw protocol is shared),
+    but rebuilds each iteration's selection mask condition by condition
+    through ``AttributeIndex.block_mask`` — deliberately *not* reusing the
+    batch-evaluated masks — and runs one scalar two-sample test per
+    iteration on the masked conditional sample.
+    """
+    batch = estimator._sample_batch(subspace)
+    index = estimator.index
+    deviations = []
+    for m in np.flatnonzero(~batch.degenerate):
+        selected = np.ones(index.n_objects, dtype=bool)
+        for j, attribute in enumerate(subspace.attributes):
+            start = batch.start_ranks[m, j]
+            if start >= 0:
+                selected &= index.attribute_index(attribute).block_mask(
+                    int(start), batch.block_size
+                )
+        values = index.values(int(batch.test_attributes[m]))
+        deviations.append(float(estimator.deviation(values[selected], values)))
+    return ContrastResult(
+        subspace=subspace,
+        contrast=float(np.mean(deviations)) if deviations else 0.0,
+        deviations=tuple(deviations),
+        n_iterations=estimator.n_iterations,
+        n_degenerate=batch.n_degenerate,
+    )
 
 
 def assert_identical(result_a, result_b):
@@ -62,46 +97,46 @@ def mixed_data():
 class TestGoldenEquivalence:
     @pytest.mark.parametrize("deviation", ["welch", "ks", "cvm", "mean-shift"])
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.35])
-    def test_engines_identical_across_deviations_and_alphas(
+    def test_batch_matches_oracle_across_deviations_and_alphas(
         self, mixed_data, deviation, alpha
     ):
         subspaces = [Subspace(p) for p in combinations(range(6), 2)]
         subspaces += [Subspace((0, 1, 2)), Subspace((1, 3, 5)), Subspace((0, 1, 2, 3))]
-        batch = make_estimator(mixed_data, "batch", deviation=deviation, alpha=alpha)
-        scalar = make_estimator(mixed_data, "scalar", deviation=deviation, alpha=alpha)
+        batch = make_estimator(mixed_data, deviation=deviation, alpha=alpha)
+        reference = make_estimator(mixed_data, deviation=deviation, alpha=alpha)
         for subspace in subspaces:
             assert_identical(
-                batch.contrast_detailed(subspace), scalar.contrast_detailed(subspace)
+                batch.contrast_detailed(subspace), oracle_contrast(reference, subspace)
             )
 
     @pytest.mark.parametrize("seed", [0, 1, 99, 2**40])
-    def test_engines_identical_across_seeds(self, mixed_data, seed):
+    def test_batch_matches_oracle_across_seeds(self, mixed_data, seed):
         subspace = Subspace((0, 1, 5))
-        batch = make_estimator(mixed_data, "batch", random_state=seed)
-        scalar = make_estimator(mixed_data, "scalar", random_state=seed)
+        estimator = make_estimator(mixed_data, random_state=seed)
         assert_identical(
-            batch.contrast_detailed(subspace), scalar.contrast_detailed(subspace)
+            estimator.contrast_detailed(subspace), oracle_contrast(estimator, subspace)
         )
 
     def test_contrast_many_matches_individual_calls(self, mixed_data):
         subspaces = [Subspace(p) for p in combinations(range(6), 2)]
-        estimator = make_estimator(mixed_data, "batch")
+        estimator = make_estimator(mixed_data)
         level = estimator.contrast_many(subspaces)
         for subspace in subspaces:
-            single = make_estimator(mixed_data, "batch").contrast(subspace)
+            single = make_estimator(mixed_data).contrast(subspace)
             assert level[subspace] == single
 
-    def test_contrast_many_engines_identical(self, mixed_data):
+    def test_contrast_many_matches_oracle(self, mixed_data):
         subspaces = [Subspace(p) for p in combinations(range(6), 2)]
-        assert make_estimator(mixed_data, "batch").contrast_many(subspaces) == (
-            make_estimator(mixed_data, "scalar").contrast_many(subspaces)
-        )
+        estimator = make_estimator(mixed_data)
+        level = estimator.contrast_many(subspaces)
+        for subspace in subspaces:
+            assert level[subspace] == oracle_contrast(estimator, subspace).contrast
 
     def test_order_independence(self, mixed_data):
         """Per-subspace seeding: evaluation order cannot change any contrast."""
         subspaces = [Subspace(p) for p in combinations(range(6), 2)]
-        forward = make_estimator(mixed_data, "batch").contrast_many(subspaces)
-        backward = make_estimator(mixed_data, "batch").contrast_many(subspaces[::-1])
+        forward = make_estimator(mixed_data).contrast_many(subspaces)
+        backward = make_estimator(mixed_data).contrast_many(subspaces[::-1])
         assert forward == backward
 
     def test_custom_callable_deviation_parity(self, mixed_data):
@@ -111,46 +146,38 @@ class TestGoldenEquivalence:
             )
 
         subspace = Subspace((0, 1, 2))
-        batch = make_estimator(mixed_data, "batch", deviation=trimmed_range)
-        scalar = make_estimator(mixed_data, "scalar", deviation=trimmed_range)
+        estimator = make_estimator(mixed_data, deviation=trimmed_range)
         assert_identical(
-            batch.contrast_detailed(subspace), scalar.contrast_detailed(subspace)
+            estimator.contrast_detailed(subspace), oracle_contrast(estimator, subspace)
         )
 
     def test_parallel_matches_sequential(self, mixed_data):
         subspaces = [Subspace(p) for p in combinations(range(6), 2)]
-        sequential = make_estimator(mixed_data, "batch").contrast_many(subspaces)
-        parallel = make_estimator(mixed_data, "batch").contrast_many(
-            subspaces, n_jobs=2
-        )
+        sequential = make_estimator(mixed_data).contrast_many(subspaces)
+        parallel = make_estimator(mixed_data).contrast_many(subspaces, n_jobs=2)
         assert sequential == parallel
 
     def test_parallel_with_custom_callable_deviation(self, mixed_data):
         """Workers receive the callable itself, not a (possibly wrong) name."""
         subspaces = [Subspace((0, 1)), Subspace((1, 2)), Subspace((2, 3))]
         sequential = make_estimator(
-            mixed_data, "batch", deviation=_shadowing_welch
+            mixed_data, deviation=_shadowing_welch
         ).contrast_many(subspaces)
         parallel = make_estimator(
-            mixed_data, "batch", deviation=_shadowing_welch
+            mixed_data, deviation=_shadowing_welch
         ).contrast_many(subspaces, n_jobs=2)
         assert sequential == parallel
         assert all(v == 0.25 for v in parallel.values())
 
-    def test_hics_search_engines_identical(self, mixed_data):
-        results = {}
-        for engine in ("batch", "scalar"):
-            searcher = HiCS(
-                n_iterations=15,
-                candidate_cutoff=10,
-                max_dimensionality=3,
-                random_state=2,
-                engine=engine,
-            )
-            results[engine] = [
-                (s.subspace.attributes, s.score) for s in searcher.search(mixed_data)
-            ]
-        assert results["batch"] == results["scalar"]
+    def test_hics_search_contrasts_match_oracle(self, mixed_data):
+        searcher = HiCS(
+            n_iterations=15, candidate_cutoff=10, max_dimensionality=3, random_state=2
+        )
+        searcher.search(mixed_data)
+        reference = make_estimator(mixed_data, n_iterations=15, random_state=2)
+        assert len(searcher.levels_) == 2
+        for subspace, contrast in searcher.evaluated_subspaces_.items():
+            assert contrast == oracle_contrast(reference, subspace).contrast, subspace
 
 
 class TestDegenerateRetryFallback:
@@ -215,28 +242,20 @@ class TestDegenerateRetryFallback:
         first, second = run(), run()
         assert_identical(first, second)
 
-    def test_degenerate_parity_between_engines(self, tiny_data):
-        batch = ContrastEstimator(
+    def test_degenerate_parity_with_oracle(self, tiny_data):
+        estimator = ContrastEstimator(
             tiny_data,
             n_iterations=30,
             alpha=0.05,
             min_conditional_size=9,
             max_retries=1,
             random_state=4,
-            engine="batch",
             cache=False,
-        ).contrast_detailed(Subspace((0, 1, 2, 3)))
-        scalar = ContrastEstimator(
-            tiny_data,
-            n_iterations=30,
-            alpha=0.05,
-            min_conditional_size=9,
-            max_retries=1,
-            random_state=4,
-            engine="scalar",
-            cache=False,
-        ).contrast_detailed(Subspace((0, 1, 2, 3)))
-        assert_identical(batch, scalar)
+        )
+        subspace = Subspace((0, 1, 2, 3))
+        batch = estimator.contrast_detailed(subspace)
+        assert batch.n_degenerate > 0
+        assert_identical(batch, oracle_contrast(estimator, subspace))
 
     def test_retries_recover_small_slices(self, correlated_2d):
         """With generous retries, normal data produces no degenerate iterations."""
@@ -255,27 +274,27 @@ class TestDegenerateRetryFallback:
 
 class TestContrastCache:
     def test_cache_hit_returns_identical_result(self, mixed_data):
-        estimator = make_estimator(mixed_data, "batch", cache=True)
+        estimator = make_estimator(mixed_data, cache=True)
         subspace = Subspace((0, 1))
         first = estimator.contrast_detailed(subspace)
         second = estimator.contrast_detailed(subspace)
         assert first is second
         assert estimator.cache.hits == 1
 
-    def test_cache_shared_between_engines(self, mixed_data):
+    def test_cache_shared_between_estimators(self, mixed_data):
         shared = ContrastCache()
-        batch = make_estimator(mixed_data, "batch", cache=shared)
-        scalar = make_estimator(mixed_data, "scalar", cache=shared)
+        first = make_estimator(mixed_data, cache=shared)
+        second = make_estimator(mixed_data, cache=shared, n_jobs=2)
         subspace = Subspace((0, 2))
-        result = batch.contrast_detailed(subspace)
-        # The scalar estimator gets a hit: identical key, identical value.
-        assert scalar.contrast_detailed(subspace) is result
+        result = first.contrast_detailed(subspace)
+        # Throughput knobs stay out of the key: identical key, identical value.
+        assert second.contrast_detailed(subspace) is result
         assert shared.hits == 1
 
     def test_different_seeds_do_not_collide(self, mixed_data):
         shared = ContrastCache()
-        a = make_estimator(mixed_data, "batch", cache=shared, random_state=1)
-        b = make_estimator(mixed_data, "batch", cache=shared, random_state=2)
+        a = make_estimator(mixed_data, cache=shared, random_state=1)
+        b = make_estimator(mixed_data, cache=shared, random_state=2)
         subspace = Subspace((0, 5))
         a.contrast(subspace)
         b.contrast(subspace)
@@ -285,18 +304,16 @@ class TestContrastCache:
         """A custom deviation named 'welch' must not hit the built-in's entry."""
         shared = ContrastCache()
         subspace = Subspace((0, 1))
-        builtin = make_estimator(mixed_data, "batch", cache=shared, deviation="welch")
-        custom = make_estimator(
-            mixed_data, "batch", cache=shared, deviation=_shadowing_welch
-        )
+        builtin = make_estimator(mixed_data, cache=shared, deviation="welch")
+        custom = make_estimator(mixed_data, cache=shared, deviation=_shadowing_welch)
         assert builtin.contrast(subspace) != 0.25
         assert custom.contrast(subspace) == 0.25
         assert len(shared) == 2
 
     def test_different_data_does_not_collide(self, mixed_data, uncorrelated_3d):
         shared = ContrastCache()
-        a = make_estimator(mixed_data, "batch", cache=shared)
-        b = make_estimator(uncorrelated_3d, "batch", cache=shared)
+        a = make_estimator(mixed_data, cache=shared)
+        b = make_estimator(uncorrelated_3d, cache=shared)
         subspace = Subspace((0, 1))
         assert a.contrast(subspace) != b.contrast(subspace) or len(shared) == 2
         assert len(shared) == 2
@@ -308,7 +325,7 @@ class TestContrastCache:
         assert len(cache) == 2
 
     def test_contrast_many_uses_cache(self, mixed_data):
-        estimator = make_estimator(mixed_data, "batch", cache=True)
+        estimator = make_estimator(mixed_data, cache=True)
         subspaces = [Subspace(p) for p in combinations(range(4), 2)]
         first = estimator.contrast_many(subspaces)
         misses = estimator.cache.misses
@@ -341,10 +358,12 @@ class TestContrastCache:
 
 class TestEngineParameter:
     def test_unknown_engine_rejected(self, mixed_data):
-        with pytest.raises(ParameterError):
-            ContrastEstimator(mixed_data, engine="quantum")
-        with pytest.raises(ParameterError):
-            HiCS(engine="quantum")
+        # Payloads carrying the retired engine=batch|scalar load with the
+        # parameter dropped (tests/test_persistence.py); other values fail.
+        with pytest.raises(ParameterError, match="engine"):
+            make_searcher("hics", engine="quantum")
+        with pytest.raises(TypeError):
+            ContrastEstimator(mixed_data, engine="batch")
 
     def test_invalid_n_jobs_rejected(self, mixed_data):
         with pytest.raises(ParameterError):

@@ -127,6 +127,18 @@ class TestHiCSSearch:
         with pytest.raises(ParameterError):
             HiCS(max_dimensionality=1)
 
+    @pytest.mark.parametrize("factor", [1e78, 1e100, 1e150, 2.0**480])
+    def test_huge_finite_data_gives_the_unscaled_contrasts(self, factor):
+        # Slicing is rank-based and every statistic scales exactly by a power
+        # of two, so the contrasts must not move — and must not crash in the
+        # Welch-Satterthwaite df, whose squares overflow from about 1e78 on.
+        data = np.random.default_rng(5).normal(size=(300, 4))
+        expected = HiCS(n_iterations=20, random_state=0).search(data)
+        found = HiCS(n_iterations=20, random_state=0).search(data * factor)
+        assert [s.subspace for s in found] == [s.subspace for s in expected]
+        if np.log2(factor).is_integer():
+            assert found == expected
+
     def test_requires_enough_data(self):
         with pytest.raises(Exception):
             HiCS(n_iterations=5).search(np.zeros((3, 3)))

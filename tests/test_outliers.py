@@ -18,6 +18,8 @@ from repro.outliers import (
     local_outlier_factor,
     maximum_aggregation,
 )
+from repro.pipeline import SubspaceOutlierPipeline
+from repro.registry import make_pipeline_from_spec
 from repro.types import Subspace
 
 sklearn_neighbors = pytest.importorskip(
@@ -144,6 +146,13 @@ class TestKNNDistanceScore:
         data = np.array([[0.0, 100.0], [0.1, -100.0], [0.2, 0.0], [9.0, 0.1]])
         scores = knn_distance_score(data, k=1, subspace=Subspace((0,)))
         assert np.argmax(scores) == 3
+
+    def test_invalid_algorithm_rejected_at_construction(self):
+        with pytest.raises(ParameterError, match="algorithm"):
+            KNNDistanceScorer(algorithm="nope")
+        # The spec route builds the scorer before any search runs.
+        with pytest.raises(ParameterError, match="algorithm"):
+            make_pipeline_from_spec("hics+knn(algorithm=nope)")
 
 
 class TestAggregation:
@@ -277,3 +286,10 @@ class TestSubspaceOutlierRanker:
             SubspaceOutlierRanker(scorer="LOF")
         with pytest.raises(ParameterError):
             SubspaceOutlierRanker(LOFScorer(), max_subspaces=0)
+
+    @pytest.mark.parametrize("budget", [-1, 0, float("nan"), float("inf"), "lots"])
+    def test_invalid_memory_budget_rejected_at_construction(self, budget):
+        with pytest.raises(ParameterError, match="memory_budget_mb"):
+            SubspaceOutlierRanker(LOFScorer(), memory_budget_mb=budget)
+        with pytest.raises(ParameterError, match="memory_budget_mb"):
+            SubspaceOutlierPipeline(memory_budget_mb=budget)

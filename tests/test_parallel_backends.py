@@ -254,32 +254,24 @@ class TestExperimentBackendEquivalence:
 # ------------------------------------------------------------- ranker path
 
 
-class TestRankerBackend:
-    def test_per_subspace_parallel_scoring_identical(self, mixed_data):
-        from repro.outliers import LOFScorer, SubspaceOutlierRanker
+class TestPipelineBackendScope:
+    def test_backend_configures_only_the_searcher(self, mixed_data):
+        from repro.outliers import LOFScorer
 
-        subspaces = [Subspace(p) for p in combinations(range(5), 2)]
-        reference = SubspaceOutlierRanker(
-            LOFScorer(min_pts=5), engine="per-subspace"
-        ).rank(mixed_data, subspaces)
-        parallel = SubspaceOutlierRanker(
-            LOFScorer(min_pts=5),
-            engine="per-subspace",
-            backend="process(n_jobs=2)",
-        ).rank(mixed_data, subspaces)
-        assert np.array_equal(parallel.scores, reference.scores)
+        def fit_rank(backend):
+            pipeline = SubspaceOutlierPipeline(
+                searcher=HiCS(n_iterations=6, candidate_cutoff=6, random_state=0),
+                scorer=LOFScorer(min_pts=5),
+                engine="per-subspace",
+                backend=backend,
+            )
+            with pipeline:
+                return pipeline, pipeline.fit_rank(mixed_data)
 
-    def test_shared_engine_ignores_backend(self, mixed_data):
-        from repro.outliers import LOFScorer, SubspaceOutlierRanker
-
-        subspaces = [Subspace((0, 1)), Subspace((2, 3))]
-        shared = SubspaceOutlierRanker(
-            LOFScorer(min_pts=5), engine="shared", backend="process(n_jobs=2)"
-        ).rank(mixed_data, subspaces)
-        reference = SubspaceOutlierRanker(LOFScorer(min_pts=5), engine="shared").rank(
-            mixed_data, subspaces
-        )
-        assert np.array_equal(shared.scores, reference.scores)
+        pipeline, parallel = fit_rank("process(n_jobs=2)")
+        assert pipeline.searcher.backend == "process(n_jobs=2)"
+        assert not hasattr(pipeline.ranker, "backend")
+        assert np.array_equal(parallel.scores, fit_rank(None)[1].scores)
 
 
 # ------------------------------------------------------------ spec surface

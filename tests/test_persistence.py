@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.baselines import FullSpaceSearcher
+from repro.dataset import generate_synthetic_dataset
 from repro.exceptions import DataError, NotFittedError, ParameterError
 from repro.outliers import KNNDistanceScorer, LOFScorer, local_outlier_factor
-from repro.pipeline import PipelineConfig, SubspaceOutlierPipeline
+from repro.pipeline import PipelineConfig, SubspaceOutlierPipeline, make_method_pipeline
+from repro.registry import component_from_dict, component_to_dict
 from repro.subspaces import HiCS
 from repro.types import ScoredSubspace, Subspace
 
@@ -416,3 +418,64 @@ class TestPipelineLifecycle:
             pipeline.fit(small_synthetic)
             pipeline.close()
         assert pipeline.scorer._reference_engine_ is None
+
+
+class TestRetiredNamesKeepLoading:
+    """Names of removed runtime paths map to the path that computes the same bits.
+
+    ``streaming`` was a row-blocked scoring engine identical to ``shared``;
+    HiCS's ``engine=scalar`` was a per-iteration contrast engine identical to
+    the batch one.  Model files, payloads, spec strings and configs written
+    with them load and reproduce the survivor's scores exactly.
+    """
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return generate_synthetic_dataset(
+            n_objects=150, n_dims=6, n_relevant_subspaces=2, random_state=4
+        ).data
+
+    def test_saved_pipeline_with_streaming_engine(self, data, tmp_path):
+        import json
+
+        pipeline = SubspaceOutlierPipeline(_fast_hics(), LOFScorer(min_pts=8)).fit(data)
+        path = str(tmp_path / "model.npz")
+        pipeline.save(path)
+        # Rewrite the header the way files were saved before the removal:
+        # the scoring engine named, HiCS carrying its engine parameter.
+        with np.load(path) as archive:
+            header = json.loads(str(archive["header"][()]))
+            reference = archive["reference_data"]
+        header["pipeline"]["engine"] = "streaming"
+        header["pipeline"]["searcher"]["params"]["engine"] = "batch"
+        np.savez(path, header=np.array(json.dumps(header)), reference_data=reference)
+
+        loaded = SubspaceOutlierPipeline.load(path)
+        assert loaded.engine == loaded.ranker.engine == "shared"
+        query = data[:12] + 0.01
+        for independent in (False, True):
+            assert np.array_equal(
+                loaded.score_samples(query, independent=independent),
+                pipeline.score_samples(query, independent=independent),
+            )
+
+    def test_hics_payload_with_scalar_engine(self, data):
+        payload = component_to_dict(_fast_hics(), "searcher")
+        payload["params"]["engine"] = "scalar"
+        searcher = component_from_dict(payload, "searcher")
+        assert searcher.search(data) == _fast_hics().search(data)
+
+    def test_spec_with_scalar_contrast_and_streaming_engine(self, data):
+        legacy = make_method_pipeline("hics(engine=scalar)+lof+streaming(memory_budget_mb=512)")
+        survivor = make_method_pipeline("hics+lof+shared(memory_budget_mb=512)")
+        assert (legacy.engine, legacy.memory_budget_mb) == ("shared", 512.0)
+        assert np.array_equal(legacy.fit_rank(data).scores, survivor.fit_rank(data).scores)
+
+    def test_pipeline_config_streaming_engine(self, data):
+        def config(engine):
+            return PipelineConfig(hics_iterations=10, hics_cutoff=20, scoring_engine=engine)
+
+        legacy = make_method_pipeline("HiCS", config("streaming"))
+        survivor = make_method_pipeline("HiCS", config("shared"))
+        assert legacy.engine == "shared"
+        assert np.array_equal(legacy.fit_rank(data).scores, survivor.fit_rank(data).scores)

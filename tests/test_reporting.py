@@ -72,7 +72,7 @@ class TestGateRegistry:
     def test_every_legacy_threshold_is_registered(self):
         names = set(available_gates())
         assert {
-            "contrast_speedup_50d",
+            "contrast_search_50d_sec",
             "contrast_amortisation_spawn",
             "contrast_amortisation_fork",
             "scoring_independent_speedup",
@@ -198,7 +198,7 @@ class TestRegistryParity:
     def test_scripts_default_to_registered_thresholds(self):
         # The argparse defaults read from the registry; spot-check the bars
         # the legacy scripts used to hard-code.
-        assert get_gate("contrast_speedup_50d").threshold == 3.0
+        assert get_gate("contrast_search_50d_sec").threshold == 1.45
         assert get_gate("serving_speedup").threshold == 2.0
         assert get_gate("serving_p50_ms").threshold == 150.0
         assert get_gate("serving_p99_ms").threshold == 750.0

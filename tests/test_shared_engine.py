@@ -1,8 +1,8 @@
 """Golden-equivalence suite: shared engine ≡ per-subspace reference, bit for bit.
 
 The shared-neighborhood engine must reproduce the per-subspace reference
-scores exactly — same guarantee PR 2 established for the batch contrast
-engine (``batch`` ≡ ``scalar``).  Every test here asserts ``np.array_equal``
+scores exactly — the same guarantee the batch contrast estimator gives
+against its per-iteration oracle.  Every test here asserts ``np.array_equal``
 (no tolerances) across scorers, joint and independent scoring modes, and the
 full pipeline, on golden datasets that include duplicate points and exact
 distance ties.

@@ -22,6 +22,7 @@ from repro.stats import (
     student_t_sf,
     student_t_two_tailed_pvalue,
     welch_satterthwaite_df,
+    welch_satterthwaite_df_batch,
     welch_t_statistic,
     welch_t_test,
 )
@@ -152,6 +153,20 @@ class TestWelch:
 
     def test_satterthwaite_degenerate(self):
         assert welch_satterthwaite_df(0.0, 1, 0.0, 1) == 1.0
+
+    @pytest.mark.parametrize("exponent", [520, 800, 1000])
+    def test_satterthwaite_survives_overflowing_squares(self, exponent):
+        # (var / n)^2 overflows once var / n passes 2**512 (data around 1e78);
+        # scaling both variances by a power of two must not change the df.
+        var_a, n_a, var_b, n_b = 0.7, 30, 1.9, 400
+        expected = welch_satterthwaite_df(var_a, n_a, var_b, n_b)
+        scale = 2.0**exponent
+        assert welch_satterthwaite_df(var_a * scale, n_a, var_b * scale, n_b) == expected
+        batch = welch_satterthwaite_df_batch(
+            np.array([var_a, var_a * scale, 0.0]), np.array([n_a, n_a, 1]),
+            np.array([var_b, var_b * scale, 0.0]), np.array([n_b, n_b, 1]),
+        )
+        assert batch.tolist() == [expected, expected, 1.0]
 
     def test_infinite_statistic_gives_zero_pvalue(self):
         result = welch_t_test([1.0, 1.0, 1.0], [2.0, 2.0, 2.0])

@@ -1,12 +1,13 @@
-"""Sub-quadratic scale suite: streaming assembly, approximate kNN, subsampled contrast.
+"""Sub-quadratic scale suite: row-band assembly, approximate kNN, subsampled contrast.
 
 Three families of guarantees:
 
-* **Chunked exactness** — the streaming engine, the chunked brute-force
-  searcher and the per-attribute rank columns are pure re-orderings of the
-  dense computations: every test asserts ``np.array_equal`` (no tolerances)
-  against the dense reference, for *every* chunk size from 1 to ``n``, on
-  data with duplicate rows and exact distance ties straddling chunk edges.
+* **Chunked exactness** — the shared engine's row bands (the path it takes
+  when one ``n x n`` block exceeds its memory budget) are pure re-orderings
+  of the dense computation: every test asserts ``np.array_equal`` (no
+  tolerances) against the dense reference, for *every* band height from 1
+  to ``n``, on data with duplicate rows and exact distance ties straddling
+  band edges.
 * **Golden rank divergence** — the approximate subsample backend reports true
   distances that never under-estimate the exact k-th distance rank for rank,
   degenerates to bit-for-bit brute force at full coverage, and its recall
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro import (
+    AdaptiveDensityScorer,
     HiCS,
     LOFScorer,
     make_pipeline_from_spec,
@@ -68,14 +70,24 @@ SUBSPACES = [None, (0, 2), (3, 1, 4)]
 # ----------------------------------------------------- chunked exactness
 
 
+#: A budget below one n x n block of EDGE (23 * 23 * 8 bytes): the engine
+#: then assembles every query from row bands instead of cached blocks.
+BAND_BUDGET_MB = 0.001
+
+
+def _banded_engine(chunk=None):
+    engine = SharedNeighborEngine(EDGE, memory_budget_mb=BAND_BUDGET_MB, chunk_rows=chunk)
+    assert engine._block_nbytes > engine._budget_bytes
+    return engine
+
+
 class TestStreamingChunkBoundaries:
     @pytest.mark.parametrize("attributes", SUBSPACES)
     def test_kneighbors_every_chunk_size(self, attributes):
         n = EDGE.shape[0]
-        dense = SharedNeighborEngine(EDGE).kneighbors(5, attributes)
+        dense = BruteForceKNN(EDGE, attributes).kneighbors(5)
         for chunk in range(1, n + 1):
-            engine = SharedNeighborEngine(EDGE, streaming=True, chunk_rows=chunk)
-            result = engine.kneighbors(5, attributes)
+            result = _banded_engine(chunk).kneighbors(5, attributes)
             assert np.array_equal(result.indices, dense.indices), chunk
             assert np.array_equal(result.distances, dense.distances), chunk
 
@@ -83,8 +95,8 @@ class TestStreamingChunkBoundaries:
     def test_iter_distance_rows_every_chunk_size(self, attributes):
         n = EDGE.shape[0]
         dense = SharedNeighborEngine(EDGE).distance_matrix(attributes)
+        engine = _banded_engine()
         for chunk in range(1, n + 1):
-            engine = SharedNeighborEngine(EDGE, streaming=True)
             assembled = np.empty((n, n))
             for start, stop, rows in engine.iter_distance_rows(
                 attributes, chunk_rows=chunk
@@ -92,21 +104,12 @@ class TestStreamingChunkBoundaries:
                 assembled[start:stop] = rows
             assert np.array_equal(assembled, dense), chunk
 
-    def test_brute_force_chunked_every_chunk_size(self):
-        n = EDGE.shape[0]
-        dense = BruteForceKNN(EDGE, (1, 3)).kneighbors(6)
-        for chunk in range(1, n + 1):
-            chunked = BruteForceKNN(EDGE, (1, 3), chunk_rows=chunk).kneighbors(6)
-            assert np.array_equal(chunked.indices, dense.indices), chunk
-            assert np.array_equal(chunked.distances, dense.distances), chunk
-
     def test_duplicates_and_ties_straddle_a_chunk_edge(self):
         # chunk=11 puts the duplicate pair (10, 11) on opposite sides of the
-        # first chunk boundary; the merged top-k must still break ties by
-        # ascending index exactly like the dense argsort.
+        # first band boundary; each band still sees complete rows, so ties
+        # break by ascending index exactly like the dense argsort.
         dense = SharedNeighborEngine(EDGE).kneighbors(8)
-        streaming = SharedNeighborEngine(EDGE, streaming=True, chunk_rows=11)
-        result = streaming.kneighbors(8)
+        result = _banded_engine(11).kneighbors(8)
         assert np.array_equal(result.indices, dense.indices)
         assert np.array_equal(result.distances, dense.distances)
         # the duplicate partner is the nearest neighbour, at exactly 0.0
@@ -114,35 +117,38 @@ class TestStreamingChunkBoundaries:
         assert result.indices[11, 0] == 10
         assert result.distances[10, 0] == 0.0
 
-    def test_streaming_rejects_dense_entry_points(self):
-        engine = SharedNeighborEngine(EDGE, streaming=True)
-        with pytest.raises(ParameterError):
-            engine.distance_matrix()
-        with pytest.raises(ParameterError):
-            engine.squared_distances()
+    def test_adaptive_density_every_chunk_size(self):
+        subspaces = [None if a is None else Subspace(a) for a in SUBSPACES]
+        scorer = AdaptiveDensityScorer(n_neighbors=5)
+        reference = scorer.score_batch(EDGE, subspaces, engine=None)
+        for chunk in range(1, EDGE.shape[0] + 1):
+            banded = scorer.score_batch(EDGE, subspaces, engine=_banded_engine(chunk))
+            for got, expected in zip(banded, reference):
+                assert np.array_equal(got, expected), chunk
 
-    def test_streaming_stays_inside_budget(self):
-        engine = SharedNeighborEngine(
-            EDGE, streaming=True, memory_budget_mb=0.001, chunk_rows=3
-        )
+    def test_row_bands_stay_inside_budget(self):
+        engine = _banded_engine(3)
         dense = SharedNeighborEngine(EDGE).kneighbors(4)
         result = engine.kneighbors(4)
         assert np.array_equal(result.indices, dense.indices)
-        assert engine.cache_bytes <= int(0.001 * 1024 * 1024)
+        assert engine.cache_bytes <= int(BAND_BUDGET_MB * 1024 * 1024)
 
 
-class TestStreamingScorerEquivalence:
+class TestRowBandScorerEquivalence:
     @pytest.mark.parametrize(
         "scorer", ["lof(min_pts=7)", "knn(k=5)", "adaptive_density(n_neighbors=5)"]
     )
-    def test_streaming_engine_matches_shared(self, scorer):
+    def test_row_bands_match_per_subspace(self, scorer):
         rng = np.random.default_rng(11)
         data = rng.normal(size=(90, 6))
         data[20] = data[21]
         spec = f"hics(n_iterations=10, random_state=0, n_jobs=1)+{scorer}"
-        shared = make_pipeline_from_spec(parse_spec(spec + "+shared")).fit_rank(data)
-        streaming = make_pipeline_from_spec(parse_spec(spec + "+streaming")).fit_rank(data)
-        assert np.array_equal(shared.scores, streaming.scores)
+        reference = make_pipeline_from_spec(parse_spec(spec + "+per-subspace")).fit_rank(data)
+        # 0.01 MiB holds no 90 x 90 block: every subspace is scored in bands.
+        banded = make_pipeline_from_spec(
+            parse_spec(spec + "+shared(memory_budget_mb=0.01)")
+        ).fit_rank(data)
+        assert np.array_equal(reference.scores, banded.scores)
 
 
 # ------------------------------------------------- approximate backend
