@@ -45,8 +45,7 @@ def main() -> None:
         # backend selects the execution backend for the contrast search: one
         # persistent worker pool serves every apriori level of the fit, and
         # scores are bit-for-bit identical to serial ("serial", "thread(...)"
-        # and any process start method behave the same — n_jobs=2 would be
-        # equivalent sugar for the spec below).
+        # and any process start method behave the same).
         searcher=HiCS(n_iterations=40, random_state=0, backend="process(n_jobs=2)"),
         scorer=LOFScorer(min_pts=10),
         engine="shared",  # the default; "per-subspace" scores identically

@@ -100,20 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_parallel_arguments(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
-            "--n-jobs",
-            type=int,
-            default=1,
-            help="worker processes for the contrast search (-1 = all cores); "
-            "sugar for --backend 'process(n_jobs=N)'; results are identical "
-            "for any value",
-        )
-        sub.add_argument(
             "--backend",
             default=os.environ.get("REPRO_BACKEND"),  # repro-lint: disable=RPR104 -- backend choice is a pure throughput knob: results are bit-for-bit identical under every backend (engine golden tests)
-            help="execution backend: serial, thread, process, or a spec like "
-            "'process(n_jobs=4,start_method=spawn)'; overrides --n-jobs; "
+            help="execution backend for the contrast search: serial, thread, "
+            "process, or a spec like 'process(n_jobs=4,start_method=spawn)'; "
             "results are identical for any backend (default: $REPRO_BACKEND "
-            "or resolved from --n-jobs)",
+            "or serial)",
         )
         sub.add_argument(
             "--storage",
@@ -281,20 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only the named experiments (e.g. --only fig05 fig07)",
     )
     bench.add_argument(
-        "--n-jobs",
-        type=int,
-        default=1,
-        help="worker processes for uncached cells (-1 = all cores); result "
-        "metrics are identical for any value (timing-sensitive runtime "
-        "figures always execute serially so measured seconds stay clean)",
-    )
-    bench.add_argument(
         "--backend",
         default=os.environ.get("REPRO_BACKEND"),  # repro-lint: disable=RPR104 -- backend choice is a pure throughput knob: results are bit-for-bit identical under every backend (engine golden tests)
-        help="execution backend for uncached cells (overrides --n-jobs), "
-        "e.g. 'process(n_jobs=4,start_method=spawn)'; one persistent worker "
-        "pool serves the whole suite (default: $REPRO_BACKEND or resolved "
-        "from --n-jobs)",
+        help="execution backend for uncached cells, e.g. "
+        "'process(n_jobs=4,start_method=spawn)'; one persistent worker pool "
+        "serves the whole suite; result metrics are identical for any "
+        "backend (timing-sensitive runtime figures always execute serially "
+        "so measured seconds stay clean) (default: $REPRO_BACKEND or serial)",
     )
     bench.add_argument(
         "--no-cache",
@@ -509,7 +494,6 @@ def _resolve_method_pipeline(args: argparse.Namespace):
         min_pts=args.min_pts,
         hics_subsample=getattr(args, "hics_subsample", None),
         random_state=args.seed,
-        n_jobs=args.n_jobs,
         backend=args.backend,
         scoring_engine=args.scoring_engine,
         memory_budget_mb=args.memory_budget_mb,
@@ -620,7 +604,6 @@ def _command_contrast(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         deviation=args.deviation,
         random_state=args.seed,
-        n_jobs=args.n_jobs,
         backend=args.backend,
         storage=args.storage,
         scratch_dir=args.scratch_dir,
@@ -641,7 +624,6 @@ def _command_compare(args: argparse.Namespace) -> int:
     config = PipelineConfig(
         min_pts=args.min_pts,
         random_state=args.seed,
-        n_jobs=args.n_jobs,
         backend=args.backend,
         scoring_engine=args.scoring_engine,
         memory_budget_mb=args.memory_budget_mb,
@@ -702,7 +684,6 @@ def _command_bench(args: argparse.Namespace) -> int:
         names,
         profile=args.profile,
         cache=cache,
-        n_jobs=args.n_jobs,
         backend=args.backend,
         base_seed=args.seed,
         artifacts_dir=args.artifacts,

@@ -5,10 +5,10 @@ where ``key`` is the SHA256 of the cell's *content key*: the task kind, the
 fingerprint of the built dataset (bytes, not construction parameters), the
 resolved method string, the result-relevant pipeline configuration, the seed,
 the repetition index and the task parameters.  Anything that can change a
-result changes the key; anything that cannot — throughput knobs like
-``n_jobs`` and the scoring/contrast engine selection, which are bit-for-bit
-equivalent by the engine golden tests — is deliberately excluded, so a cached
-suite survives an ``--n-jobs`` change.
+result changes the key; anything that cannot — throughput knobs like the
+execution backend and the scoring engine selection, which are bit-for-bit
+equivalent by the golden tests — is deliberately excluded, so a cached suite
+survives a ``--backend`` change.
 
 The cache makes runs resumable: an interrupted ``repro-hics bench`` re-run
 serves finished cells from disk and computes only the remainder, and a warm
@@ -34,7 +34,6 @@ CACHE_SCHEMA_VERSION = 1
 #: PipelineConfig fields that cannot affect results (throughput knobs with
 #: bit-for-bit equivalence guarantees) and therefore stay out of the key.
 _THROUGHPUT_FIELDS = (
-    "n_jobs",
     "backend",
     "scoring_engine",
     "memory_budget_mb",

@@ -43,7 +43,6 @@ from ..parallel import (
     WorkerContext,
     check_backend_spec,
     resolve_backend,
-    resolve_n_jobs,
 )
 from ..utils.timing import timed
 from .cache import ArtifactCache, cell_key
@@ -158,7 +157,6 @@ def run_experiment(
     *,
     profile: str = DEFAULT_PROFILE,
     cache: Optional[ArtifactCache] = None,
-    n_jobs: int = 1,
     backend=None,
     base_seed: int = 0,
     artifacts_dir: Optional[str] = None,
@@ -173,14 +171,9 @@ def run_experiment(
         Grid scale: ``ci`` (default, seconds), ``quick`` or ``full``.
     cache:
         An :class:`ArtifactCache`; ``None`` disables caching entirely.
-    n_jobs:
-        Worker processes for uncached cells (``-1`` = all cores); sugar for
-        ``backend="process(n_jobs=N)"``.  Purely a throughput knob — rows
-        are independent of it.
     backend:
-        Execution backend for uncached cells: ``None`` (resolve from
-        ``n_jobs``), a spec string such as ``"process(n_jobs=4,
-        start_method=spawn)"``, or an
+        Execution backend for uncached cells: ``None`` (serial), a spec
+        string such as ``"process(n_jobs=4, start_method=spawn)"``, or an
         :class:`~repro.parallel.ExecutionBackend` instance — pass one
         instance to several runs (as :func:`run_suite` does) and they share
         a single persistent worker pool.  Rows are bit-for-bit independent
@@ -197,16 +190,13 @@ def run_experiment(
         else get_experiment(spec_or_name)
     )
     resolved = resolve_profile(spec, profile)
-    n_jobs = resolve_n_jobs(n_jobs)
-    exec_backend, owns_backend = resolve_backend(
-        check_backend_spec(backend), n_jobs=n_jobs
-    )
+    exec_backend, owns_backend = resolve_backend(check_backend_spec(backend))
     if resolved.timing_sensitive:
         # The measured runtimes ARE the result here; parallel siblings would
         # contend for cores and the distorted timings would be cached.
         if owns_backend:
             exec_backend.close()
-        exec_backend, owns_backend, n_jobs = None, False, 1
+        exec_backend, owns_backend = None, False
     hits_before = cache.hits if cache is not None else 0
     misses_before = cache.misses if cache is not None else 0
 
@@ -255,7 +245,7 @@ def run_experiment(
         "n_rows": len(rows),
         "cache_hits": (cache.hits - hits_before) if cache is not None else 0,
         "cache_misses": (cache.misses - misses_before) if cache is not None else 0,
-        "n_jobs": n_jobs,
+        "n_jobs": exec_backend.n_jobs if exec_backend is not None else 1,
         "backend": exec_backend.spec() if exec_backend is not None else "serial",
         "elapsed_sec": clock["elapsed"],
     }
@@ -298,7 +288,6 @@ def run_suite(
     *,
     profile: str = DEFAULT_PROFILE,
     cache: Optional[ArtifactCache] = None,
-    n_jobs: int = 1,
     backend=None,
     base_seed: int = 0,
     artifacts_dir: Optional[str] = None,
@@ -318,9 +307,7 @@ def run_suite(
     selected = list(names) if names is not None else list(available_experiments())
     # Fail fast on unknown names before any work happens.
     specs = [get_experiment(name) for name in selected]
-    exec_backend, owns_backend = resolve_backend(
-        check_backend_spec(backend), n_jobs=resolve_n_jobs(n_jobs)
-    )
+    exec_backend, owns_backend = resolve_backend(check_backend_spec(backend))
     artifacts: Dict[str, Dict[str, object]] = {}
     try:
         for spec in specs:
@@ -328,7 +315,6 @@ def run_suite(
                 spec,
                 profile=profile,
                 cache=cache,
-                n_jobs=n_jobs,
                 backend=exec_backend,
                 base_seed=base_seed,
                 artifacts_dir=artifacts_dir,

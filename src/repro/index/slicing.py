@@ -7,18 +7,26 @@ free.  Per-condition selectivity is ``alpha ** (1 / |S|)`` so that after
 ``N * alpha ** ((|S|-1)/|S|)`` — the paper's construction keeps this target
 statistic size roughly constant and, importantly, independent of the
 dimensionality of the subspace (no curse of dimensionality in the slice).
+
+:meth:`SliceSampler.sample_slice_batch` draws all ``M`` Monte Carlo slices of
+a subspace at once from an explicit generator and evaluates their selection
+masks against the per-attribute rank columns of the index.  It is the only
+slice recipe the library runs; the paper's per-iteration form — one boolean
+mask per iteration, built condition by condition from the index blocks
+``order[start:start + block]`` — lives on as the test oracle
+``oracle_contrast`` in ``tests/test_contrast_batch.py``, which must agree
+with the batch bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..exceptions import ParameterError, SubspaceError
-from ..types import SliceCondition, Subspace, SubspaceSlice
-from ..utils.random_state import check_random_state
+from ..types import Subspace
 from .sorted_index import SortedDatabaseIndex
 
 __all__ = ["SliceBatch", "SliceSampler"]
@@ -33,9 +41,8 @@ _MAX_MASK_CELLS = 1 << 24
 class SliceBatch:
     """All Monte Carlo slices of one subspace, drawn and evaluated in one shot.
 
-    The batched counterpart of :class:`~repro.types.SubspaceSlice`: instead of
-    one Python object per iteration, the batch stores the drawn conditions as
-    index arrays plus a single ``(n_slices, n_objects)`` selection-mask matrix.
+    The drawn conditions are stored as index arrays plus a single
+    ``(n_slices, n_objects)`` selection-mask matrix.
 
     Attributes
     ----------
@@ -83,10 +90,6 @@ class SliceBatch:
     def n_degenerate(self) -> int:
         return int(self.degenerate.sum())
 
-    def conditional_indices(self, iteration: int) -> np.ndarray:
-        """Object indices selected by one iteration's slice (ascending)."""
-        return np.flatnonzero(self.selected[iteration])
-
 
 class SliceSampler:
     """Draws random subspace slices from a :class:`SortedDatabaseIndex`.
@@ -102,8 +105,6 @@ class SliceSampler:
     min_block_size:
         Lower bound on the number of objects per condition block, protecting
         the statistical tests from degenerate one-object samples.
-    random_state:
-        Seed or generator for reproducible slice sequences.
     """
 
     def __init__(
@@ -112,7 +113,6 @@ class SliceSampler:
         alpha: float = 0.1,
         *,
         min_block_size: int = 2,
-        random_state=None,
     ):
         if not isinstance(index, SortedDatabaseIndex):
             raise ParameterError("index must be a SortedDatabaseIndex")
@@ -123,7 +123,6 @@ class SliceSampler:
         self.index = index
         self.alpha = float(alpha)
         self.min_block_size = int(min_block_size)
-        self._rng = check_random_state(random_state)
 
     # ------------------------------------------------------------------ helpers
 
@@ -154,91 +153,27 @@ class SliceSampler:
 
     # ------------------------------------------------------------------ sampling
 
-    def sample_slice(
-        self,
-        subspace: Subspace,
-        test_attribute: Optional[int] = None,
-    ) -> SubspaceSlice:
-        """Draw one random subspace slice.
-
-        Parameters
-        ----------
-        subspace:
-            The subspace ``S``; must have at least two attributes and be valid
-            for the indexed data.
-        test_attribute:
-            The attribute whose conditional distribution will be compared to
-            its marginal.  If None, a random attribute of ``S`` is used — this
-            corresponds to the random permutation step of Algorithm 1.
-
-        Returns
-        -------
-        SubspaceSlice
-            Conditions on all attributes of ``S`` except the test attribute,
-            plus the boolean mask of objects satisfying all conditions.
-        """
-        subspace.validate_against_dimensionality(self.index.n_dims)
-        if subspace.dimensionality < 2:
-            raise SubspaceError("subspace slices require at least two attributes")
-
-        attributes = list(subspace.attributes)
-        if test_attribute is None:
-            test_attribute = int(self._rng.choice(attributes))
-        elif test_attribute not in subspace:
-            raise SubspaceError(
-                f"test attribute {test_attribute} is not part of subspace {attributes}"
-            )
-        conditioning = [a for a in attributes if a != test_attribute]
-
-        n = self.index.n_objects
-        block = self.block_size(subspace.dimensionality)
-        selected = np.ones(n, dtype=bool)
-        conditions = []
-        for attribute in conditioning:
-            attr_index = self.index.attribute_index(attribute)
-            max_start = n - block
-            start = int(self._rng.integers(0, max_start + 1)) if max_start > 0 else 0
-            lower, upper = attr_index.value_bounds(start, block)
-            selected &= attr_index.block_mask(start, block)
-            conditions.append(
-                SliceCondition(
-                    attribute=attribute,
-                    start_rank=start,
-                    stop_rank=start + block,
-                    lower_value=lower,
-                    upper_value=upper,
-                )
-            )
-
-        return SubspaceSlice(
-            subspace=subspace,
-            test_attribute=int(test_attribute),
-            conditions=tuple(conditions),
-            selected_mask=selected,
-        )
-
     def sample_slice_batch(
         self,
         subspace: Subspace,
         n_slices: int,
         *,
-        rng: Optional[np.random.Generator] = None,
+        rng: np.random.Generator,
         min_conditional_size: int = 1,
         max_retries: int = 0,
         mask_evaluator=None,
     ) -> SliceBatch:
         """Draw ``n_slices`` Monte Carlo slices of one subspace in one shot.
 
-        The batched replacement for calling :meth:`sample_slice` in a loop:
-        test attributes and condition start ranks are drawn as whole arrays,
-        and the selection masks of all slices are evaluated against the
-        precomputed rank matrix of the index with a handful of vectorised
-        comparisons per attribute instead of one boolean mask per condition.
+        Test attributes and condition start ranks are drawn as whole arrays,
+        and the selection masks of all slices are evaluated against the rank
+        columns of the index with a handful of vectorised comparisons per
+        attribute instead of one boolean mask per condition.
 
         Slices whose conditional sample is smaller than
         ``min_conditional_size`` are redrawn in rounds (new start ranks, same
-        test attribute) up to ``max_retries`` times, mirroring the scalar
-        retry loop.  Iterations still below ``max(2, min_conditional_size)``
+        test attribute) up to ``max_retries`` times.  Iterations still below
+        ``max(2, min_conditional_size)``
         after the last round are flagged ``degenerate`` — the deterministic
         fallback is to *exclude* them from the contrast mean rather than to
         score a meaningless test (see :class:`SliceBatch`).
@@ -250,9 +185,8 @@ class SliceSampler:
         n_slices:
             Number of Monte Carlo iterations ``M``.
         rng:
-            Generator to draw from; defaults to the sampler's own stream.
-            Passing an explicit generator makes the batch a pure function of
-            the generator state, which is what the contrast cache and the
+            Generator to draw from.  The batch is a pure function of the
+            generator state, which is what the contrast cache and the
             process-parallel search rely on.
         min_conditional_size:
             Minimum conditional sample size below which a slice is redrawn.
@@ -283,7 +217,6 @@ class SliceSampler:
             )
         if max_retries < 0:
             raise ParameterError(f"max_retries must be >= 0, got {max_retries}")
-        rng = self._rng if rng is None else rng
 
         attrs = subspace.as_array()
         d = attrs.shape[0]
@@ -292,8 +225,7 @@ class SliceSampler:
         max_start = n - block
 
         # One draw for the test-attribute positions, one per redraw round for
-        # the start ranks; the test attribute is kept across redraws exactly
-        # like the scalar retry loop does.
+        # the start ranks; the test attribute is kept across redraws.
         test_positions = rng.integers(0, d, size=n_slices)
         start_ranks = np.full((n_slices, d), -1, dtype=np.intp)
         condition_mask = np.ones((n_slices, d), dtype=bool)
@@ -353,8 +285,7 @@ class SliceSampler:
         of each slice is the conjunction of ``d - 1`` rank-interval tests —
         evaluated here column by column over all slices at once.  Rank columns
         are requested per attribute (:meth:`SortedDatabaseIndex.rank_column`),
-        so only the subspace's own attributes are ever ranked and the full
-        ``(n_objects, n_dims)`` rank matrix is never forced.
+        so only the subspace's own attributes are ever ranked.
 
         ``object_range`` restricts the evaluation to objects ``[lo, hi)`` —
         the row-shard of the sharded contrast path.  The returned matrix then
@@ -401,29 +332,3 @@ class SliceSampler:
             int(block),
             object_range,
         )
-
-    def conditional_sample(self, subspace_slice: SubspaceSlice) -> np.ndarray:
-        """Values of the test attribute for the objects selected by the slice."""
-        values = self.index.values(subspace_slice.test_attribute)
-        return values[subspace_slice.selected_mask]
-
-    def marginal_sample(self, attribute: int) -> np.ndarray:
-        """Values of an attribute over the full database (the marginal sample)."""
-        return self.index.values(attribute)
-
-    def sample_slices(
-        self, subspace: Subspace, n_slices: int
-    ) -> Tuple[SubspaceSlice, ...]:
-        """Draw ``n_slices`` independent slices (convenience for diagnostics)."""
-        if n_slices < 1:
-            raise ParameterError(f"n_slices must be >= 1, got {n_slices}")
-        return tuple(self.sample_slice(subspace) for _ in range(n_slices))
-
-    def conditioning_attributes(self, subspace: Subspace, test_attribute: int) -> Sequence[int]:
-        """The attributes of ``subspace`` that receive a condition for a given test attribute."""
-        if test_attribute not in subspace:
-            raise SubspaceError(
-                f"test attribute {test_attribute} is not part of subspace "
-                f"{list(subspace.attributes)}"
-            )
-        return [a for a in subspace.attributes if a != test_attribute]

@@ -2,14 +2,21 @@
 
 ``SortedDatabaseIndex`` holds, for every attribute of a data matrix, the
 permutation that sorts the objects by that attribute.  Selecting a contiguous
-block of that permutation yields the set of objects whose attribute value lies
-in a data-adaptive interval containing an exact number of objects — the
-building block of the HiCS subspace slices.
+block ``order[start:start + block]`` of that permutation yields the set of
+objects whose attribute value lies in a data-adaptive interval containing an
+exact number of objects — the building block of the HiCS subspace slices.
+
+The slice sampler reads the inverse of each permutation, a per-attribute
+*rank column* (:meth:`SortedDatabaseIndex.rank_column`): an object lies in
+the block exactly when ``start <= rank < start + block``.  Rank columns are
+the index's one rank layout, in memory and out of core alike; worker
+processes rebuild an index from published columns without sorting
+(:meth:`SortedDatabaseIndex.from_rank_columns`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -19,7 +26,7 @@ from ..dataset.memmap import (
     check_storage_spec,
     open_memmap_readonly,
 )
-from ..exceptions import DataError, ParameterError, SubspaceError
+from ..exceptions import ParameterError, SubspaceError
 from ..utils.validation import check_data_matrix
 
 __all__ = ["AttributeIndex", "SortedDatabaseIndex", "chunked_argsort"]
@@ -103,8 +110,8 @@ class AttributeIndex:
         Attribute (column) number, kept for error messages and provenance.
     order:
         Optional precomputed sorting permutation (object indices in ascending
-        value order).  Worker processes rebuilding an index from a published
-        rank matrix pass it to skip the argsort; it must equal the stable
+        value order).  Worker processes rebuilding an index from published
+        rank columns pass it to skip the argsort; it must equal the stable
         mergesort order this class would compute itself.
     """
 
@@ -143,40 +150,6 @@ class AttributeIndex:
         """The attribute values in ascending order."""
         return self._sorted_values
 
-    def block(self, start_rank: int, block_size: int) -> np.ndarray:
-        """Object indices of the ``block_size`` objects starting at ``start_rank``.
-
-        Ranks refer to positions in the sorted order; the block therefore
-        corresponds to a contiguous value interval of the attribute.
-        """
-        if block_size < 1:
-            raise ParameterError(f"block_size must be >= 1, got {block_size}")
-        if start_rank < 0 or start_rank + block_size > self.n_objects:
-            raise ParameterError(
-                f"block [{start_rank}, {start_rank + block_size}) out of range "
-                f"for {self.n_objects} objects"
-            )
-        return self._order[start_rank : start_rank + block_size]
-
-    def block_mask(self, start_rank: int, block_size: int) -> np.ndarray:
-        """Boolean selection mask over all objects for an index block."""
-        mask = np.zeros(self.n_objects, dtype=bool)
-        mask[self.block(start_rank, block_size)] = True
-        return mask
-
-    def value_bounds(self, start_rank: int, block_size: int) -> Tuple[float, float]:
-        """The attribute-value interval ``[l, r]`` covered by an index block."""
-        if block_size < 1:
-            raise ParameterError(f"block_size must be >= 1, got {block_size}")
-        stop = start_rank + block_size
-        if start_rank < 0 or stop > self.n_objects:
-            raise ParameterError("block out of range")
-        return float(self._sorted_values[start_rank]), float(self._sorted_values[stop - 1])
-
-    def rank_of_value(self, value: float) -> int:
-        """Number of objects with an attribute value strictly below ``value``."""
-        return int(np.searchsorted(self._sorted_values, value, side="left"))
-
 
 class SortedDatabaseIndex:
     """Sorted indices for every attribute of a data matrix.
@@ -196,9 +169,8 @@ class SortedDatabaseIndex:
         switches to the **out-of-core mode**: sorting permutations are built
         by chunked argsort-merge in ``chunk_rows`` blocks, every rank column
         is spilled to a per-index :class:`ScratchDirectory` as a memmapped
-        ``.npy`` file, and the dense ``(n, d)`` rank matrix is never
-        materialised (:attr:`rank_matrix` raises; use :meth:`rank_column`).
-        Call :meth:`close` (out-of-core only) to remove the scratch files.
+        ``.npy`` file, so only the columns being read are resident.  Call
+        :meth:`close` (out-of-core only) to remove the scratch files.
         Bit-for-bit: every rank served in either mode is identical.
     """
 
@@ -212,7 +184,6 @@ class SortedDatabaseIndex:
         )
         self._indices: Dict[int, AttributeIndex] = {}
         self._rank_columns: Dict[int, np.ndarray] = {}
-        self._rank_matrix: np.ndarray = None
 
     @property
     def out_of_core(self) -> bool:
@@ -274,53 +245,18 @@ class SortedDatabaseIndex:
         return self
 
     @classmethod
-    def from_rank_matrix(
-        cls, data: np.ndarray, rank_matrix: np.ndarray
-    ) -> SortedDatabaseIndex:
-        """Rebuild a fully-built index from its data and rank matrix.
-
-        The sorting permutations are recovered by inverting each rank column
-        in O(n) instead of re-running the O(n log n) argsorts, so a worker
-        process attaching to a shared-memory publication of ``data`` and
-        ``rank_matrix`` reconstructs the parent's index bit for bit without
-        sorting anything.  ``rank_matrix`` must be the matrix the parent's
-        :attr:`rank_matrix` produced for the same ``data``.
-        """
-        index = cls(data)
-        n, d = index._data.shape
-        rank_matrix = np.asarray(rank_matrix, dtype=np.intp)
-        if rank_matrix.shape != (n, d):
-            raise ParameterError(
-                f"rank_matrix has shape {rank_matrix.shape}, expected {(n, d)}"
-            )
-        if rank_matrix.size and (rank_matrix.min() < 0 or rank_matrix.max() >= n):
-            raise ParameterError(
-                f"rank_matrix entries must lie in [0, {n}); got range "
-                f"[{rank_matrix.min()}, {rank_matrix.max()}]"
-            )
-        for attribute in range(d):
-            order = _invert_rank_column(rank_matrix[:, attribute], n, attribute)
-            index._indices[attribute] = AttributeIndex(
-                index._data[:, attribute], attribute, order=order
-            )
-        matrix = rank_matrix if not rank_matrix.flags.writeable else rank_matrix.copy()
-        if matrix.flags.writeable:
-            matrix.setflags(write=False)
-        index._rank_matrix = matrix
-        return index
-
-    @classmethod
     def from_rank_columns(
         cls, data: np.ndarray, columns: Dict[int, np.ndarray]
     ) -> SortedDatabaseIndex:
         """Rebuild a fully-built index from per-attribute rank columns.
 
-        The column-wise counterpart of :meth:`from_rank_matrix` for
-        out-of-core publications: the parent publishes each spilled rank
-        column as its own (memmapped) array instead of one dense matrix, and
-        the worker inverts every column in O(n) to recover the sorting
-        permutations — identical to the parent's, never assembling ``(n, d)``
-        ranks.  ``columns`` must map *every* attribute to its rank column.
+        The sorting permutations are recovered by inverting each rank column
+        in O(n) instead of re-running the O(n log n) argsorts, so a worker
+        process attaching to a publication of ``data`` and the columns
+        (shared memory, or the memmapped scratch files of an out-of-core
+        index) reconstructs the parent's index bit for bit without sorting
+        anything.  ``columns`` must map *every* attribute to the column the
+        parent's :meth:`rank_column` produced for the same ``data``.
         """
         index = cls(data)
         n, d = index._data.shape
@@ -350,59 +286,24 @@ class SortedDatabaseIndex:
             index._rank_columns[attribute] = column
         return index
 
-    @property
-    def rank_matrix(self) -> np.ndarray:
-        """Per-attribute rank of every object, shape ``(n_objects, n_dims)``.
-
-        ``rank_matrix[i, a]`` is the position of object ``i`` in the sorted
-        order of attribute ``a`` (``order[rank_matrix[i, a]] == i``), so each
-        column is a permutation of ``0..n_objects-1``.  An index block
-        ``[start, stop)`` on attribute ``a`` selects exactly the objects with
-        ``start <= rank_matrix[:, a] < stop`` — this is the representation the
-        batched slice sampler uses to evaluate all Monte Carlo iterations of a
-        subspace with a handful of array comparisons instead of per-condition
-        boolean masks.
-
-        Built lazily on first access and cached; ties inherit the stable
-        (mergesort) ordering of :class:`AttributeIndex`.  The full matrix is
-        assembled column by column from :meth:`rank_column`, so any columns
-        already built individually are reused instead of re-sorted.  Callers
-        that only ever touch a few attributes should prefer
-        :meth:`rank_column` / :meth:`ranks`, which never materialise the
-        ``(n_objects, n_dims)`` block.
-        """
-        if self._storage is not None:
-            raise DataError(
-                "an out-of-core index never materialises the dense rank "
-                "matrix; use rank_column(attribute) instead"
-            )
-        if self._rank_matrix is None:
-            n, d = self._data.shape
-            ranks = np.empty((n, d), dtype=np.intp)
-            for attribute in range(d):
-                ranks[:, attribute] = self.rank_column(attribute)
-            self._rank_matrix = ranks
-            self._rank_matrix.setflags(write=False)
-            # The column cache is now redundant: serve views of the matrix.
-            self._rank_columns.clear()
-        return self._rank_matrix
-
     def rank_column(self, attribute: int) -> np.ndarray:
-        """One rank-matrix column, built lazily and independently (read-only).
+        """Rank of every object under one attribute, built lazily (read-only).
 
-        The chunked counterpart of :attr:`rank_matrix`: only the requested
-        attribute is argsorted and only its ``(n_objects,)`` column is
-        allocated, so sparse attribute access over a wide or very tall matrix
-        stays linear in the attributes actually touched.  Bit-for-bit equal to
-        ``rank_matrix[:, attribute]``.
+        ``rank_column(a)[i]`` is the position of object ``i`` in the sorted
+        order of attribute ``a`` (``order[rank_column(a)[i]] == i``), so the
+        column is a permutation of ``0..n_objects-1`` and an index block
+        ``[start, stop)`` selects exactly the objects with ``start <= rank <
+        stop``.  Ties inherit the stable (mergesort) ordering of
+        :class:`AttributeIndex`.  Only the requested attribute is argsorted
+        and only its ``(n_objects,)`` column is allocated, so sparse attribute
+        access over a wide or very tall matrix stays linear in the attributes
+        actually touched.
         """
         attribute = int(attribute)
         if attribute < 0 or attribute >= self.n_dims:
             raise SubspaceError(
                 f"attribute {attribute} out of range for {self.n_dims}-dimensional data"
             )
-        if self._rank_matrix is not None:
-            return self._rank_matrix[:, attribute]
         if attribute not in self._rank_columns:
             column = np.empty(self.n_objects, dtype=np.intp)
             column[self.attribute_index(attribute).order] = np.arange(

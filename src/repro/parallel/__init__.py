@@ -30,6 +30,7 @@ from .backends import (
 from .registry import (
     available_backends,
     check_backend_spec,
+    fold_n_jobs,
     make_backend,
     parse_backend_spec,
     register_backend,
@@ -52,6 +53,7 @@ __all__ = [
     "resolve_n_jobs",
     "available_backends",
     "check_backend_spec",
+    "fold_n_jobs",
     "make_backend",
     "parse_backend_spec",
     "register_backend",

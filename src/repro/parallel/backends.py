@@ -380,14 +380,22 @@ class ProcessBackend(ExecutionBackend):
             chunksize = self.chunksize
         if chunksize is None:
             chunksize = default_chunksize(len(items), self.n_jobs, cost_hint)
+        from concurrent.futures.process import BrokenProcessPool
+
         pool = self._pool()
-        futures = [
-            pool.submit(_run_chunk, remote, func, items[start : start + chunksize])
-            for start in range(0, len(items), chunksize)
-        ]
-        results: list = []
-        for future in futures:
-            results.extend(future.result())
+        try:
+            futures = [
+                pool.submit(_run_chunk, remote, func, items[start : start + chunksize])
+                for start in range(0, len(items), chunksize)
+            ]
+            results: list = []
+            for future in futures:
+                results.extend(future.result())
+        except BrokenProcessPool:
+            # A worker died (killed, out of memory).  The executor refuses
+            # all further work, so drop it: the next map starts a new pool.
+            self.close()
+            raise
         return results
 
     def close(self) -> None:

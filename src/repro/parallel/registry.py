@@ -11,17 +11,19 @@ component parameters (``hics(backend=process(n_jobs=4))``), the
     "process"                      # all cores, platform-default start method
     "process(n_jobs=4, start_method=spawn, chunksize=8)"
 
-``n_jobs`` remains supported everywhere as sugar: ``n_jobs=N`` with no
-backend means ``process(n_jobs=N)`` for ``N > 1`` and ``serial`` otherwise,
-preserving the historical behaviour bit for bit.  New backends register via
-:func:`register_backend` and become addressable from every spec surface.
+The backend is the one execution knob; ``n_jobs`` is only a parameter of
+the backends themselves.  Saved models, spec strings and config dicts from
+before that still carry a top-level ``n_jobs`` keep loading:
+:func:`fold_n_jobs` rewrites it into the backend it always meant.  New
+backends register via :func:`register_backend` and become addressable from
+every spec surface.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from ..exceptions import ParameterError
 from .backends import (
@@ -35,6 +37,7 @@ from .backends import (
 __all__ = [
     "available_backends",
     "check_backend_spec",
+    "fold_n_jobs",
     "make_backend",
     "parse_backend_spec",
     "register_backend",
@@ -116,30 +119,21 @@ def parse_backend_spec(text: str) -> Tuple[str, Dict[str, object]]:
     return name, params
 
 
-def make_backend(spec: BackendSpec, *, n_jobs: Optional[int] = None) -> ExecutionBackend:
+def make_backend(spec: BackendSpec) -> ExecutionBackend:
     """Build an :class:`ExecutionBackend` from a spec string (or pass one through).
 
-    ``None`` resolves through the ``n_jobs`` sugar: ``serial`` when
-    ``n_jobs`` is absent or 1, ``process(n_jobs=N)`` otherwise.  A string
-    spec that does not pin ``n_jobs`` inherits the caller's ``n_jobs``.
-    An existing backend instance is returned unchanged (the caller keeps
-    ownership of its pool).
+    ``None`` means ``serial``.  An existing backend instance is returned
+    unchanged (the caller keeps ownership of its pool).
     """
     if isinstance(spec, ExecutionBackend):
         return spec
-    if n_jobs is not None:
-        n_jobs = resolve_n_jobs(n_jobs)
     if spec is None:
-        if n_jobs is None or n_jobs <= 1:
-            return SerialBackend()
-        return ProcessBackend(n_jobs=n_jobs)
+        return SerialBackend()
     name, params = parse_backend_spec(spec)
     if name not in _BACKENDS:
         raise ParameterError(
             f"unknown backend {name!r}; available: {', '.join(available_backends())}"
         )
-    if n_jobs is not None and n_jobs > 1 and "n_jobs" not in params and name != "serial":
-        params = {**params, "n_jobs": n_jobs}
     try:
         return _BACKENDS[name](**params)
     except ParameterError:
@@ -148,17 +142,39 @@ def make_backend(spec: BackendSpec, *, n_jobs: Optional[int] = None) -> Executio
         raise ParameterError(f"invalid parameters for backend {name!r}: {exc}") from exc
 
 
-def resolve_backend(
-    spec: BackendSpec, *, n_jobs: Optional[int] = None
-) -> Tuple[ExecutionBackend, bool]:
+def resolve_backend(spec: BackendSpec) -> Tuple[ExecutionBackend, bool]:
     """Like :func:`make_backend` but also reports ownership.
 
     Returns ``(backend, owned)`` where ``owned`` is True when this call
     constructed the backend (the caller must eventually ``close()`` it) and
     False when an existing instance was passed through.
     """
-    backend = make_backend(spec, n_jobs=n_jobs)
-    return backend, not isinstance(spec, ExecutionBackend)
+    return make_backend(spec), not isinstance(spec, ExecutionBackend)
+
+
+def fold_n_jobs(params: Mapping[str, object]) -> Dict[str, object]:
+    """Rewrite a retired top-level ``n_jobs`` entry as the ``backend`` it meant.
+
+    With no backend, ``n_jobs=N`` is ``process(n_jobs=N)`` for ``N > 1`` and
+    ``serial`` otherwise; a backend spec string that does not pin ``n_jobs``
+    (and is not ``serial``) inherits ``N > 1``; a spec that pins it, or a
+    backend instance, wins.  ``-1`` means all cores.  Returns a new mapping
+    without ``n_jobs``.
+    """
+    folded = dict(params)
+    if "n_jobs" not in folded:
+        return folded
+    n_jobs = resolve_n_jobs(folded.pop("n_jobs"))  # type: ignore[arg-type]
+    backend = folded.get("backend")
+    if backend is None:
+        folded["backend"] = "serial" if n_jobs <= 1 else f"process(n_jobs={n_jobs})"
+    elif isinstance(backend, str) and n_jobs > 1:
+        name, spec_params = parse_backend_spec(backend)
+        if name != "serial" and "n_jobs" not in spec_params:
+            spec_params = {**spec_params, "n_jobs": n_jobs}
+            rendered = ", ".join(f"{k}={v!r}" for k, v in spec_params.items())
+            folded["backend"] = f"{name}({rendered})"
+    return folded
 
 
 def check_backend_spec(spec: BackendSpec) -> BackendSpec:

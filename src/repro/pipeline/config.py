@@ -23,6 +23,7 @@ from typing import Dict, Optional, Tuple, Union
 
 from ..baselines.pca import PCAReducer
 from ..exceptions import ParameterError
+from ..parallel import fold_n_jobs
 from ..registry import (
     ComponentSpec,
     PipelineSpec,
@@ -76,20 +77,17 @@ class PipelineConfig:
         *result* field for caching purposes.
     random_state:
         Seed forwarded to the stochastic methods.
-    n_jobs:
-        Worker fan-out for the contrast search (forwarded to every component
-        whose constructor accepts ``n_jobs``); ``-1`` uses all cores.  Sugar
-        for ``backend="process(n_jobs=N)"``.  Purely a throughput knob —
-        results are independent of it.
     backend:
         Execution-backend spec string (``"serial"``, ``"thread"``,
         ``"process(n_jobs=4, start_method=spawn)"``), forwarded to every
-        component whose constructor accepts ``backend``; ``None`` resolves
-        from ``n_jobs``.  Like ``n_jobs``, purely a throughput knob.
+        component whose constructor accepts ``backend``; ``None`` means
+        serial.  Purely a throughput knob — results are independent of it.
+        A config dict that still carries the retired ``n_jobs`` loads
+        through :func:`~repro.parallel.fold_n_jobs`.
     scoring_engine:
         Scoring engine of the ranking step: ``"shared"`` (default) shares one
         distance pass across all fitted subspaces, ``"per-subspace"`` is the
-        bit-for-bit-identical reference path.  Like ``n_jobs``, purely a
+        bit-for-bit-identical reference path.  Like ``backend``, purely a
         throughput knob.
     memory_budget_mb:
         Cache budget of the shared scoring engine in MiB.
@@ -105,7 +103,7 @@ class PipelineConfig:
         meaningful together with a memmap ``storage``.
     n_shards:
         Row shards for the sharded contrast evaluation (default 1 =
-        unsharded).  Like ``n_jobs``, purely a throughput knob — sharded
+        unsharded).  Like ``backend``, purely a throughput knob — sharded
         results are bit-for-bit identical.
     extra:
         Free-form per-method overrides.
@@ -118,7 +116,6 @@ class PipelineConfig:
     hics_cutoff: int = 400
     hics_subsample: Optional[int] = None
     random_state: Optional[int] = 0
-    n_jobs: int = 1
     backend: Optional[str] = None
     scoring_engine: str = "shared"
     memory_budget_mb: float = 256.0
@@ -141,7 +138,7 @@ class PipelineConfig:
         Use it to tag results with the exact configuration that produced
         them.  (The experiment artifact cache keys cells by a *reduced* form
         of the config instead — it deliberately ignores the throughput knobs
-        ``n_jobs``/``scoring_engine``/``memory_budget_mb``, which cannot
+        ``backend``/``scoring_engine``/``memory_budget_mb``, which cannot
         change results; see :mod:`repro.experiments.cache`.)
         """
         payload = json.dumps(
@@ -151,11 +148,16 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> PipelineConfig:
-        """Rebuild a config from :meth:`to_dict` output; rejects unknown keys."""
+        """Rebuild a config from :meth:`to_dict` output; rejects unknown keys.
+
+        A retired ``n_jobs`` entry is folded into ``backend``
+        (:func:`~repro.parallel.fold_n_jobs`).
+        """
         if not isinstance(payload, dict):
             raise ParameterError(
                 f"config payload must be a mapping, got {type(payload).__name__}"
             )
+        payload = fold_n_jobs(payload)
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -177,7 +179,6 @@ def _method_spec(key: str, config: PipelineConfig) -> PipelineSpec:
         "candidate_cutoff": config.hics_cutoff,
         "max_output_subspaces": config.max_subspaces,
         "random_state": config.random_state,
-        "n_jobs": config.n_jobs,
         "backend": config.backend,
         "subsample_size": config.hics_subsample,
         "storage": config.storage,
@@ -215,16 +216,16 @@ def _method_spec(key: str, config: PipelineConfig) -> PipelineSpec:
 def _inject_config_defaults(spec: PipelineSpec, config: PipelineConfig) -> PipelineSpec:
     """Apply the shared config parameters to spec components that accept them.
 
-    ``min_pts``, ``random_state``, ``n_jobs`` and ``backend`` are the config
-    knobs the CLI exposes (``--min-pts`` / ``--seed`` / ``--n-jobs`` /
-    ``--backend``); they are injected into every component whose constructor
-    accepts them, unless the spec already pins the parameter.  A spec without
-    a scorer gets LOF with the config's ``min_pts``.
+    ``min_pts``, ``random_state``, ``backend``, ``storage``, ``scratch_dir``
+    and ``n_shards`` are the config knobs the CLI exposes (``--min-pts`` /
+    ``--seed`` / ``--backend`` / ...); they are injected into every component
+    whose constructor accepts them, unless the spec already pins the
+    parameter.  A spec without a scorer gets LOF with the config's
+    ``min_pts``.
     """
     shared = {
         "min_pts": config.min_pts,
         "random_state": config.random_state,
-        "n_jobs": config.n_jobs,
         "backend": config.backend,
         "storage": config.storage,
         "scratch_dir": config.scratch_dir,

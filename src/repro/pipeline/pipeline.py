@@ -80,7 +80,7 @@ class SubspaceOutlierPipeline:
     backend:
         Execution-backend spec (see :mod:`repro.parallel`), e.g.
         ``"process(n_jobs=4)"``.  ``None`` (default) leaves each component's
-        own ``backend``/``n_jobs`` settings untouched; a value overrides the
+        own ``backend`` setting untouched; a value overrides the
         searcher's backend at :meth:`fit` time.  Purely a throughput knob —
         scores are bit-for-bit independent of it — and persisted with
         :meth:`to_dict`/:meth:`save` so a saved pipeline reloads with the

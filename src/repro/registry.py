@@ -42,6 +42,7 @@ from .outliers.aggregation import (
     get_aggregation,
     register_aggregation,
 )
+from .parallel import fold_n_jobs
 from .utils.validation import check_component_name
 
 __all__ = [
@@ -206,6 +207,10 @@ def _construct(cls: type, params: Dict[str, object], name: str, kind: str):
         for key, value in params.items()
         if not (key in retired and value in retired[key])
     }
+    accepted = inspect.signature(cls.__init__).parameters
+    if "n_jobs" in params and "backend" in accepted and "n_jobs" not in accepted:
+        # The retired n_jobs sugar of a component that takes a backend.
+        params = fold_n_jobs(params)
     try:
         return cls(**params)
     except ReproError:

@@ -14,36 +14,42 @@ per-condition selectivity ``alpha^(1/|S|)``.  The deviation function is a
 two-sample statistical test comparing the conditional sample against the
 marginal sample (Welch's t-test for HiCS_WT, the KS statistic for HiCS_KS).
 
-The estimator evaluates all ``M`` iterations of a subspace at once: the
-slices are drawn by :meth:`~repro.index.SliceSampler.sample_slice_batch`,
-whose selection masks are evaluated against the precomputed rank matrix in
-one pass, the conditional samples are gathered with a single
-``nonzero``/``split`` pass, and the deviations of all iterations are computed
-through the array-level statistics
-(:func:`~repro.stats.deviation.welch_deviation_batch`,
-:func:`~repro.stats.deviation.ks_deviation_batch`).  The result is bit-for-bit
-what the paper's per-iteration recipe gives — one boolean mask built
-condition by condition through :meth:`~repro.index.AttributeIndex.block_mask`
-and one scalar two-sample test per iteration — which is kept as the oracle of
-the golden-equivalence suite (``tests/test_contrast_batch.py``).
+Every contrast takes one route (:meth:`ContrastEstimator.contrast_many` and
+its siblings all call it): each requested subspace is validated once, cache
+hits are served, and the misses are evaluated one subspace at a time.  All
+``M`` slices of a subspace are drawn by
+:meth:`~repro.index.SliceSampler.sample_slice_batch`, whose selection masks
+are evaluated against the per-attribute rank columns of the index in one
+pass; the conditional samples are gathered with a single ``nonzero``/``split``
+pass and reduced to per-iteration statistics before the next subspace is
+drawn, so at most one ``(M, n)`` mask matrix is alive.  Welch keeps only the
+``t``/``df`` pairs and one p-value call covers a whole group of subspaces;
+KS and custom deviations are computed per subspace
+(:func:`~repro.stats.deviation.get_batch_deviation_function`).  The result is
+bit-for-bit what the paper's per-iteration recipe gives — one boolean mask
+per iteration, built condition by condition from the index blocks
+``order[start:start + block]``, and one scalar two-sample test per
+iteration — which is kept as the oracle of the golden-equivalence suite
+(``oracle_contrast`` in ``tests/test_contrast_batch.py``).
 
 The randomness of each subspace evaluation is derived from the estimator seed
 *and* the subspace's attributes, so a subspace's contrast does not depend on
-evaluation order.  That property makes results cacheable
-(:class:`ContrastCache`) and lets :meth:`ContrastEstimator.contrast_many` fan
-candidate levels out across an execution backend (:mod:`repro.parallel`)
-without changing a single bit of the output.  Process backends keep one
-persistent worker pool across all apriori levels of a fit and publish the
-data matrix plus the rank matrix through a shared-memory plane, so workers
-attach zero-copy under any start method instead of receiving a pickled copy
-per level.
+evaluation order or on the other subspaces it is evaluated with.  That
+property makes results cacheable (:class:`ContrastCache`) and lets an
+execution backend (:mod:`repro.parallel`) evaluate groups of pending
+subspaces in its workers — with the same evaluation function — without
+changing a single bit of the output.  Process backends keep one persistent
+worker pool across all apriori levels of a fit and publish the data matrix
+plus the rank columns through a shared-memory plane, so workers attach
+zero-copy under any start method instead of receiving a pickled copy per
+level.
 """
 
 from __future__ import annotations
 
 import logging
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,8 +61,8 @@ from ..parallel import (
     ExecutionBackend,
     WorkerContext,
     check_backend_spec,
+    default_chunksize,
     resolve_backend,
-    resolve_n_jobs,
 )
 from ..stats.descriptive import sample_moments, sample_moments_batch
 from ..stats.deviation import (
@@ -66,7 +72,6 @@ from ..stats.deviation import (
     ks_deviation,
     welch_deviation,
 )
-from ..stats.ks import ks_statistic_against_superset_batch
 from ..stats.tdist import student_t_two_tailed_pvalue_batch
 from ..stats.welch import welch_satterthwaite_df_batch, welch_t_statistic_batch
 from ..types import ContrastResult, Subspace
@@ -167,20 +172,15 @@ class ContrastEstimator:
         randomness is derived from this seed and the subspace's attributes, so
         contrasts are independent of the order in which subspaces are
         evaluated.
-    n_jobs:
-        Default worker fan-out for :meth:`contrast_many`; ``-1`` uses all
-        cores, 1 (default) stays sequential.  Sugar for
-        ``backend="process(n_jobs=N)"``.
     backend:
-        Execution backend for :meth:`contrast_many`: ``None`` (resolve from
-        ``n_jobs``), a spec string (``"serial"``, ``"thread"``,
+        Execution backend that evaluates pending subspaces: ``None``
+        (default, serial), a spec string (``"serial"``, ``"thread"``,
         ``"process(n_jobs=4, start_method=spawn)"``) or an
         :class:`~repro.parallel.ExecutionBackend` instance (whose pool the
         caller owns).  Purely a throughput knob — contrasts are bit-for-bit
-        identical under every backend.  Backends constructed by the
-        estimator keep one persistent pool across all :meth:`contrast_many`
-        calls; release it with :meth:`close` (or use the estimator as a
-        context manager).
+        identical under every backend.  A backend constructed by the
+        estimator keeps one persistent pool across all calls; release it
+        with :meth:`close` (or use the estimator as a context manager).
     cache:
         ``True`` (default) attaches a fresh :class:`ContrastCache`; pass an
         existing cache to share results between estimators, or ``False`` /
@@ -204,9 +204,9 @@ class ContrastEstimator:
         ``"memmap(chunk_rows=65536)"``) puts the index into out-of-core
         mode: rank columns are built by chunked argsort-merge and spilled to
         a per-estimator scratch directory as memmapped ``.npy`` columns, so
-        the dense ``(n, d)`` rank matrix is never materialised.  Purely a
-        memory knob — contrasts are bit-for-bit identical to the in-memory
-        index and the cache key does not change.  Only valid when ``data``
+        only the columns being read are resident.  Purely a memory knob —
+        contrasts are bit-for-bit identical to the in-memory index and the
+        cache key does not change.  Only valid when ``data``
         is a raw matrix (the estimator must own the index it spills).
     n_shards:
         Number of deterministic contiguous row shards the selection-mask
@@ -232,7 +232,6 @@ class ContrastEstimator:
         min_conditional_size: int = 5,
         max_retries: int = 10,
         random_state=None,
-        n_jobs: int = 1,
         backend: Union[None, str, ExecutionBackend] = None,
         cache: Union[bool, ContrastCache, None] = True,
         subsample_size: Optional[int] = None,
@@ -267,12 +266,11 @@ class ContrastEstimator:
         self.subsample_size = subsample_size
         self.n_shards = check_positive_int(n_shards, name="n_shards")
         self.storage = check_storage_spec(storage)
-        self.n_jobs = resolve_n_jobs(n_jobs)
         self.backend = check_backend_spec(backend)
-        # Lazily resolved execution state, persistent across contrast_many
-        # calls: (spec key, backend, owned) plus the worker context that
-        # publishes the shared-memory plane.
-        self._exec_backend: Optional[Tuple[tuple, ExecutionBackend, bool]] = None
+        # Lazily resolved execution state, persistent across calls: the
+        # backend and whether the estimator owns it, plus the worker context
+        # that publishes the shared-memory plane.
+        self._exec_backend: Optional[Tuple[ExecutionBackend, bool]] = None
         self._worker_context: Optional[WorkerContext] = None
         self._entropy = self._derive_entropy(random_state)
         # An internal fast path lets worker processes hand over a prebuilt
@@ -412,20 +410,7 @@ class ContrastEstimator:
             a one-dimensional contrast is not meaningful: there is no notion of
             correlation) or references attributes outside the data.
         """
-        if subspace.dimensionality < 2:
-            raise SubspaceError(
-                "contrast is only defined for subspaces with at least two attributes"
-            )
-        subspace.validate_against_dimensionality(self.n_dims)
-        if self.cache is not None:
-            key = self._cache_key(subspace)
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached
-        result = self._evaluate(subspace)
-        if self.cache is not None:
-            self.cache.put(key, result)
-        return result
+        return self._contrast_results([subspace])[subspace]
 
     def _shard_bounds(self) -> List[Tuple[int, int]]:
         """Deterministic contiguous row ranges covering all objects.
@@ -464,7 +449,7 @@ class ContrastEstimator:
         bounds = self._shard_bounds()
         if len(bounds) <= 1:
             return None
-        backend = self._resolve_exec_backend(None, None)
+        backend = self._execution_backend()
 
         def evaluate(
             attrs: np.ndarray, start_ranks: np.ndarray, block: int
@@ -499,19 +484,45 @@ class ContrastEstimator:
             mask_evaluator=self._mask_evaluator(),
         )
 
-    def _evaluate(self, subspace: Subspace) -> ContrastResult:
+    def _evaluate(self, subspaces: Sequence[Subspace]) -> List[ContrastResult]:
+        """Monte Carlo results of validated subspaces, one subspace at a time.
+
+        Welch's deviation spends most of its time in the incomplete-beta
+        continued fraction, whose cost is dominated by per-call overhead, so
+        the ``t``/``df`` pairs of the whole group share one
+        :func:`~repro.stats.tdist.student_t_two_tailed_pvalue_batch` call.
+        The p-values are element-wise, so every subspace gets the bits it
+        would get alone.
+        """
+        if not subspaces:
+            return []
         if self.subsample_size is not None and self.subsample_size < self.n_objects:
-            return self._evaluate_subsampled(subspace)
-        batch = self._sample_batch(subspace)
-        deviations = self._deviations_batch(batch)
-        contrast_value = float(np.mean(deviations)) if deviations.size else 0.0
-        return ContrastResult(
-            subspace=subspace,
-            contrast=contrast_value,
-            deviations=tuple(float(v) for v in deviations),
-            n_iterations=self.n_iterations,
-            n_degenerate=batch.n_degenerate,
-        )
+            return [self._evaluate_subsampled(s) for s in subspaces]
+        statistics = [self._iteration_statistics(s) for s in subspaces]
+        if self.deviation is welch_deviation:
+            ts = [t for (t, _), _ in statistics]
+            pvalues = student_t_two_tailed_pvalue_batch(
+                np.concatenate(ts), np.concatenate([df for (_, df), _ in statistics])
+            )
+            bounds = np.cumsum([0] + [t.size for t in ts])
+            deviations = [
+                np.clip(1.0 - pvalues[lo:hi], 0.0, 1.0)
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            ]
+        else:
+            deviations = [stats[0] for stats, _ in statistics]
+        return [
+            ContrastResult(
+                subspace=subspace,
+                contrast=float(np.mean(values)) if values.size else 0.0,
+                deviations=tuple(float(v) for v in values),
+                n_iterations=self.n_iterations,
+                n_degenerate=n_degenerate,
+            )
+            for subspace, values, (_, n_degenerate) in zip(
+                subspaces, deviations, statistics
+            )
+        ]
 
     def _evaluate_subsampled(self, subspace: Subspace) -> ContrastResult:
         """Seeded-subsample estimate: Monte Carlo over ``m`` deterministic rows.
@@ -537,7 +548,6 @@ class ContrastEstimator:
             else self.deviation,
             min_conditional_size=self.min_conditional_size,
             max_retries=self.max_retries,
-            n_jobs=1,
             cache=False,
             random_state=child_entropy,
         ) as child:
@@ -580,64 +590,41 @@ class ContrastEstimator:
             self._marginal_cdf[attribute] = tables
         return tables
 
-    def _gather_samples(
-        self, batch: SliceBatch
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[np.ndarray]]:
-        """Compact per-iteration conditional samples of the valid iterations."""
+    def _iteration_statistics(
+        self, subspace: Subspace
+    ) -> Tuple[Tuple[np.ndarray, ...], int]:
+        """One subspace's per-iteration statistics and degenerate count.
+
+        Welch yields ``(t, df)`` (the caller computes the p-values), every
+        other deviation ``(deviations,)``; degenerate iterations are
+        excluded.  The slice batch and its ``(M, n)`` masks die on return.
+        """
+        batch = self._sample_batch(subspace)
+        welch = self.deviation is welch_deviation
         valid = np.flatnonzero(~batch.degenerate)
+        if valid.size == 0:
+            empty = np.empty(0, dtype=float)
+            return ((empty, empty) if welch else (empty,)), batch.n_degenerate
         selected = batch.selected[valid]
         test_attributes = batch.test_attributes[valid]
         counts = batch.counts[valid]
+        if self.deviation is ks_deviation:
+            return (
+                (self._ks_deviations(selected, test_attributes, counts),),
+                batch.n_degenerate,
+            )
         row_idx, obj_idx = np.nonzero(selected)
         # np.nonzero is row-major, so each row's objects come out in ascending
         # index order — the same order as extracting one iteration's sample
         # with its boolean mask, which keeps the sample means bit-identical.
         flat_values = self.index.data[obj_idx, test_attributes[row_idx]]
         samples = np.split(flat_values, np.cumsum(counts)[:-1])
-        return valid, selected, test_attributes, counts, samples
-
-    def _welch_t_df(
-        self, test_attributes: np.ndarray, samples: List[np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Welch statistic and degrees of freedom of many conditional samples."""
-        means, variances, sizes = sample_moments_batch(samples)
-        mean_b, var_b, n_b = self._marginal_moment_arrays(test_attributes)
-        t = welch_t_statistic_batch(means, variances, sizes, mean_b, var_b, n_b)
-        df = welch_satterthwaite_df_batch(variances, sizes, var_b, n_b)
-        return t, df
-
-    def _deviations_batch(self, batch: SliceBatch) -> np.ndarray:
-        """Deviations of a slice batch: one gather pass plus array statistics."""
-        valid, selected, test_attributes, counts, samples = self._gather_samples(batch)
-        if valid.size == 0:
-            return np.empty(0, dtype=float)
-
-        # The paper's two instantiations get fully grouped fast paths that
-        # exploit what the estimator knows (one shared reference population
-        # whose moments / sorted order are cached, conditional samples that
-        # are sub-multisets of the marginal).  Both remain bit-for-bit equal
-        # to one scalar test per iteration; the golden-equivalence suite
-        # pins this.
-        if self.deviation is welch_deviation:
-            t, df = self._welch_t_df(test_attributes, samples)
-            pvalues = student_t_two_tailed_pvalue_batch(t, df)
-            return np.clip(1.0 - pvalues, 0.0, 1.0)
-        if self.deviation is ks_deviation:
-            # KS in the rank domain: the conditional ECDF evaluated at the
-            # marginal points is a cumulative count of selected objects along
-            # the attribute's sorted order (ties collapse to the last index of
-            # their group), so the whole statistic reduces to one cumsum and
-            # one row-max per iteration group — no per-sample sort or search.
-            # Counts are integers, so the resulting quotients are bitwise the
-            # same floats the per-sample searchsorted formulation produces.
-            deviations = np.empty(valid.size, dtype=float)
-            for attribute in np.unique(test_attributes):
-                rows = np.flatnonzero(test_attributes == attribute)
-                order, tie_end, ref_cdf = self._marginal_ks_tables(int(attribute))
-                cum = np.cumsum(selected[rows][:, order], axis=1)
-                cdf_rows = cum[:, tie_end] / counts[rows][:, None]
-                deviations[rows] = np.max(np.abs(cdf_rows - ref_cdf), axis=1)
-            return deviations
+        if welch:
+            means, variances, sizes = sample_moments_batch(samples)
+            mean_b, var_b, n_b = self._marginal_moment_arrays(test_attributes)
+            t = welch_t_statistic_batch(means, variances, sizes, mean_b, var_b, n_b)
+            df = welch_satterthwaite_df_batch(variances, sizes, var_b, n_b)
+            return (t, df), batch.n_degenerate
         deviations = np.empty(valid.size, dtype=float)
         for attribute in np.unique(test_attributes):
             rows = np.flatnonzero(test_attributes == attribute)
@@ -647,72 +634,61 @@ class ContrastEstimator:
                 attr_index.values,
                 marginal_sorted=attr_index.sorted_values,
             )
+        return (deviations,), batch.n_degenerate
+
+    def _ks_deviations(
+        self, selected: np.ndarray, test_attributes: np.ndarray, counts: np.ndarray
+    ) -> np.ndarray:
+        """KS statistics of the valid iterations, in the rank domain.
+
+        The conditional ECDF evaluated at the marginal points is a cumulative
+        count of selected objects along the attribute's sorted order (ties
+        collapse to the last index of their group), so the whole statistic
+        reduces to one cumsum and one row-max per iteration group — no
+        per-sample sort or search.  Counts are integers, so the quotients are
+        bitwise the same floats the per-sample searchsorted formulation
+        produces.
+        """
+        deviations = np.empty(test_attributes.size, dtype=float)
+        for attribute in np.unique(test_attributes):
+            rows = np.flatnonzero(test_attributes == attribute)
+            order, tie_end, ref_cdf = self._marginal_ks_tables(int(attribute))
+            cum = np.cumsum(selected[rows][:, order], axis=1)
+            cdf_rows = cum[:, tie_end] / counts[rows][:, None]
+            deviations[rows] = np.max(np.abs(cdf_rows - ref_cdf), axis=1)
         return deviations
 
-    def contrast_many(
-        self,
-        subspaces: Iterable[Subspace],
-        *,
-        n_jobs: Optional[int] = None,
-        backend: Union[None, str, ExecutionBackend] = None,
-    ) -> Dict[Subspace, float]:
+    def contrast_many(self, subspaces: Iterable[Subspace]) -> Dict[Subspace, float]:
         """Contrast of several subspaces; returns ``{subspace: contrast}``.
 
-        Under a parallel backend the evaluations are fanned out over a
-        persistent worker pool (cache hits are served locally first); the
-        pool and the shared-memory publication of the data survive across
-        calls, so scoring one apriori level after another never rebuilds
-        either.  Because every subspace's randomness derives from the
-        estimator seed and the subspace itself, the parallel results are
-        bit-for-bit identical to the sequential ones — the fan-out is purely
-        a throughput knob.  ``backend`` / ``n_jobs`` override the
-        estimator-level defaults for this call.
+        Under a parallel backend the pending subspaces are evaluated in
+        groups over a persistent worker pool (cache hits are served locally
+        first); the pool and the shared-memory publication of the data
+        survive across calls, so scoring one apriori level after another
+        never rebuilds either.  Because every subspace's randomness derives
+        from the estimator seed and the subspace itself, the results are
+        bit-for-bit identical to serial evaluation.
         """
-        subspace_list = list(subspaces)
-        exec_backend = self._resolve_exec_backend(backend, n_jobs)
-        # With row sharding enabled, parallelism moves *inside* each
-        # subspace's mask evaluation (shard fan-out), so the per-subspace
-        # fan-out is skipped — both routes are bit-for-bit identical.
-        if (
-            exec_backend is not None
-            and len(subspace_list) >= 2
-            and self.n_shards == 1
-        ):
-            return self._contrast_many_backend(subspace_list, exec_backend)
-        if (
-            self.deviation is welch_deviation
-            and len(subspace_list) >= 2
-            # The level-batched Welch path assembles slice batches over the
-            # full database; subsampled estimates evaluate per subspace.
-            and self.subsample_size is None
-        ):
-            return self._contrast_many_level(subspace_list)
-        return {s: self.contrast(s) for s in subspace_list}
+        return {s: r.contrast for s, r in self._contrast_results(subspaces).items()}
 
     def contrast_many_detailed(
         self, subspaces: Iterable[Subspace]
     ) -> Dict[Subspace, ContrastResult]:
         """Like :meth:`contrast_many` but with full per-subspace results."""
-        return {s: self.contrast_detailed(s) for s in subspaces}
+        return self._contrast_results(subspaces)
 
-    def _contrast_many_level(
-        self, subspace_list: List[Subspace]
-    ) -> Dict[Subspace, float]:
-        """Score a whole candidate level with one shared p-value evaluation.
+    def _contrast_results(
+        self, subspaces: Iterable[Subspace]
+    ) -> Dict[Subspace, ContrastResult]:
+        """The one route to every contrast; results in input order.
 
-        The Welch deviation spends most of its time in the incomplete-beta
-        continued fraction; its per-iteration cost is dominated by array-call
-        overhead, not arithmetic.  Stacking the ``t``/``df`` pairs of *all*
-        candidate subspaces into a single
-        :func:`~repro.stats.tdist.student_t_two_tailed_pvalue_batch` call
-        amortises that overhead across the level.  The p-values are computed
-        element-wise, so the grouping changes nothing — results stay
-        bit-for-bit identical to per-subspace evaluation (and are cached under
-        the same keys).
+        Each distinct subspace is validated and looked up in the cache once;
+        the misses are evaluated (:meth:`_evaluate_pending`) and cached.
         """
-        results: Dict[Subspace, float] = {}
+        requested = list(dict.fromkeys(subspaces))
+        results: Dict[Subspace, ContrastResult] = {}
         pending: List[Subspace] = []
-        for subspace in subspace_list:
+        for subspace in requested:
             if subspace.dimensionality < 2:
                 raise SubspaceError(
                     "contrast is only defined for subspaces with at least two attributes"
@@ -723,75 +699,39 @@ class ContrastEstimator:
                 if self.cache is not None
                 else None
             )
-            if cached is not None:
-                results[subspace] = cached.contrast
-            else:
+            if cached is None:
                 pending.append(subspace)
-
-        stats_parts: List[Tuple[np.ndarray, np.ndarray]] = []
-        degenerate_counts: List[int] = []
-        for subspace in pending:
-            batch = self._sample_batch(subspace)
-            _, _, test_attributes, _, samples = self._gather_samples(batch)
-            stats_parts.append(self._welch_t_df(test_attributes, samples))
-            degenerate_counts.append(batch.n_degenerate)
-
-        if pending:
-            lengths = [t.shape[0] for t, _ in stats_parts]
-            pvalues = student_t_two_tailed_pvalue_batch(
-                np.concatenate([t for t, _ in stats_parts]),
-                np.concatenate([df for _, df in stats_parts]),
-            )
-            offsets = np.cumsum([0] + lengths)
-            for i, subspace in enumerate(pending):
-                deviations = np.clip(
-                    1.0 - pvalues[offsets[i] : offsets[i + 1]], 0.0, 1.0
-                )
-                contrast_value = float(np.mean(deviations)) if deviations.size else 0.0
-                result = ContrastResult(
-                    subspace=subspace,
-                    contrast=contrast_value,
-                    deviations=tuple(float(v) for v in deviations),
-                    n_iterations=self.n_iterations,
-                    n_degenerate=degenerate_counts[i],
-                )
-                if self.cache is not None:
-                    self.cache.put(self._cache_key(subspace), result)
-                results[subspace] = result.contrast
-        return {s: results[s] for s in subspace_list}
+            else:
+                results[subspace] = cached
+        for subspace, result in zip(pending, self._evaluate_pending(pending)):
+            if self.cache is not None:
+                self.cache.put(self._cache_key(subspace), result)
+            results[subspace] = result
+        return {s: results[s] for s in requested}
 
     # --------------------------------------------------------- backend fan-out
 
-    def _resolve_exec_backend(
-        self,
-        backend: Union[None, str, ExecutionBackend],
-        n_jobs: Optional[int],
-    ) -> Optional[ExecutionBackend]:
-        """Resolve the effective backend for one call; ``None`` means serial.
+    def _execution_backend(self) -> Optional[ExecutionBackend]:
+        """The resolved execution backend; ``None`` means serial.
 
-        Resolved backends are cached on the estimator so every level of a
-        fit reuses one pool; a changed spec closes the previously owned
-        backend first.
+        Resolved once and kept for the estimator's lifetime, so every level
+        of a fit reuses one pool.
         """
-        n_jobs = self.n_jobs if n_jobs is None else resolve_n_jobs(n_jobs)
-        spec = self.backend if backend is None else check_backend_spec(backend)
-        key = (spec if spec is None or isinstance(spec, str) else id(spec), n_jobs)
-        if self._exec_backend is not None and self._exec_backend[0] == key:
-            resolved = self._exec_backend[1]
-        else:
-            if self._exec_backend is not None and self._exec_backend[2]:
-                self._exec_backend[1].close()
-            resolved, owned = resolve_backend(spec, n_jobs=n_jobs)
-            self._exec_backend = (key, resolved, owned)
-        return None if resolved.kind == "serial" else resolved
+        if self._exec_backend is None:
+            self._exec_backend = resolve_backend(self.backend)
+        backend = self._exec_backend[0]
+        return None if backend.kind == "serial" else backend
 
     def _ensure_worker_context(self) -> WorkerContext:
         """The persistent worker context: parameters + shared-memory plane.
 
-        Created once per estimator; process workers attach the data matrix
-        and the rank matrix zero-copy and rebuild the sorted index without
-        sorting (:meth:`SortedDatabaseIndex.from_rank_matrix`), in-process
-        backends reuse this estimator directly.
+        Created once per estimator.  The plane publishes the data matrix and
+        every per-attribute rank column (a spilled column of an out-of-core
+        index by path, so workers re-map the same pages); process workers
+        rebuild the sorted index from them without sorting
+        (:meth:`SortedDatabaseIndex.from_rank_columns`), in-process backends
+        reuse this estimator directly.  Building every column here, before
+        any fan-out, also keeps thread workers from racing a lazy build.
         """
         if self._worker_context is None:
             params = {
@@ -809,23 +749,9 @@ class ContrastEstimator:
                 "entropy": self._entropy,
                 "subsample_size": self.subsample_size,
             }
-            if self.index.out_of_core:
-                # No dense (n, d) rank matrix exists in this mode.  Publish
-                # the spilled per-attribute rank columns instead: each is a
-                # full memmap view of a scratch ``.npy`` file, so the plane
-                # publishes it by path and workers re-map the same pages
-                # zero-copy (the memmap-backed data matrix likewise).
-                arrays = {"data": self.index.data}
-                for attribute in range(self.n_dims):
-                    arrays[f"rank_col_{attribute}"] = self.index.rank_column(attribute)
-                params["index_layout"] = "columns"
-            else:
-                # Touch the lazy rank matrix before any fan-out: the plane
-                # publishes it, and thread workers must not race its build.
-                arrays = {
-                    "data": self.index.data,
-                    "rank_matrix": self.index.rank_matrix,
-                }
+            arrays = {"data": self.index.data}
+            for attribute in range(self.n_dims):
+                arrays[f"rank_col_{attribute}"] = self.index.rank_column(attribute)
             self._worker_context = WorkerContext(
                 setup=_setup_contrast_worker,
                 payload=params,
@@ -834,54 +760,34 @@ class ContrastEstimator:
             )
         return self._worker_context
 
-    def _contrast_many_backend(
-        self, subspace_list: List[Subspace], backend: ExecutionBackend
-    ) -> Dict[Subspace, float]:
-        results: Dict[Subspace, float] = {}
-        pending: List[Subspace] = []
-        for subspace in subspace_list:
-            if subspace.dimensionality < 2:
-                raise SubspaceError(
-                    "contrast is only defined for subspaces with at least two attributes"
-                )
-            subspace.validate_against_dimensionality(self.n_dims)
-            cached = (
-                self.cache.get(self._cache_key(subspace))
-                if self.cache is not None
-                else None
-            )
-            if cached is not None:
-                results[subspace] = cached.contrast
-            else:
-                pending.append(subspace)
-        if not pending:
-            return {s: results[s] for s in subspace_list}
+    def _evaluate_pending(self, pending: List[Subspace]) -> List[ContrastResult]:
+        """Evaluate cache misses inline or, in groups, on the execution backend.
 
-        # Per-subspace slice sampling costs one rank-block comparison per
-        # attribute, so the chunk heuristic scales with the (mean) level
-        # dimensionality: higher levels get smaller chunks.
+        Workers run the same :meth:`_evaluate` on one group per task, so the
+        fan-out changes no bit.  With row shards the parallelism lives inside
+        each mask evaluation instead (:meth:`_mask_evaluator`) and the
+        subspaces stay inline.
+        """
+        backend = self._execution_backend()
+        if backend is None or self.n_shards > 1 or len(pending) < 2:
+            return self._evaluate(pending)
+        # Slice sampling costs one rank-block comparison per conditioning
+        # attribute, so higher levels get smaller groups; a backend that pins
+        # its chunksize pins the group size.
         cost_hint = max(
             1.0, float(np.mean([s.dimensionality for s in pending])) - 1.0
         )
-        payloads = backend.map(
-            _contrast_worker,
-            [s.attributes for s in pending],
-            context=self._ensure_worker_context(),
-            cost_hint=cost_hint,
+        size = getattr(backend, "chunksize", None) or default_chunksize(
+            len(pending), backend.n_jobs, cost_hint
         )
-        for subspace, payload in zip(pending, payloads):
-            result = ContrastResult(
-                subspace=subspace,
-                contrast=payload[0],
-                deviations=tuple(payload[1]),
-                n_iterations=self.n_iterations,
-                n_degenerate=payload[2],
-                subsample=payload[3],
-            )
-            if self.cache is not None:
-                self.cache.put(self._cache_key(subspace), result)
-            results[subspace] = result.contrast
-        return {s: results[s] for s in subspace_list}
+        groups = [pending[lo : lo + size] for lo in range(0, len(pending), size)]
+        evaluated = backend.map(
+            _contrast_worker,
+            groups,
+            context=self._ensure_worker_context(),
+            chunksize=1,
+        )
+        return [result for group in evaluated for result in group]
 
     def close(self) -> None:
         """Release the persistent worker pool and the shared-memory plane.
@@ -897,7 +803,7 @@ class ContrastEstimator:
             self._worker_context.close()
             self._worker_context = None
         if self._exec_backend is not None:
-            _, resolved, owned = self._exec_backend
+            resolved, owned = self._exec_backend
             if owned:
                 resolved.close()
             self._exec_backend = None
@@ -920,31 +826,23 @@ class ContrastEstimator:
 def _setup_contrast_worker(payload: Dict[str, object], arrays: Dict[str, np.ndarray]):
     """Build one estimator per worker process from the shared-memory plane.
 
-    The data matrix and the rank matrix arrive as zero-copy shared-memory
-    views; the sorted index is reconstructed by inverting the rank columns,
-    so a worker never pickles, copies or re-sorts the database regardless of
-    the pool's start method.  An out-of-core parent publishes per-attribute
-    rank columns (memmapped scratch files) instead of the dense matrix; the
-    worker rebuilds from those columns without ever assembling ``(n, d)``
-    ranks.
+    The data matrix and the per-attribute rank columns arrive as zero-copy
+    views (shared memory, or the memmapped scratch files of an out-of-core
+    parent); the sorted index is reconstructed by inverting the rank
+    columns, so a worker never pickles, copies or re-sorts the database
+    regardless of the pool's start method.
     """
     data = arrays["data"]
-    if payload.get("index_layout") == "columns":
-        columns = {
-            attribute: arrays[f"rank_col_{attribute}"]
-            for attribute in range(data.shape[1])
-        }
-        index = SortedDatabaseIndex.from_rank_columns(data, columns)
-    else:
-        index = SortedDatabaseIndex.from_rank_matrix(data, arrays["rank_matrix"])
+    columns = {
+        attribute: arrays[f"rank_col_{attribute}"] for attribute in range(data.shape[1])
+    }
     estimator = ContrastEstimator(
-        index,
+        SortedDatabaseIndex.from_rank_columns(data, columns),
         n_iterations=payload["n_iterations"],
         alpha=payload["alpha"],
         deviation=payload["deviation"],
         min_conditional_size=payload["min_conditional_size"],
         max_retries=payload["max_retries"],
-        n_jobs=1,
         cache=False,
         random_state=0,
         subsample_size=payload.get("subsample_size"),
@@ -954,11 +852,10 @@ def _setup_contrast_worker(payload: Dict[str, object], arrays: Dict[str, np.ndar
 
 
 def _contrast_worker(
-    estimator: ContrastEstimator, attributes: Tuple[int, ...]
-) -> Tuple[float, Tuple[float, ...], int, Optional[Tuple[int, int]]]:
-    """Evaluate one subspace against the worker state; picklable payload."""
-    result = estimator.contrast_detailed(Subspace(attributes))
-    return result.contrast, result.deviations, result.n_degenerate, result.subsample
+    estimator: ContrastEstimator, group: List[Subspace]
+) -> List[ContrastResult]:
+    """Evaluate one group of pending subspaces against the worker state."""
+    return estimator._evaluate(group)
 
 
 def _shard_masks_worker(

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..dataset.memmap import check_storage_spec
 from ..exceptions import ParameterError
-from ..parallel import check_backend_spec, resolve_n_jobs
+from ..parallel import check_backend_spec
 from ..stats.deviation import DeviationFunction
 from ..types import ScoredSubspace, Subspace
 from ..utils.validation import check_data_matrix, check_positive_int
@@ -68,20 +68,17 @@ class HiCS(SubspaceSearcher):
         exposed for the pruning ablation benchmark.
     random_state:
         Seed or generator for the Monte Carlo contrast estimation.
-    n_jobs:
-        Worker fan-out for scoring each candidate level
-        (:meth:`ContrastEstimator.contrast_many`); ``-1`` uses all cores.
-        Sugar for ``backend="process(n_jobs=N)"``.  Results are independent
-        of ``n_jobs``.
     backend:
-        Execution backend for the candidate-level fan-out: ``None`` (resolve
-        from ``n_jobs``), a spec string such as ``"thread"`` or
+        Execution backend that scores each candidate level
+        (:meth:`ContrastEstimator.contrast_many`): ``None`` (default,
+        serial), a spec string such as ``"thread"`` or
         ``"process(n_jobs=4, start_method=spawn)"``, or an
         :class:`~repro.parallel.ExecutionBackend` instance.  One persistent
         worker pool serves **all** apriori levels of a :meth:`search`; the
-        data and rank matrix are published to process workers once through a
-        shared-memory plane.  Results are bit-for-bit independent of the
-        backend.
+        data and its rank columns are published to process workers once
+        through a shared-memory plane.  Results are bit-for-bit independent
+        of the backend.  Saved models and specs that still pass the retired
+        ``n_jobs=N`` load as ``backend="process(n_jobs=N)"``.
     cache:
         Keep a :class:`~repro.subspaces.contrast.ContrastCache` across
         :meth:`search` calls (default True) so repeated fits on the same data
@@ -100,7 +97,7 @@ class HiCS(SubspaceSearcher):
         :class:`~repro.dataset.memmap.StorageSpec`) runs the search over an
         out-of-core index: rank columns are built by chunked argsort-merge
         and spilled to a per-fit scratch directory as memmapped ``.npy``
-        columns, so the dense ``(n, d)`` rank matrix is never materialised.
+        columns, so only the columns being read are resident.
         Purely a memory/throughput knob — results are bit-for-bit identical
         across storage modes.
     scratch_dir:
@@ -141,7 +138,6 @@ class HiCS(SubspaceSearcher):
         max_dimensionality: Optional[int] = None,
         prune_redundant: bool = True,
         random_state=None,
-        n_jobs: int = 1,
         backend=None,
         cache: bool = True,
         subsample_size: Optional[int] = None,
@@ -165,9 +161,7 @@ class HiCS(SubspaceSearcher):
         self.max_dimensionality = max_dimensionality
         self.prune_redundant = bool(prune_redundant)
         self.random_state = random_state
-        resolve_n_jobs(n_jobs)  # fail fast; stored unresolved for persistence
-        self.n_jobs = n_jobs
-        self.backend = check_backend_spec(backend)  # stored unresolved, too
+        self.backend = check_backend_spec(backend)  # stored unresolved for persistence
         if subsample_size is not None:
             subsample_size = check_positive_int(subsample_size, name="subsample_size")
             if subsample_size < 2:
@@ -219,7 +213,6 @@ class HiCS(SubspaceSearcher):
             alpha=self.alpha,
             deviation=self.deviation,
             random_state=self.random_state,
-            n_jobs=self.n_jobs,
             backend=self.backend,
             cache=self._shared_cache if self.cache else False,
             subsample_size=self.subsample_size,

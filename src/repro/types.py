@@ -8,7 +8,7 @@ processing the paper proposes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -19,8 +19,6 @@ __all__ = [
     "Subspace",
     "ScoredSubspace",
     "ContrastResult",
-    "SliceCondition",
-    "SubspaceSlice",
     "RankingResult",
 ]
 
@@ -160,41 +158,6 @@ class ContrastResult:
         if not self.deviations:
             return 0.0
         return float(np.std(np.asarray(self.deviations)))
-
-
-@dataclass(frozen=True)
-class SliceCondition:
-    """One condition of a subspace slice: an index block on a single attribute.
-
-    The paper defines slice conditions as value intervals ``x_s ∈ [l, r]``; the
-    implementation realises them as contiguous blocks in the per-attribute
-    sorted index, which is equivalent but keeps the selected fraction constant
-    regardless of the attribute's distribution.
-    """
-
-    attribute: int
-    start_rank: int
-    stop_rank: int
-    lower_value: float
-    upper_value: float
-
-    @property
-    def block_size(self) -> int:
-        return self.stop_rank - self.start_rank
-
-
-@dataclass(frozen=True)
-class SubspaceSlice:
-    """A full subspace slice: conditions on |S|-1 attributes plus the test attribute."""
-
-    subspace: Subspace
-    test_attribute: int
-    conditions: Tuple[SliceCondition, ...]
-    selected_mask: np.ndarray = field(repr=False, compare=False)
-
-    @property
-    def n_selected(self) -> int:
-        return int(self.selected_mask.sum())
 
 
 class RankingResult:

@@ -14,7 +14,7 @@ class TestBenchParser:
     def test_defaults(self):
         args = build_parser().parse_args(["bench"])
         assert args.profile == "ci"
-        assert args.n_jobs == 1
+        assert args.backend == os.environ.get("REPRO_BACKEND")
         assert not args.no_cache
         assert not args.list_specs
 

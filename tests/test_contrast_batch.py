@@ -43,10 +43,10 @@ def oracle_contrast(estimator, subspace):
     """Algorithm 1 one iteration at a time: the reference for the estimator.
 
     Takes the estimator's slice draws (the seeded draw protocol is shared),
-    but rebuilds each iteration's selection mask condition by condition
-    through ``AttributeIndex.block_mask`` — deliberately *not* reusing the
-    batch-evaluated masks — and runs one scalar two-sample test per
-    iteration on the masked conditional sample.
+    but rebuilds each iteration's selection mask condition by condition from
+    the index blocks ``order[start:start + block]`` — deliberately *not*
+    reusing the batch-evaluated masks or the rank columns — and runs one
+    scalar two-sample test per iteration on the masked conditional sample.
     """
     batch = estimator._sample_batch(subspace)
     index = estimator.index
@@ -54,11 +54,12 @@ def oracle_contrast(estimator, subspace):
     for m in np.flatnonzero(~batch.degenerate):
         selected = np.ones(index.n_objects, dtype=bool)
         for j, attribute in enumerate(subspace.attributes):
-            start = batch.start_ranks[m, j]
+            start = int(batch.start_ranks[m, j])
             if start >= 0:
-                selected &= index.attribute_index(attribute).block_mask(
-                    int(start), batch.block_size
-                )
+                order = index.attribute_index(attribute).order
+                block = np.zeros(index.n_objects, dtype=bool)
+                block[order[start : start + batch.block_size]] = True
+                selected &= block
         values = index.values(int(batch.test_attributes[m]))
         deviations.append(float(estimator.deviation(values[selected], values)))
     return ContrastResult(
@@ -125,6 +126,42 @@ class TestGoldenEquivalence:
             single = make_estimator(mixed_data).contrast(subspace)
             assert level[subspace] == single
 
+    @pytest.mark.parametrize("deviation", ["welch", "ks", "mean-shift"])
+    def test_subspace_alone_matches_subspace_in_level(self, mixed_data, deviation):
+        """A level shares one p-value pass; every result keeps its own bits."""
+        subspaces = [Subspace(p) for p in combinations(range(6), 2)]
+        subspaces += [Subspace((0, 1, 2)), Subspace((1, 3, 5))]
+        level = make_estimator(mixed_data, deviation=deviation).contrast_many_detailed(
+            subspaces
+        )
+        assert list(level) == subspaces
+        for subspace in subspaces:
+            alone = make_estimator(mixed_data, deviation=deviation).contrast_detailed(
+                subspace
+            )
+            assert_identical(level[subspace], alone)
+
+    def test_all_degenerate_subspace_inside_a_level(self):
+        """A subspace with no valid iteration scores 0.0 inside a level too
+        (the level once fed its empty sample to the moment statistics)."""
+        data = np.random.default_rng(3).uniform(size=(12, 4))
+        estimator = ContrastEstimator(
+            data,
+            n_iterations=10,
+            alpha=0.05,
+            min_conditional_size=50,
+            max_retries=2,
+            random_state=0,
+            cache=False,
+        )
+        level = estimator.contrast_many_detailed(
+            [Subspace((0, 1, 2)), Subspace((1, 2, 3))]
+        )
+        for result in level.values():
+            assert result.contrast == 0.0
+            assert result.deviations == ()
+            assert result.n_degenerate == 10
+
     def test_contrast_many_matches_oracle(self, mixed_data):
         subspaces = [Subspace(p) for p in combinations(range(6), 2)]
         estimator = make_estimator(mixed_data)
@@ -154,7 +191,8 @@ class TestGoldenEquivalence:
     def test_parallel_matches_sequential(self, mixed_data):
         subspaces = [Subspace(p) for p in combinations(range(6), 2)]
         sequential = make_estimator(mixed_data).contrast_many(subspaces)
-        parallel = make_estimator(mixed_data).contrast_many(subspaces, n_jobs=2)
+        with make_estimator(mixed_data, backend="process(n_jobs=2)") as estimator:
+            parallel = estimator.contrast_many(subspaces)
         assert sequential == parallel
 
     def test_parallel_with_custom_callable_deviation(self, mixed_data):
@@ -163,9 +201,10 @@ class TestGoldenEquivalence:
         sequential = make_estimator(
             mixed_data, deviation=_shadowing_welch
         ).contrast_many(subspaces)
-        parallel = make_estimator(
-            mixed_data, deviation=_shadowing_welch
-        ).contrast_many(subspaces, n_jobs=2)
+        with make_estimator(
+            mixed_data, deviation=_shadowing_welch, backend="process(n_jobs=2)"
+        ) as estimator:
+            parallel = estimator.contrast_many(subspaces)
         assert sequential == parallel
         assert all(v == 0.25 for v in parallel.values())
 
@@ -284,7 +323,7 @@ class TestContrastCache:
     def test_cache_shared_between_estimators(self, mixed_data):
         shared = ContrastCache()
         first = make_estimator(mixed_data, cache=shared)
-        second = make_estimator(mixed_data, cache=shared, n_jobs=2)
+        second = make_estimator(mixed_data, cache=shared, backend="process(n_jobs=2)")
         subspace = Subspace((0, 2))
         result = first.contrast_detailed(subspace)
         # Throughput knobs stay out of the key: identical key, identical value.
@@ -366,11 +405,16 @@ class TestEngineParameter:
             ContrastEstimator(mixed_data, engine="batch")
 
     def test_invalid_n_jobs_rejected(self, mixed_data):
+        # n_jobs is a parameter of the backend only.
+        with pytest.raises(TypeError):
+            ContrastEstimator(mixed_data, n_jobs=2)
         with pytest.raises(ParameterError):
-            ContrastEstimator(mixed_data, n_jobs=0)
+            ContrastEstimator(mixed_data, backend="process(n_jobs=0)")
         with pytest.raises(ParameterError):
-            ContrastEstimator(mixed_data, n_jobs=-2)
+            ContrastEstimator(mixed_data, backend="process(n_jobs=-2)")
 
     def test_n_jobs_all_cores_accepted(self, mixed_data):
-        estimator = ContrastEstimator(mixed_data, n_jobs=-1, cache=False)
-        assert estimator.n_jobs >= 1
+        with ContrastEstimator(
+            mixed_data, backend="process(n_jobs=-1)", cache=False
+        ) as estimator:
+            assert estimator._execution_backend().n_jobs >= 1

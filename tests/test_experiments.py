@@ -176,10 +176,16 @@ class TestCellKeys:
         assert cell_key(self.cell, "0" * 40) != cell_key(self.cell, self.fingerprint)
 
     def test_throughput_knobs_do_not_change_key(self):
-        # n_jobs / scoring engine are bit-for-bit equivalent; a cached suite
-        # must survive changing them.
+        # The backend / scoring engine are bit-for-bit equivalent; a cached
+        # suite must survive changing them.
         fast = expand_cells(
-            tiny_spec(config={**self.spec.config, "n_jobs": 4, "scoring_engine": "per-subspace"})
+            tiny_spec(
+                config={
+                    **self.spec.config,
+                    "backend": "process(n_jobs=4)",
+                    "scoring_engine": "per-subspace",
+                }
+            )
         )[0]
         assert cell_key(fast, self.fingerprint) == cell_key(self.cell, self.fingerprint)
 
@@ -249,8 +255,9 @@ class TestRunner:
 
     def test_n_jobs_sharding_is_result_invariant(self):
         spec = tiny_spec(repetitions=3)
-        serial = run_experiment(spec, n_jobs=1)
-        sharded = run_experiment(spec, n_jobs=3)
+        serial = run_experiment(spec, backend="serial")
+        sharded = run_experiment(spec, backend="process(n_jobs=3)")
+        assert sharded["manifest"]["n_jobs"] == 3
         strip = lambda rows: [  # noqa: E731 - timing differs across processes
             {k: v for k, v in row.items() if k != "runtime_sec"} for row in rows
         ]
@@ -258,10 +265,11 @@ class TestRunner:
 
     def test_timing_sensitive_spec_always_executes_serially(self):
         # The measured runtimes are the result for the runtime figures; the
-        # runner must ignore the n_jobs request for them.
+        # runner must ignore the parallel backend for them.
         spec = tiny_spec(timing_sensitive=True, repetitions=2)
-        artifact = run_experiment(spec, n_jobs=4)
+        artifact = run_experiment(spec, backend="process(n_jobs=4)")
         assert artifact["manifest"]["n_jobs"] == 1
+        assert artifact["manifest"]["backend"] == "serial"
         assert len(artifact["rows"]) == 2
 
     def test_max_dims_skips_cell_with_reason(self):

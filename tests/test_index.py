@@ -19,31 +19,26 @@ class TestAttributeIndex:
 
     def test_block_returns_object_indices(self):
         index = AttributeIndex(np.array([5.0, 1.0, 4.0, 2.0, 3.0]))
-        block = index.block(start_rank=1, block_size=2)
-        # Ranks 1 and 2 hold values 2.0 and 3.0 which live at rows 3 and 4.
-        assert sorted(block.tolist()) == [3, 4]
+        # An index block is a slice of the sorting permutation: ranks 1 and 2
+        # hold values 2.0 and 3.0, which live at rows 3 and 4.
+        assert sorted(index.order[1:3].tolist()) == [3, 4]
 
     def test_block_mask(self):
-        index = AttributeIndex(np.array([5.0, 1.0, 4.0]))
-        mask = index.block_mask(0, 2)
+        values = np.array([5.0, 1.0, 4.0])
+        index = AttributeIndex(values)
+        mask = np.zeros(3, dtype=bool)
+        mask[index.order[0:2]] = True
         assert mask.tolist() == [False, True, True]
-
-    def test_block_out_of_range(self):
-        index = AttributeIndex(np.array([1.0, 2.0]))
-        with pytest.raises(ParameterError):
-            index.block(1, 2)
-        with pytest.raises(ParameterError):
-            index.block(0, 0)
+        # The same block as a rank interval on the rank column.
+        ranks = SortedDatabaseIndex(values[:, None]).rank_column(0)
+        assert np.array_equal(mask, (ranks >= 0) & (ranks < 2))
 
     def test_value_bounds(self):
         index = AttributeIndex(np.array([10.0, 30.0, 20.0]))
-        assert index.value_bounds(0, 2) == (10.0, 20.0)
-
-    def test_rank_of_value(self):
-        index = AttributeIndex(np.array([1.0, 2.0, 3.0, 4.0]))
-        assert index.rank_of_value(2.5) == 2
-        assert index.rank_of_value(0.0) == 0
-        assert index.rank_of_value(10.0) == 4
+        # A block covers the value interval [sorted[start], sorted[stop - 1]].
+        block_values = index.values[index.order[0:2]]
+        assert (block_values.min(), block_values.max()) == (10.0, 20.0)
+        assert index.sorted_values[[0, 1]].tolist() == [10.0, 20.0]
 
     def test_ties_are_stable(self):
         index = AttributeIndex(np.array([1.0, 1.0, 1.0]))
@@ -56,9 +51,10 @@ class TestAttributeIndex:
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=60))
     @settings(max_examples=50)
     def test_property_block_sizes(self, values):
-        index = AttributeIndex(np.asarray(values))
+        ranks = SortedDatabaseIndex(np.asarray(values)[:, None]).rank_column(0)
         block_size = max(1, len(values) // 3)
-        mask = index.block_mask(0, block_size)
+        start = len(values) - block_size
+        mask = (ranks >= start) & (ranks < start + block_size)
         assert mask.sum() == block_size
 
 
@@ -88,11 +84,14 @@ class TestSortedDatabaseIndex:
         index = SortedDatabaseIndex(correlated_2d)
         assert np.array_equal(index.values(1), correlated_2d[:, 1])
 
-    def test_from_rank_matrix_rebuilds_identically(self, correlated_2d):
+    def test_from_rank_columns_rebuilds_identically(self, correlated_2d):
         built = SortedDatabaseIndex(correlated_2d).build_all()
-        rebuilt = SortedDatabaseIndex.from_rank_matrix(correlated_2d, built.rank_matrix)
-        assert np.array_equal(rebuilt.rank_matrix, built.rank_matrix)
+        columns = {a: built.rank_column(a) for a in range(built.n_dims)}
+        rebuilt = SortedDatabaseIndex.from_rank_columns(correlated_2d, columns)
         for attribute in range(built.n_dims):
+            assert np.array_equal(
+                rebuilt.rank_column(attribute), built.rank_column(attribute)
+            )
             assert np.array_equal(
                 rebuilt.attribute_index(attribute).order,
                 built.attribute_index(attribute).order,
@@ -102,25 +101,38 @@ class TestSortedDatabaseIndex:
                 built.attribute_index(attribute).sorted_values,
             )
 
-    def test_from_rank_matrix_rejects_invalid(self, correlated_2d):
+    def test_from_rank_columns_rejects_invalid(self, correlated_2d):
         built = SortedDatabaseIndex(correlated_2d).build_all()
-        wrong_shape = built.rank_matrix[:, :2]
+        columns = {a: built.rank_column(a).copy() for a in range(built.n_dims)}
+        missing = {a: columns[a] for a in range(2)}
         with pytest.raises(ParameterError):
-            SortedDatabaseIndex.from_rank_matrix(correlated_2d, wrong_shape)
-        out_of_range = built.rank_matrix.copy()
-        out_of_range[0, 0] = -1
+            SortedDatabaseIndex.from_rank_columns(correlated_2d, missing)
         with pytest.raises(ParameterError):
-            SortedDatabaseIndex.from_rank_matrix(correlated_2d, out_of_range)
-        duplicated = built.rank_matrix.copy()
-        duplicated[0, 0] = duplicated[1, 0]  # column no longer a permutation
+            SortedDatabaseIndex.from_rank_columns(
+                correlated_2d, {**columns, 0: columns[0][:-1]}
+            )
+        out_of_range = columns[0].copy()
+        out_of_range[0] = -1
         with pytest.raises(ParameterError):
-            SortedDatabaseIndex.from_rank_matrix(correlated_2d, duplicated)
+            SortedDatabaseIndex.from_rank_columns(
+                correlated_2d, {**columns, 0: out_of_range}
+            )
+        duplicated = columns[0].copy()
+        duplicated[0] = duplicated[1]  # column no longer a permutation
+        with pytest.raises(ParameterError):
+            SortedDatabaseIndex.from_rank_columns(correlated_2d, {**columns, 0: duplicated})
+
+
+def _batch(sampler, subspace, n_slices=20, seed=0):
+    return sampler.sample_slice_batch(
+        subspace, n_slices, rng=np.random.default_rng(seed)
+    )
 
 
 class TestSliceSampler:
     @pytest.fixture
     def sampler(self, correlated_2d) -> SliceSampler:
-        return SliceSampler(SortedDatabaseIndex(correlated_2d), alpha=0.2, random_state=0)
+        return SliceSampler(SortedDatabaseIndex(correlated_2d), alpha=0.2)
 
     def test_per_condition_fraction(self, sampler):
         assert sampler.per_condition_fraction(2) == pytest.approx(np.sqrt(0.2))
@@ -138,51 +150,49 @@ class TestSliceSampler:
         # For |S| = 2 there is a single condition of selectivity sqrt(alpha).
         assert sampler.expected_conditional_size(2) == pytest.approx(500 * np.sqrt(0.2))
 
-    def test_sample_slice_masks_and_conditions(self, sampler):
-        slice_ = sampler.sample_slice(Subspace((0, 1)), test_attribute=0)
-        assert slice_.test_attribute == 0
-        assert len(slice_.conditions) == 1
-        assert slice_.conditions[0].attribute == 1
-        assert slice_.n_selected == sampler.block_size(2)
+    def test_batch_masks_and_conditions(self, sampler):
+        batch = _batch(sampler, Subspace((0, 1)))
+        assert set(batch.test_attributes.tolist()) <= {0, 1}
+        # The test attribute of each iteration carries no condition (-1);
+        # the other attribute carries one block.
+        is_test = np.array([0, 1])[None, :] == batch.test_attributes[:, None]
+        assert np.all((batch.start_ranks == -1) == is_test)
+        assert np.all(batch.counts == sampler.block_size(2))
+        assert np.array_equal(batch.counts, batch.selected.sum(axis=1))
 
-    def test_sample_slice_random_test_attribute(self, sampler):
-        seen = {sampler.sample_slice(Subspace((0, 1, 2))).test_attribute for _ in range(30)}
-        assert seen.issubset({0, 1, 2})
-        assert len(seen) > 1
-
-    def test_invalid_test_attribute(self, sampler):
-        with pytest.raises(SubspaceError):
-            sampler.sample_slice(Subspace((0, 1)), test_attribute=2)
+    def test_batch_draws_every_test_attribute(self, sampler):
+        batch = _batch(sampler, Subspace((0, 1, 2)), n_slices=30)
+        assert set(batch.test_attributes.tolist()) == {0, 1, 2}
 
     def test_one_dimensional_subspace_rejected(self, sampler):
         with pytest.raises(SubspaceError):
-            sampler.sample_slice(Subspace((0,)))
+            _batch(sampler, Subspace((0,)))
 
     def test_subspace_out_of_range(self, sampler):
         with pytest.raises(SubspaceError):
-            sampler.sample_slice(Subspace((0, 9)))
+            _batch(sampler, Subspace((0, 9)))
 
-    def test_conditional_sample_matches_mask(self, sampler, correlated_2d):
-        slice_ = sampler.sample_slice(Subspace((0, 1)), test_attribute=0)
-        conditional = sampler.conditional_sample(slice_)
-        expected = correlated_2d[slice_.selected_mask, 0]
-        assert np.array_equal(conditional, expected)
+    def test_batch_masks_match_index_blocks(self, sampler):
+        """Each mask is the conjunction of the index blocks of its conditions."""
+        subspace = Subspace((0, 1, 2))
+        batch = _batch(sampler, subspace)
+        for m in range(batch.n_slices):
+            expected = np.ones(sampler.index.n_objects, dtype=bool)
+            for j, attribute in enumerate(subspace.attributes):
+                start = int(batch.start_ranks[m, j])
+                if start >= 0:
+                    block = np.zeros_like(expected)
+                    order = sampler.index.attribute_index(attribute).order
+                    block[order[start : start + batch.block_size]] = True
+                    expected &= block
+            assert np.array_equal(batch.selected[m], expected)
 
-    def test_marginal_sample_is_full_column(self, sampler, correlated_2d):
-        assert np.array_equal(sampler.marginal_sample(2), correlated_2d[:, 2])
+    def test_batch_slice_count(self, sampler):
+        assert _batch(sampler, Subspace((0, 1)), n_slices=5).n_slices == 5
 
-    def test_sample_slices_count(self, sampler):
-        slices = sampler.sample_slices(Subspace((0, 1)), 5)
-        assert len(slices) == 5
-
-    def test_sample_slices_invalid_count(self, sampler):
+    def test_batch_invalid_count(self, sampler):
         with pytest.raises(ParameterError):
-            sampler.sample_slices(Subspace((0, 1)), 0)
-
-    def test_conditioning_attributes(self, sampler):
-        assert sampler.conditioning_attributes(Subspace((0, 1, 2)), 1) == [0, 2]
-        with pytest.raises(SubspaceError):
-            sampler.conditioning_attributes(Subspace((0, 1)), 2)
+            _batch(sampler, Subspace((0, 1)), n_slices=0)
 
     def test_invalid_constructor_arguments(self, correlated_2d):
         index = SortedDatabaseIndex(correlated_2d)
@@ -197,12 +207,11 @@ class TestSliceSampler:
 
     def test_reproducible_with_seed(self, correlated_2d):
         index = SortedDatabaseIndex(correlated_2d)
-        a = SliceSampler(index, alpha=0.3, random_state=42)
-        b = SliceSampler(index, alpha=0.3, random_state=42)
-        slice_a = a.sample_slice(Subspace((0, 1)))
-        slice_b = b.sample_slice(Subspace((0, 1)))
-        assert slice_a.test_attribute == slice_b.test_attribute
-        assert np.array_equal(slice_a.selected_mask, slice_b.selected_mask)
+        a = _batch(SliceSampler(index, alpha=0.3), Subspace((0, 1)), seed=42)
+        b = _batch(SliceSampler(index, alpha=0.3), Subspace((0, 1)), seed=42)
+        assert np.array_equal(a.test_attributes, b.test_attributes)
+        assert np.array_equal(a.start_ranks, b.start_ranks)
+        assert np.array_equal(a.selected, b.selected)
 
     @given(
         alpha=st.floats(min_value=0.05, max_value=0.9),
@@ -219,9 +228,8 @@ class TestSliceSampler:
         """
         rng = np.random.default_rng(0)
         data = rng.uniform(size=(400, dims))
-        sampler = SliceSampler(SortedDatabaseIndex(data), alpha=alpha, random_state=1)
-        subspace = Subspace(range(dims))
-        sizes = [sampler.sample_slice(subspace).n_selected for _ in range(15)]
+        sampler = SliceSampler(SortedDatabaseIndex(data), alpha=alpha)
+        sizes = _batch(sampler, Subspace(range(dims)), n_slices=15, seed=1).counts
         expected = sampler.expected_conditional_size(dims)
         # Generous tolerance: overlaps fluctuate, but the mean must track the
         # analytic expectation within a factor of ~2 in both directions.

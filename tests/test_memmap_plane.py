@@ -269,14 +269,17 @@ class TestOutOfCoreIndex:
             ooc.close()
 
     def test_rank_matrix_refuses_dense_assembly(self, small_dataset):
-        ooc = SortedDatabaseIndex(
-            small_dataset.data, storage=StorageSpec(kind="memmap", chunk_rows=128)
-        ).build_all()
-        try:
-            with pytest.raises(DataError):
-                ooc.rank_matrix()
-        finally:
-            ooc.close()
+        """Workers get the spilled columns by path; no (n, d) block is built."""
+        data = small_dataset.data
+        with ContrastEstimator(
+            data, storage="memmap(chunk_rows=128)", backend="process(n_jobs=2)"
+        ) as estimator:
+            assert not hasattr(estimator.index, "rank_matrix")
+            handles = estimator._ensure_worker_context().remote().handles
+            for attribute in range(data.shape[1]):
+                handle = handles[f"rank_col_{attribute}"]
+                assert isinstance(handle, MemmapHandle)
+                assert handle.shape == (data.shape[0],)
 
 
 # --------------------------------------------------- shared plane publication

@@ -4,15 +4,18 @@ The subsystem's contract is absolute: serial, thread and process execution —
 under *any* start method — produce bit-for-bit identical results everywhere a
 backend can be selected.  These tests pin that contract end-to-end (contrast
 search, HiCS fits, experiment artifacts, cached cell payloads) along with the
-plumbing: spec parsing, the ``n_jobs`` sugar, the chunk heuristic, the
-shared-memory plane and persistence defaults.
+plumbing: spec parsing, the retired ``n_jobs`` sugar, the chunk heuristic,
+the shared-memory plane, persistence defaults and recovery from a killed
+worker.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import signal
 import threading
+from concurrent.futures.process import BrokenProcessPool
 from itertools import combinations
 
 import numpy as np
@@ -38,6 +41,7 @@ from repro.parallel import (
     available_backends,
     check_backend_spec,
     default_chunksize,
+    fold_n_jobs,
     make_backend,
     parse_backend_spec,
     register_backend,
@@ -45,7 +49,7 @@ from repro.parallel import (
     resolve_n_jobs,
 )
 from repro.pipeline import PipelineConfig, SubspaceOutlierPipeline, make_method_pipeline
-from repro.registry import parse_spec
+from repro.registry import make_searcher, parse_spec
 from repro.subspaces import ContrastEstimator, HiCS
 from repro.subspaces.hics import HiCS as HiCSClass
 from repro.types import Subspace
@@ -113,19 +117,14 @@ class TestBackendEquivalence:
             assert np.array_equal(values, reference), spec
 
     def test_n_jobs_sugar_equals_process_backend(self, mixed_data):
-        subspaces = [Subspace(p) for p in combinations(range(5), 2)]
-        with ContrastEstimator(
-            mixed_data, n_iterations=10, random_state=1, cache=False
-        ) as sugar:
-            sugared = sugar.contrast_many(subspaces, n_jobs=2)
-        with ContrastEstimator(
-            mixed_data,
-            n_iterations=10,
-            random_state=1,
-            cache=False,
-            backend="process(n_jobs=2)",
-        ) as explicit:
-            assert explicit.contrast_many(subspaces) == sugared
+        """The retired sugar folds into the backend it always meant."""
+        params = dict(n_iterations=10, random_state=1, cache=False)
+        sugar = make_searcher("hics", n_jobs=2, **params)
+        explicit = HiCS(backend="process(n_jobs=2)", **params)
+        assert sugar.backend == explicit.backend
+        sugar.search(mixed_data)
+        explicit.search(mixed_data)
+        assert sugar.evaluated_subspaces_ == explicit.evaluated_subspaces_
 
     def test_backend_instance_pool_is_reused_and_kept_open(self, mixed_data):
         """A caller-owned backend survives searches; the searcher only borrows it."""
@@ -315,13 +314,34 @@ class TestBackendSpecs:
             assert rebuilt.spec() == backend.spec()
 
     def test_make_backend_n_jobs_sugar(self):
+        # n_jobs lives in the spec; a retired top-level n_jobs is folded
+        # into the spec (fold_n_jobs) before make_backend sees it.
         assert make_backend(None).kind == "serial"
-        assert make_backend(None, n_jobs=1).kind == "serial"
-        sugar = make_backend(None, n_jobs=3)
+        with pytest.raises(TypeError):
+            make_backend(None, n_jobs=3)
+        assert fold_n_jobs({"alpha": 0.1}) == {"alpha": 0.1}
+        assert fold_n_jobs({"n_jobs": 1}) == {"backend": "serial"}
+        sugar = make_backend(fold_n_jobs({"n_jobs": 3, "backend": None})["backend"])
         assert sugar.kind == "process" and sugar.n_jobs == 3
-        # A spec that pins n_jobs wins over the sugar value.
-        pinned = make_backend("process(n_jobs=2)", n_jobs=5)
-        assert pinned.n_jobs == 2
+        all_cores = make_backend(fold_n_jobs({"n_jobs": -1})["backend"])
+        assert all_cores.n_jobs == resolve_n_jobs(-1)
+        # A spec that pins n_jobs wins over the sugar value; one that does
+        # not inherits it; serial and a live instance never change.
+        pinned = fold_n_jobs({"n_jobs": 5, "backend": "process(n_jobs=2)"})
+        assert make_backend(pinned["backend"]).n_jobs == 2
+        assert fold_n_jobs({"n_jobs": 2, "backend": "thread"}) == {
+            "backend": "thread(n_jobs=2)"
+        }
+        spawn = fold_n_jobs({"n_jobs": 2, "backend": "process(start_method=spawn)"})
+        spawn = make_backend(spawn["backend"])
+        assert (spawn.n_jobs, spawn.start_method) == (2, "spawn")
+        assert fold_n_jobs({"n_jobs": 4, "backend": "serial"}) == {"backend": "serial"}
+        assert fold_n_jobs({"n_jobs": 1, "backend": "thread"}) == {"backend": "thread"}
+        instance = SerialBackend()
+        assert fold_n_jobs({"n_jobs": 4, "backend": instance})["backend"] is instance
+        for bad in (0, -2, 1.5):
+            with pytest.raises(ParameterError):
+                fold_n_jobs({"n_jobs": bad})
 
     def test_resolve_backend_ownership(self):
         constructed, owned = resolve_backend("serial")
@@ -559,6 +579,58 @@ class TestBackendMap:
 
 def _square_worker(state, item):
     return item * item
+
+
+def _kill_worker(state, item):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+#: The test process; a deviation that finds itself anywhere else is running
+#: in a forked pool worker and kills it.
+_TEST_PID = os.getpid()
+
+
+def _deviation_killing_its_worker(conditional, marginal):
+    if os.getpid() != _TEST_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+    raise AssertionError("the deviation must run in a pool worker")
+
+
+def _shm_entries() -> set:
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+@pytest.mark.skipif(
+    not _supported("process(start_method=fork)"), reason="needs the fork start method"
+)
+class TestKilledWorker:
+    """A SIGKILLed worker breaks one map call, not the backend."""
+
+    def test_map_after_a_killed_worker_starts_a_new_pool(self):
+        with ProcessBackend(n_jobs=2, start_method="fork") as backend:
+            with pytest.raises(BrokenProcessPool):
+                backend.map(_kill_worker, [1, 2, 3])
+            assert backend._executor is None
+            assert backend.map(_square_worker, list(range(6))) == [
+                i * i for i in range(6)
+            ]
+
+    def test_shared_backend_serves_the_next_estimator(self, mixed_data):
+        subspaces = [Subspace(p) for p in combinations(range(5), 2)]
+        serial = ContrastEstimator(
+            mixed_data, n_iterations=10, random_state=2, cache=False
+        ).contrast_many(subspaces)
+        before = _shm_entries()
+        with ProcessBackend(n_jobs=2, start_method="fork") as backend:
+            params = dict(n_iterations=10, random_state=2, cache=False, backend=backend)
+            with ContrastEstimator(
+                mixed_data, deviation=_deviation_killing_its_worker, **params
+            ) as doomed:
+                with pytest.raises(BrokenProcessPool):
+                    doomed.contrast_many(subspaces)
+            with ContrastEstimator(mixed_data, **params) as survivor:
+                assert survivor.contrast_many(subspaces) == serial
+        assert _shm_entries() - before == set()
 
 
 def _identity_state_worker(state, item):

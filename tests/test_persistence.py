@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from repro.baselines import FullSpaceSearcher
+from repro.cli import build_parser
 from repro.dataset import generate_synthetic_dataset
 from repro.exceptions import DataError, NotFittedError, ParameterError
 from repro.outliers import KNNDistanceScorer, LOFScorer, local_outlier_factor
 from repro.pipeline import PipelineConfig, SubspaceOutlierPipeline, make_method_pipeline
-from repro.registry import component_from_dict, component_to_dict
+from repro.registry import component_from_dict, component_to_dict, make_searcher
 from repro.subspaces import HiCS
 from repro.types import ScoredSubspace, Subspace
 
@@ -479,3 +480,95 @@ class TestRetiredNamesKeepLoading:
         survivor = make_method_pipeline("HiCS", config("shared"))
         assert legacy.engine == "shared"
         assert np.array_equal(legacy.fit_rank(data).scores, survivor.fit_rank(data).scores)
+
+
+class TestRetiredNJobs:
+    """``n_jobs=N`` was sugar for ``backend="process(n_jobs=N)"``.
+
+    The backend is now the one execution knob.  Model files, spec strings and
+    config dicts that still carry ``n_jobs`` load with it folded into the
+    backend, and reproduce the ``backend=`` spelling exactly.
+    """
+
+    BACKEND = "process(n_jobs=2)"
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return generate_synthetic_dataset(
+            n_objects=150, n_dims=6, n_relevant_subspaces=2, random_state=4
+        ).data
+
+    def test_saved_pipeline_with_n_jobs(self, data, tmp_path):
+        import json
+
+        searcher = HiCS(
+            n_iterations=10,
+            candidate_cutoff=30,
+            max_output_subspaces=10,
+            random_state=0,
+            backend=self.BACKEND,
+        )
+        pipeline = SubspaceOutlierPipeline(searcher, LOFScorer(min_pts=8))
+        expected = pipeline.fit_rank(data).scores
+        path = str(tmp_path / "model.npz")
+        pipeline.save(path)
+        # Rewrite the header the way files were saved with the sugar.
+        with np.load(path) as archive:
+            header = json.loads(str(archive["header"][()]))
+            reference = archive["reference_data"]
+        params = header["pipeline"]["searcher"]["params"]
+        params["backend"] = None
+        params["n_jobs"] = 2
+        np.savez(path, header=np.array(json.dumps(header)), reference_data=reference)
+
+        with SubspaceOutlierPipeline.load(path) as loaded:
+            assert loaded.searcher.backend == self.BACKEND
+            assert "n_jobs" not in loaded.to_dict()["searcher"]["params"]
+            query = data[:12] + 0.01
+            assert np.array_equal(loaded.score_samples(query), pipeline.score_samples(query))
+            assert np.array_equal(loaded.fit_rank(data).scores, expected)
+
+    def test_spec_with_n_jobs(self, data):
+        legacy = make_method_pipeline("hics(n_jobs=2, random_state=0)+lof")
+        survivor = make_method_pipeline(f"hics(backend={self.BACKEND}, random_state=0)+lof")
+        assert legacy.searcher.backend == survivor.searcher.backend == self.BACKEND
+        with legacy, survivor:
+            assert np.array_equal(legacy.fit_rank(data).scores, survivor.fit_rank(data).scores)
+            assert legacy.searcher.evaluated_subspaces_ == survivor.searcher.evaluated_subspaces_
+
+    def test_config_dict_with_n_jobs(self, data):
+        fields = {"hics_iterations": 10, "hics_cutoff": 20, "min_pts": 8}
+        legacy = PipelineConfig.from_dict({**fields, "n_jobs": 2})
+        survivor = PipelineConfig(backend=self.BACKEND, **fields)
+        assert legacy == survivor
+        with make_method_pipeline("HiCS", legacy) as a, make_method_pipeline(
+            "HiCS", survivor
+        ) as b:
+            assert np.array_equal(a.fit_rank(data).scores, b.fit_rank(data).scores)
+
+    def test_n_jobs_one_maps_to_serial(self):
+        assert make_searcher("hics", n_jobs=1).backend == "serial"
+        assert PipelineConfig.from_dict({"n_jobs": 1}).backend == "serial"
+        # A backend that pins its own workers wins over the retired sugar.
+        pinned = make_searcher("hics", n_jobs=4, backend="thread(n_jobs=2)")
+        assert pinned.backend == "thread(n_jobs=2)"
+        with pytest.raises(ParameterError):
+            make_searcher("hics", n_jobs=0)
+        with pytest.raises(TypeError):
+            HiCS(n_jobs=2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--dataset", "toy-correlated"],
+            ["fit", "--dataset", "toy-correlated", "--out", "model.npz"],
+            ["contrast", "--dataset", "toy-correlated"],
+            ["compare", "--dataset", "toy-correlated"],
+            ["bench"],
+        ],
+    )
+    def test_cli_rejects_n_jobs(self, argv, capsys):
+        build_parser().parse_args(argv + ["--backend", self.BACKEND])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--n-jobs", "2"])
+        assert "unrecognized arguments: --n-jobs" in capsys.readouterr().err

@@ -1,14 +1,15 @@
 """Property-based tests (hypothesis) for the batched statistics and the index.
 
-Three families of invariants:
+Four families of invariants:
 
 * the array-level Welch-t / KS implementations are bit-for-bit equal to their
   scalar counterparts on arbitrary sample pairs,
-* :class:`SortedDatabaseIndex` structural invariants — each rank-matrix column
-  is a permutation consistent with the sorted order, also under heavy ties,
+* :class:`SortedDatabaseIndex` structural invariants — each rank column is a
+  permutation consistent with the sorted order, also under heavy ties,
 * batched subspace slices always hit the target selectivity bounds: every
   condition selects exactly ``block_size`` objects and the conjunction can
-  only shrink that set.
+  only shrink that set,
+* contrasts do not depend on the order of the rows: slicing is rank-based.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.stats.welch import (
     welch_t_test,
     welch_t_test_batch,
 )
+from repro.subspaces import ContrastEstimator
 from repro.types import Subspace
 
 finite_floats = st.floats(
@@ -172,13 +174,13 @@ class TestSortedIndexInvariants:
         # tie_levels == 1 yields a constant column; small levels force ties.
         data = rng.integers(0, tie_levels, size=(n_objects, n_dims)).astype(float)
         index = SortedDatabaseIndex(data)
-        ranks = index.rank_matrix
+        ranks = np.column_stack([index.rank_column(a) for a in range(n_dims)])
         assert ranks.shape == (n_objects, n_dims)
         for attribute in range(n_dims):
             column = ranks[:, attribute]
             assert np.array_equal(np.sort(column), np.arange(n_objects))
             order = index.attribute_index(attribute).order
-            # order and rank matrix are inverse permutations of each other.
+            # order and rank column are inverse permutations of each other.
             assert np.array_equal(order[column], np.arange(n_objects))
             # ranks respect the attribute ordering (stable under ties).
             sorted_by_rank = data[np.argsort(column), attribute]
@@ -204,7 +206,7 @@ class TestSortedIndexInvariants:
         )
         block = sampler.block_size(subspace_size)
         assert sampler.min_block_size <= block <= n_objects
-        ranks = index.rank_matrix
+        ranks = np.column_stack([index.rank_column(a) for a in range(index.n_dims)])
         for m in range(batch.n_slices):
             conjunction = np.ones(n_objects, dtype=bool)
             for j, attribute in enumerate(subspace.attributes):
@@ -226,6 +228,54 @@ class TestSortedIndexInvariants:
 
     def test_rank_matrix_is_read_only(self):
         index = SortedDatabaseIndex(np.random.default_rng(0).uniform(size=(30, 3)))
-        with pytest.raises(ValueError):
-            index.rank_matrix[0, 0] = 5
-        assert np.array_equal(index.ranks(1), index.rank_matrix[:, 1])
+        for attribute in range(3):
+            with pytest.raises(ValueError):
+                index.rank_column(attribute)[0] = 5
+        assert index.ranks(1) is index.rank_column(1)
+
+
+class TestRowPermutationInvariance:
+    """Permuting the rows of tie-free data changes no slice and no contrast.
+
+    Slices are rank intervals and each subspace's draws derive from the seed
+    and its attributes, so the permuted data gets the same draws and the
+    same selected objects.  Only the summation order of the Welch moments
+    follows the rows (a few ulps); the KS statistic counts ranks and stays
+    bit-identical.
+    """
+
+    @pytest.mark.parametrize("deviation, tolerance", [("welch", 1e-12), ("ks", 0.0)])
+    @given(
+        n_objects=st.integers(min_value=60, max_value=600),
+        n_dims=st.integers(min_value=2, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_contrasts_do_not_depend_on_row_order(
+        self, deviation, tolerance, n_objects, n_dims, seed
+    ):
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(n_objects, n_dims))
+        for column in data.T:
+            assert np.unique(column).size == n_objects  # no ties
+        permuted = data[rng.permutation(n_objects)]
+        subspaces = [
+            Subspace((a, b)) for a in range(n_dims) for b in range(a + 1, n_dims)
+        ] + [Subspace(range(n_dims))]
+
+        def contrasts(matrix):
+            return ContrastEstimator(
+                matrix, n_iterations=20, deviation=deviation, random_state=seed, cache=False
+            ).contrast_many_detailed(subspaces)
+
+        original, shuffled = contrasts(data), contrasts(permuted)
+        for subspace in subspaces:
+            a, b = original[subspace], shuffled[subspace]
+            assert a.n_degenerate == b.n_degenerate
+            assert len(a.deviations) == len(b.deviations)
+            if tolerance == 0.0:
+                assert a.contrast == b.contrast
+                assert a.deviations == b.deviations
+            else:
+                assert abs(a.contrast - b.contrast) <= tolerance
+                assert np.allclose(a.deviations, b.deviations, rtol=0.0, atol=tolerance)

@@ -333,36 +333,37 @@ class TestSubsampledContrast:
 
 
 class TestRankColumns:
-    def test_column_equals_matrix_column_with_ties(self):
+    def test_column_equals_stable_argsort_ranks_with_ties(self):
         rng = np.random.default_rng(13)
         data = rng.normal(size=(120, 6))
         data[:, 3] = np.round(data[:, 3], 1)  # heavy ties
-        by_column = SortedDatabaseIndex(data)
-        by_matrix = SortedDatabaseIndex(data)
-        full = by_matrix.rank_matrix
+        index = SortedDatabaseIndex(data)
         for attribute in range(6):
-            assert np.array_equal(by_column.rank_column(attribute), full[:, attribute])
+            expected = np.empty(120, dtype=np.intp)
+            expected[np.argsort(data[:, attribute], kind="mergesort")] = np.arange(120)
+            assert np.array_equal(index.rank_column(attribute), expected)
 
     def test_rank_column_is_lazy(self):
         index = SortedDatabaseIndex(EDGE)
         index.rank_column(1)
-        assert index._rank_matrix is None
+        assert set(index._rank_columns) == {1}
         assert not index.rank_column(1).flags.writeable
 
     def test_slice_sampler_does_not_force_full_matrix(self):
         index = SortedDatabaseIndex(np.random.default_rng(0).normal(size=(100, 20)))
-        sampler = SliceSampler(index, random_state=4)
-        batch = sampler.sample_slice_batch(Subspace((2, 7, 11)), 16)
+        sampler = SliceSampler(index)
+        batch = sampler.sample_slice_batch(
+            Subspace((2, 7, 11)), 16, rng=np.random.default_rng(4)
+        )
         assert batch.selected.shape == (16, 100)
-        assert index._rank_matrix is None
+        assert set(index._rank_columns) == {2, 7, 11}
 
-    def test_from_rank_matrix_serves_columns(self):
+    def test_from_rank_columns_serves_columns(self):
         index = SortedDatabaseIndex(EDGE)
-        rebuilt = SortedDatabaseIndex.from_rank_matrix(EDGE, index.rank_matrix)
+        columns = {a: index.rank_column(a) for a in range(EDGE.shape[1])}
+        rebuilt = SortedDatabaseIndex.from_rank_columns(EDGE, columns)
         for attribute in range(EDGE.shape[1]):
-            assert np.array_equal(
-                rebuilt.rank_column(attribute), index.rank_matrix[:, attribute]
-            )
+            assert np.array_equal(rebuilt.rank_column(attribute), columns[attribute])
 
 
 # ----------------------------------------------------------- lint rule
