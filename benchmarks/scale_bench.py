@@ -8,14 +8,16 @@ matrix alone is 80 GB):
   contrast (``subsample_size`` rows per subspace instead of the full
   database), so the search cost scales with the subsample.
 * **rank** — exact LOF over the best subspace through the shared engine,
-  which assembles budget-sized row bands once an ``n x n`` block exceeds
-  its memory budget, so no more than one band is alive at a time.
+  which answers kNN with its pruned leaf search once the dense pass exceeds
+  its memory budget: no ``O(n^2)`` work, and no more than one
+  ``leaf x n`` block alive at a time.
 * **approx** — full-space LOF through the approximate subsample backend
   (``algorithm="subsample"``): exact distances against a deterministic
   2048-row reference set, linear in the dataset size.
-* **exactness** — a small-``n`` cross-check that the row-band ranking is
-  bit-for-bit identical to the per-subspace brute-force path, so the scale
-  numbers above are for the *same* algorithm, not an approximation drift.
+* **exactness** — a small-``n`` cross-check that the pruned-search ranking
+  is bit-for-bit identical to the per-subspace brute-force path, so the
+  scale numbers above are for the *same* algorithm, not an approximation
+  drift.
 
 ``--profile 1m`` runs the out-of-core cell instead: an ``n = 1,000,000``,
 ``d = 10`` dataset persisted with :meth:`Dataset.to_npy` and reopened as a
@@ -74,14 +76,14 @@ def timed(phases: dict, name: str, fn):
 
 
 def exactness_check(rng: np.random.Generator) -> None:
-    """Row-band ranking must equal the per-subspace brute-force path bit for bit."""
+    """Pruned-search ranking must equal the per-subspace brute-force path bit for bit."""
     from repro.types import Subspace
 
     data = rng.normal(size=(1500, 10))
-    data[100] = data[101]  # duplicate rows exercise the tie-break across bands
+    data[100] = data[101]  # duplicate rows exercise the tie-break across leaves
     subspaces = [Subspace((0, 1)), Subspace((2, 3, 4))]
-    # 4 MiB holds no 1500 x 1500 block: the shared engine runs the row bands
-    # the 100k rank runs.
+    # 4 MiB holds no 1500 x 1500 block: the shared engine runs the pruned
+    # leaf search the 100k rank runs.
     results = {}
     for engine in ("shared", "per-subspace"):
         ranker = SubspaceOutlierRanker(
@@ -89,7 +91,7 @@ def exactness_check(rng: np.random.Generator) -> None:
         )
         results[engine] = ranker.rank(data, subspaces).scores
     if not np.array_equal(results["shared"], results["per-subspace"]):
-        raise SystemExit("FAIL: row-band ranking diverged from the per-subspace path")
+        raise SystemExit("FAIL: pruned-search ranking diverged from the per-subspace path")
 
 
 def memmap_exactness_check() -> None:
@@ -242,7 +244,7 @@ def run_100k(args, phases: dict) -> dict:
         ).rank(data, best),
     )
     if ranking.scores.shape != (args.objects,) or not np.all(np.isfinite(ranking.scores)):
-        raise SystemExit("FAIL: row-band ranking produced malformed scores")
+        raise SystemExit("FAIL: pruned-search ranking produced malformed scores")
 
     approx = timed(
         phases,

@@ -137,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
             default="shared",
             choices=["shared", "per-subspace"],
             help="scoring engine: 'shared' (default) computes one distance pass "
-            "for all fitted subspaces, in budget-sized row bands when an n x n "
-            "matrix exceeds --memory-budget-mb; 'per-subspace' is the "
+            "for all fitted subspaces, and an exact pruned kNN search when an "
+            "n x n pass exceeds --memory-budget-mb; 'per-subspace' is the "
             "bit-for-bit identical reference path",
         )
         sub.add_argument(

@@ -12,11 +12,16 @@ heavily share dimensions, yet the per-subspace path rebuilds its own
   ascending attribute order, with **prefix memoisation** — subspaces sharing a
   sorted-attribute prefix (ubiquitous in apriori-style outputs) reuse the
   partial sums of that prefix,
-* top-k neighbour queries run row-chunked via ``argpartition`` with the
-  library-wide stable index tie-break (:func:`~repro.neighbors.topk.top_k_smallest`),
-* when one ``n x n`` block does not fit the budget, the same floats are
-  accumulated per budget-sized row band straight from the data columns, so
-  peak memory stays ``O(chunk * n)`` at any dataset size,
+* top-k neighbour queries run via ``argpartition`` with the library-wide
+  stable index tie-break (:func:`~repro.neighbors.topk.top_k_smallest`),
+* when the dense pass over ``n x n`` distances does not fit the budget,
+  :meth:`~SharedNeighborEngine.kneighbors` stops doing ``O(n^2)`` work: an
+  exact branch-and-bound search over a k-d partition of the subspace's
+  points (Friedman, Bentley & Finkel, ACM TOMS 1977) scores each leaf of a
+  few dozen queries only against the leaves its float lower bounds cannot
+  rule out, so peak memory per block is ``O(leaf * n)``, not
+  ``O(chunk * n)``; :meth:`~SharedNeighborEngine.iter_distance_rows` still
+  accumulates budget-sized row bands straight from the data columns,
 * an asymmetric query-vs-reference mode scores new points against the fitted
   reference without Python-level per-object loops.
 
@@ -47,7 +52,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,8 +60,7 @@ from ..exceptions import DataError, ParameterError
 from ..utils.validation import check_data_matrix, check_positive_int
 from .base import KNNResult, NearestNeighborSearcher
 from .distance import squared_difference_block
-# merge_top_k has no caller here; perfbench/layers.py traces it at this path.
-from .topk import merge_top_k, top_k_smallest  # noqa: F401
+from .topk import merge_top_k, top_k_smallest
 
 __all__ = [
     "SharedNeighborEngine",
@@ -65,6 +69,13 @@ __all__ = [
     "normalise_engine_mode",
 ]
 
+#: Most points per leaf of the pruned kNN search; leaves hold between half
+#: this and this many.  Leaves of about 47 points (this value at n = 6000)
+#: beat leaves of about 23 on data shaped like the ``rank-tall`` benchmark
+#: workload (n = 6000, 2-6 attributes, k = 10), and at n = 100,000 they
+#: halved the time of a 2- and a 3-attribute subspace.
+_LEAF_SIZE = 64
+
 #: Canonical engine-mode names accepted everywhere an engine switch appears
 #: (pipeline, ranker, config, spec grammar, CLI).  ``per-subspace`` is the
 #: reference path that rebuilds every subspace's distances from scratch.
@@ -72,7 +83,7 @@ ENGINE_MODES = ("shared", "per-subspace")
 
 #: Retired engine names and the mode that now computes the same scores.
 #: ``streaming`` was a row-blocked variant of ``shared``; the shared engine
-#: switches to row bands by itself when an ``n x n`` block exceeds the budget.
+#: leaves dense blocks by itself when an ``n x n`` block exceeds the budget.
 LEGACY_ENGINE_MODES = {"streaming": "shared"}
 
 
@@ -104,6 +115,152 @@ def check_memory_budget_mb(value: object) -> float:
     return budget
 
 
+def _leaf_partition(points: np.ndarray) -> List[np.ndarray]:
+    """Rows of ``points`` split into leaves of at most ``_LEAF_SIZE`` rows.
+
+    k-d style: a node's rows are cut at their median along the attribute of
+    widest spread until a node fits one leaf.  Each leaf lists its rows in
+    ascending order.
+    """
+    leaves = []
+    stack = [np.arange(points.shape[0])]
+    while stack:
+        rows = stack.pop()
+        if rows.size <= _LEAF_SIZE:
+            leaves.append(np.sort(rows))
+            continue
+        members = points[rows]
+        axis = int(np.argmax(members.max(axis=0) - members.min(axis=0)))
+        half = rows.size // 2
+        cut = np.argpartition(members[:, axis], half)
+        stack.append(rows[cut[half:]])
+        stack.append(rows[cut[:half]])
+    return leaves
+
+
+def _lower_bounds(gaps: np.ndarray) -> np.ndarray:
+    """Euclidean lower bounds from per-attribute gaps (last axis, caller order).
+
+    Negative gaps (no separation along that attribute) count as zero.  The
+    terms are squared, summed left to right and square-rooted exactly like
+    the canonical distance, which is what makes the bound sound (see
+    :func:`_pruned_kneighbors`).  ``gaps`` is overwritten.
+    """
+    np.maximum(gaps, 0.0, out=gaps)
+    gaps *= gaps
+    total = gaps[..., 0].copy()
+    for term in range(1, gaps.shape[-1]):
+        total += gaps[..., term]
+    return np.sqrt(total, out=total)
+
+
+def _scored_top_k(
+    columns: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: int, exclude_self: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Canonical distances of ``rows`` to ``cols`` reduced to each row's top-k.
+
+    ``cols`` must be ascending, so the block's column order is the index
+    order of the tie-break.  With ``exclude_self`` every row must be among
+    ``cols``, and its own distance is set to ``inf``.  Returns global
+    indices and distances.
+    """
+    block = squared_difference_block(columns[0][rows], columns[0][cols])
+    for column in columns[1:]:
+        block += squared_difference_block(column[rows], column[cols])
+    np.sqrt(block, out=block)
+    if exclude_self:
+        block[np.arange(rows.size), np.searchsorted(cols, rows)] = np.inf
+    local, values = top_k_smallest(block, min(k, cols.size))
+    return cols[local], values
+
+
+def _pruned_kneighbors(
+    points: np.ndarray, k: int, exclude_self: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact kNN of every row of ``points`` without scoring every pair.
+
+    ``points`` holds the subspace's attributes in the caller's order.  The
+    rows are split into leaves (:func:`_leaf_partition`) and each leaf keeps
+    its tight box, the min and max of its members per attribute.  For every
+    query leaf the search
+
+    1. scores the query leaf itself plus the leaves nearest to it by
+       box-to-box lower bound until they hold at least ``k + 1`` points,
+       which gives each query a current k-th distance ``kth``;
+    2. scores every unvisited leaf whose lower bound is ``<= kth`` for at
+       least one query of the leaf: candidates are chosen by box-to-box
+       bounds, and point-to-box bounds are computed only for the leaves that
+       survive.
+
+    Every block is the canonical recipe of the dense path: the
+    :func:`squared_difference_block` terms summed in the caller's attribute
+    order, then ``sqrt``, with a query's own distance set to ``inf`` when
+    ``exclude_self`` and candidate columns in ascending index order.  Blocks
+    are reduced with :func:`top_k_smallest` and :func:`merge_top_k`, whose
+    ``(distance, index)`` order is the tie-break of ``BruteForceKNN``.
+
+    Why the result is ``np.array_equal`` to brute force, for any leaf layout:
+
+    * A lower bound is built from a box's faces with the float operations of
+      the distance.  For a query ``q`` and a point ``p`` with
+      ``lo <= p <= hi`` along an attribute, the distance squares
+      ``fl(q - p) = -fl(p - q)``; ``fl(lo - q) <= fl(p - q)`` when
+      ``q < lo`` and ``fl(q - hi) <= fl(q - p)`` when ``q > hi``, because
+      rounding is monotone; otherwise the gap term is zero.  Squaring,
+      left-to-right addition and ``sqrt`` are monotone too, so the bound
+      never exceeds the canonical distance to any point in the box, even
+      when a square overflows to ``inf``.  The same holds for box-to-box
+      gaps ``fl(lo_c - hi_q)`` and ``fl(lo_q - hi_c)``, which never exceed a
+      point-to-box gap.
+    * The k-th distance of step 1 is the k-th smallest over a subset of the
+      candidates, so it is at least the final k-th distance; it can only
+      fall.  A leaf is skipped only when its bound is *strictly* above it, so
+      every skipped point is strictly farther than the final k-th neighbour
+      and cannot be among the k smallest ``(distance, index)`` pairs, ties
+      included.  Two rounds are therefore enough.
+    * With ``kth == inf`` nothing is skipped, so rows whose neighbours are
+      all at ``inf`` (or whose own ``inf`` self-distance ranks among them)
+      see every candidate, as the dense path does.
+
+    Peak memory is one ``leaf x n`` block.
+    """
+    n = points.shape[0]
+    columns = np.ascontiguousarray(points.T)
+    leaves = _leaf_partition(points)
+    sizes = np.array([leaf.size for leaf in leaves])
+    lo = np.array([points[leaf].min(axis=0) for leaf in leaves])
+    hi = np.array([points[leaf].max(axis=0) for leaf in leaves])
+    need = min(k + 1, n)
+    indices = np.empty((n, k), dtype=np.intp)
+    distances = np.empty((n, k))
+    for leaf, rows in enumerate(leaves):
+        box = _lower_bounds(np.maximum(lo - hi[leaf], lo[leaf] - hi))
+        visited = np.zeros(len(leaves), dtype=bool)
+        visited[leaf] = True
+        if sizes[leaf] < need:
+            near = np.argsort(box, kind="stable")
+            near = near[near != leaf]
+            held = np.cumsum(sizes[near]) + sizes[leaf]
+            visited[near[: np.searchsorted(held, need) + 1]] = True
+        cols = np.sort(np.concatenate([leaves[j] for j in np.flatnonzero(visited)]))
+        idx, vals = _scored_top_k(columns, rows, cols, k, exclude_self)
+        kth = vals[:, -1]
+        ahead = np.flatnonzero(~visited & (box <= kth.max()))
+        if ahead.size:
+            queries = points[rows][:, None, :]
+            point = _lower_bounds(np.maximum(lo[ahead] - queries, queries - hi[ahead]))
+            ahead = ahead[(point <= kth[:, None]).any(axis=0)]
+        if ahead.size:
+            cols = np.sort(np.concatenate([leaves[j] for j in ahead]))
+            # The query leaf was scored in step 1: no own column here.
+            idx, vals = merge_top_k(
+                idx, vals, *_scored_top_k(columns, rows, cols, k, False), k
+            )
+        indices[rows] = idx
+        distances[rows] = vals
+    return indices, distances
+
+
 class SharedNeighborEngine:
     """Shared distance/neighbour substrate over one fixed data matrix.
 
@@ -116,30 +273,18 @@ class SharedNeighborEngine:
         Upper bound (in MiB) on the memory spent on cached per-dimension
         blocks and prefix partial sums, the persistent scratch rows and the
         memoised neighbour lists.  Least-recently-used entries are evicted
-        when the budget is exceeded.  A budget too small for a single
-        ``n x n`` block disables block caching: every query then assembles
-        budget-sized row bands straight from the data columns — the same
-        floats, never above budget.
-    chunk_rows:
-        Optional fixed row-band height for :meth:`kneighbors` and
-        :meth:`iter_distance_rows`.  ``None`` (default) sizes bands from the
-        memory budget.  Exposed for tests and tuning; results are identical
-        for every value.
+        when the budget is exceeded.  Once the fused top-k pass over ``n``
+        rows would exceed the budget, :meth:`kneighbors` switches to an
+        exact pruned search over leaves of a few dozen points, whose blocks
+        are ``O(leaf * n)`` at most, and :meth:`iter_distance_rows`
+        assembles budget-sized row bands straight from the data columns —
+        the same floats either way.
     """
 
-    def __init__(
-        self,
-        data: np.ndarray,
-        *,
-        memory_budget_mb: float = 256.0,
-        chunk_rows: Optional[int] = None,
-    ):
+    def __init__(self, data: np.ndarray, *, memory_budget_mb: float = 256.0):
         self._data = check_data_matrix(data, name="data", min_objects=2)
         self.memory_budget_mb = check_memory_budget_mb(memory_budget_mb)
         self._budget_bytes = int(self.memory_budget_mb * 1024 * 1024)
-        if chunk_rows is not None:
-            chunk_rows = check_positive_int(chunk_rows, name="chunk_rows")
-        self._chunk_override = chunk_rows
         n = self._data.shape[0]
         self._block_nbytes = n * n * 8
         # Sorted-attribute-prefix -> accumulated squared-distance matrix.  A
@@ -395,10 +540,8 @@ class SharedNeighborEngine:
             yield start, stop, rows
 
     def _chunk_rows(self) -> int:
-        """Rows per top-k chunk so transient buffers stay within the budget."""
+        """Rows per band so transient buffers stay within the budget."""
         n = self.n_objects
-        if self._chunk_override is not None:
-            return min(self._chunk_override, n)
         per_row = n * 8 * 3  # squared chunk + sqrt + comparison scratch
         return int(max(1, min(n, self._budget_bytes // max(per_row, 1) or 1)))
 
@@ -439,15 +582,9 @@ class SharedNeighborEngine:
                 rows[np.arange(n), np.arange(n)] = diagonal
                 indices, distances = top_k_smallest(rows, k)
             else:
-                indices = np.empty((n, k), dtype=np.intp)
-                distances = np.empty((n, k), dtype=float)
-                for start in range(0, n, chunk):
-                    stop = min(start + chunk, n)
-                    rows = np.sqrt(self._squared_rows(attrs, start, stop))
-                    rows[np.arange(stop - start), np.arange(start, stop)] = diagonal
-                    idx, vals = top_k_smallest(rows, k)
-                    indices[start:stop] = idx
-                    distances[start:stop] = vals
+                indices, distances = _pruned_kneighbors(
+                    self._data[:, list(attrs)], k, exclude_self
+                )
             result = KNNResult(indices=indices, distances=distances)
             # Memoise under the shared byte budget; a result that still does
             # not fit after eviction is simply served uncached.

@@ -46,8 +46,9 @@ class SubspaceOutlierRanker:
     engine:
         ``"shared"`` (default) computes per-dimension distance blocks once
         through a :class:`~repro.neighbors.engine.SharedNeighborEngine` and
-        shares them across all subspaces; datasets whose ``n x n`` block
-        exceeds ``memory_budget_mb`` are scored in budget-sized row bands.
+        shares them across all subspaces; datasets whose ``n x n`` pass
+        exceeds ``memory_budget_mb`` are scored through an exact pruned kNN
+        search (row bands for full distance rows).
         ``"per-subspace"`` is the reference path that rebuilds every
         subspace's distances from scratch.  Both produce identical scores,
         bit for bit.

@@ -67,8 +67,9 @@ class SubspaceOutlierPipeline:
         Scoring engine: ``"shared"`` (default) computes per-dimension distance
         blocks once per dataset through a
         :class:`~repro.neighbors.engine.SharedNeighborEngine` and shares them
-        across all fitted subspaces, in budget-sized row bands once an
-        ``n x n`` block exceeds ``memory_budget_mb``; ``"per-subspace"`` is
+        across all fitted subspaces; once an ``n x n`` pass exceeds
+        ``memory_budget_mb`` it switches to an exact pruned kNN search (row
+        bands for full distance rows); ``"per-subspace"`` is
         the reference path that recomputes every subspace's distances from
         scratch.  Both produce identical scores, bit for bit — the switch is
         purely a throughput/memory knob.  The retired name ``"streaming"``

@@ -460,7 +460,9 @@ register_gate(GateSpec(
     suite="scale",
     metric="total_sec",
     direction="max",
-    threshold=1800.0,
+    # Below the 260 s of the O(n^2) row-band rank, 3.9x the 30.9 s of the
+    # pruned kNN search (rank 2.4 s), both on a shared 2-vCPU Linux VM.
+    threshold=120.0,
     tolerance=0.25,
     description="100k-row suite total wall time (s)",
 ))

@@ -9,16 +9,19 @@ Four families of invariants:
 * batched subspace slices always hit the target selectivity bounds: every
   condition selects exactly ``block_size`` objects and the conjunction can
   only shrink that set,
-* contrasts do not depend on the order of the rows: slicing is rank-based.
+* contrasts do not depend on the order of the rows: slicing is rank-based,
+  and permuting the rows permutes the LOF scores.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.index import SliceSampler, SortedDatabaseIndex
+from repro.neighbors.distance import pairwise_distances
+from repro.outliers import LOFScorer, SubspaceOutlierRanker
 from repro.stats.descriptive import sample_moments, sample_moments_batch
 from repro.stats.ks import (
     ks_statistic_against_superset_batch,
@@ -235,7 +238,8 @@ class TestSortedIndexInvariants:
 
 
 class TestRowPermutationInvariance:
-    """Permuting the rows of tie-free data changes no slice and no contrast.
+    """Permuting the rows of tie-free data changes no slice and no contrast,
+    and permutes the LOF scores.
 
     Slices are rank intervals and each subspace's draws derive from the seed
     and its attributes, so the permuted data gets the same draws and the
@@ -279,3 +283,35 @@ class TestRowPermutationInvariance:
             else:
                 assert abs(a.contrast - b.contrast) <= tolerance
                 assert np.allclose(a.deviations, b.deviations, rtol=0.0, atol=tolerance)
+
+    @pytest.mark.parametrize(
+        "memory_budget_mb", [256.0, 2**-20], ids=["fused", "pruned-search"]
+    )
+    @given(
+        n_objects=st.integers(min_value=12, max_value=300),
+        n_dims=st.integers(min_value=2, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_lof_scores_follow_the_rows(self, memory_budget_mb, n_objects, n_dims, seed):
+        # Without distance ties a neighbour list is ordered by distance alone,
+        # so it and every sum over it are the same under any row order.  A
+        # budget of one byte makes the engine answer with the pruned search.
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(n_objects, n_dims))
+        subspaces = [Subspace((a, b)) for a in range(n_dims) for b in range(a + 1, n_dims)]
+        subspaces.append(Subspace(range(n_dims)))
+        for subspace in subspaces:
+            distances = pairwise_distances(data, subspace.attributes)
+            upper = distances[np.triu_indices(n_objects, 1)]
+            assume(np.unique(upper).size == upper.size)  # tie-free
+        permutation = rng.permutation(n_objects)
+
+        def scores(matrix):
+            ranker = SubspaceOutlierRanker(
+                LOFScorer(min_pts=10), max_subspaces=len(subspaces),
+                memory_budget_mb=memory_budget_mb,
+            )
+            return ranker.rank(matrix, subspaces).scores
+
+        assert np.array_equal(scores(data[permutation]), scores(data)[permutation])

@@ -2,12 +2,13 @@
 
 Three families of guarantees:
 
-* **Chunked exactness** — the shared engine's row bands (the path it takes
-  when one ``n x n`` block exceeds its memory budget) are pure re-orderings
-  of the dense computation: every test asserts ``np.array_equal`` (no
-  tolerances) against the dense reference, for *every* band height from 1
-  to ``n``, on data with duplicate rows and exact distance ties straddling
-  band edges.
+* **Chunked exactness** — the paths the shared engine takes once its dense
+  pass exceeds the memory budget (row bands for distance rows, the pruned
+  leaf search for ``kneighbors``) reproduce the dense computation: every
+  test asserts ``np.array_equal`` (no tolerances) against the dense
+  reference, for *every* band height and leaf size from 1 to ``n``, on data
+  with duplicate rows and exact distance ties straddling band and leaf
+  edges, plus a golden suite of inputs built to break a pruning bound.
 * **Golden rank divergence** — the approximate subsample backend reports true
   distances that never under-estimate the exact k-th distance rank for rank,
   degenerates to bit-for-bit brute force at full coverage, and its recall
@@ -20,8 +21,11 @@ Three families of guarantees:
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     AdaptiveDensityScorer,
@@ -40,6 +44,7 @@ from repro.neighbors import (
     SubsampledKNN,
     create_knn_searcher,
 )
+from repro.neighbors import engine as engine_module
 from repro.pipeline import PipelineConfig
 from repro.subspaces.contrast import ContrastEstimator
 from repro.types import Subspace
@@ -71,25 +76,27 @@ SUBSPACES = [None, (0, 2), (3, 1, 4)]
 
 
 #: A budget below one n x n block of EDGE (23 * 23 * 8 bytes): the engine
-#: then assembles every query from row bands instead of cached blocks.
+#: then answers kneighbors with the pruned leaf search and assembles
+#: distance rows in bands instead of cached blocks.
 BAND_BUDGET_MB = 0.001
 
 
-def _banded_engine(chunk=None):
-    engine = SharedNeighborEngine(EDGE, memory_budget_mb=BAND_BUDGET_MB, chunk_rows=chunk)
+def _banded_engine():
+    engine = SharedNeighborEngine(EDGE, memory_budget_mb=BAND_BUDGET_MB)
     assert engine._block_nbytes > engine._budget_bytes
     return engine
 
 
 class TestStreamingChunkBoundaries:
     @pytest.mark.parametrize("attributes", SUBSPACES)
-    def test_kneighbors_every_chunk_size(self, attributes):
+    def test_kneighbors_every_leaf_size(self, attributes, monkeypatch):
         n = EDGE.shape[0]
         dense = BruteForceKNN(EDGE, attributes).kneighbors(5)
-        for chunk in range(1, n + 1):
-            result = _banded_engine(chunk).kneighbors(5, attributes)
-            assert np.array_equal(result.indices, dense.indices), chunk
-            assert np.array_equal(result.distances, dense.distances), chunk
+        for leaf in range(1, n + 1):
+            monkeypatch.setattr(engine_module, "_LEAF_SIZE", leaf)
+            result = _banded_engine().kneighbors(5, attributes)
+            assert np.array_equal(result.indices, dense.indices), leaf
+            assert np.array_equal(result.distances, dense.distances), leaf
 
     @pytest.mark.parametrize("attributes", SUBSPACES)
     def test_iter_distance_rows_every_chunk_size(self, attributes):
@@ -104,12 +111,15 @@ class TestStreamingChunkBoundaries:
                 assembled[start:stop] = rows
             assert np.array_equal(assembled, dense), chunk
 
-    def test_duplicates_and_ties_straddle_a_chunk_edge(self):
-        # chunk=11 puts the duplicate pair (10, 11) on opposite sides of the
-        # first band boundary; each band still sees complete rows, so ties
-        # break by ascending index exactly like the dense argsort.
+    def test_duplicates_and_ties_straddle_a_leaf_edge(self, monkeypatch):
+        # One-point leaves put the duplicate pair (10, 11) in different
+        # leaves; the tie at 0.0 and the lattice ties still break by
+        # ascending index exactly like the dense argsort.
+        monkeypatch.setattr(engine_module, "_LEAF_SIZE", 1)
+        leaves = engine_module._leaf_partition(EDGE)
+        assert not any({10, 11} <= set(leaf.tolist()) for leaf in leaves)
         dense = SharedNeighborEngine(EDGE).kneighbors(8)
-        result = _banded_engine(11).kneighbors(8)
+        result = _banded_engine().kneighbors(8)
         assert np.array_equal(result.indices, dense.indices)
         assert np.array_equal(result.distances, dense.distances)
         # the duplicate partner is the nearest neighbour, at exactly 0.0
@@ -121,17 +131,139 @@ class TestStreamingChunkBoundaries:
         subspaces = [None if a is None else Subspace(a) for a in SUBSPACES]
         scorer = AdaptiveDensityScorer(n_neighbors=5)
         reference = scorer.score_batch(EDGE, subspaces, engine=None)
-        for chunk in range(1, EDGE.shape[0] + 1):
-            banded = scorer.score_batch(EDGE, subspaces, engine=_banded_engine(chunk))
+        n = EDGE.shape[0]
+        for chunk in range(1, n + 1):
+            # Bands of `chunk` rows: the engine budgets 24 bytes a cell.
+            engine = SharedNeighborEngine(EDGE, memory_budget_mb=chunk * n * 24 / 2**20)
+            assert engine._chunk_rows() == chunk
+            banded = scorer.score_batch(EDGE, subspaces, engine=engine)
             for got, expected in zip(banded, reference):
                 assert np.array_equal(got, expected), chunk
 
-    def test_row_bands_stay_inside_budget(self):
-        engine = _banded_engine(3)
+    def test_pruned_search_stays_inside_budget(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "_LEAF_SIZE", 3)
+        engine = _banded_engine()
         dense = SharedNeighborEngine(EDGE).kneighbors(4)
         result = engine.kneighbors(4)
         assert np.array_equal(result.indices, dense.indices)
         assert engine.cache_bytes <= int(BAND_BUDGET_MB * 1024 * 1024)
+
+
+#: A budget below one block of any input (one byte): kneighbors then always
+#: runs the pruned leaf search, which ``_assert_pruned_is_brute`` checks.
+PRUNED_BUDGET_MB = 2**-20
+
+
+def _assert_pruned_is_brute(data, k, attributes=None, exclude_self=True):
+    engine = SharedNeighborEngine(data, memory_budget_mb=PRUNED_BUDGET_MB)
+    assert engine._chunk_rows() < engine.n_objects
+    with np.errstate(over="ignore"):  # squares of the 1e160 rows overflow
+        got = engine.kneighbors(k, attributes, exclude_self=exclude_self)
+        want = BruteForceKNN(data, attributes).kneighbors(k, exclude_self=exclude_self)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.distances, want.distances)
+
+
+def _lattice(*sides):
+    """Every integer point of a grid: many points lie on leaf-box faces."""
+    axes = np.meshgrid(*(np.arange(side, dtype=float) for side in sides), indexing="ij")
+    return np.stack([axis.ravel() for axis in axes], axis=1)
+
+
+def _overflowing():
+    """Rows near 1e160, whose squared distances overflow to inf, plus a
+    small finite cluster and duplicates of both."""
+    rng = np.random.default_rng(160)
+    data = rng.choice([-1.0, 1.0], size=(60, 3)) * rng.uniform(1.0, 2.0, size=(60, 3)) * 1e160
+    data[40:] = rng.normal(size=(20, 3))
+    data[5] = data[3]
+    data[45] = data[44]
+    return data
+
+
+GOLDEN = {
+    "edge": EDGE,
+    "identical": np.full((50, 3), 2.5),
+    "lattice": _lattice(7, 7, 3),
+    "scaled": np.random.default_rng(3).normal(size=(200, 5)) * [1e-3, 1.0, 1e3, 7.0, 0.1],
+    "overflow": _overflowing(),
+}
+
+
+class TestPrunedSearchGolden:
+    """The pruned leaf search equals ``BruteForceKNN`` bit for bit on inputs
+    built to break a pruning bound: ties on leaf-box faces, duplicates,
+    overflow to ``inf``, every ``k`` and caller-ordered attributes."""
+
+    @pytest.fixture(params=[1, 3, 8, None], ids=lambda leaf: f"leaf{leaf or 'default'}")
+    def leaf_size(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(engine_module, "_LEAF_SIZE", request.param)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_every_k(self, name, leaf_size):
+        data = GOLDEN[name]
+        n = data.shape[0]
+        for k in sorted({1, 2, 5, n // 2, n - 1}):
+            _assert_pruned_is_brute(data, k)
+        _assert_pruned_is_brute(data, n, exclude_self=False)
+        _assert_pruned_is_brute(data, 3, exclude_self=False)
+
+    @pytest.mark.parametrize(
+        "name, attributes",
+        [("edge", (3, 1, 4)), ("scaled", (3, 1, 4)), ("scaled", (4, 2, 0, 1)),
+         ("lattice", (2,)), ("lattice", (1, 0)), ("scaled", (2,))],
+    )
+    def test_caller_ordered_attributes(self, name, attributes, leaf_size):
+        data = GOLDEN[name]
+        for k in (1, 6, data.shape[0] - 1):
+            _assert_pruned_is_brute(data, k, attributes)
+
+    def test_overflow_rows_see_their_own_inf(self, leaf_size):
+        # Row 0's distances to all other big rows are inf, so with k above
+        # its finite neighbours the dense tie-break picks row 0 itself (its
+        # own distance is inf too); the pruned search must visit it.
+        data = GOLDEN["overflow"]
+        with np.errstate(over="ignore"):
+            want = BruteForceKNN(data).kneighbors(8)
+        assert np.isinf(want.distances[0]).all()
+        assert 0 in want.indices[0]
+        _assert_pruned_is_brute(data, 8)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("kind", ["continuous", "lattice"])
+    def test_one_leaf_boundary(self, offset, kind):
+        n = engine_module._LEAF_SIZE + offset
+        rng = np.random.default_rng(n)
+        if kind == "lattice":
+            data = rng.integers(0, 3, size=(n, 3)).astype(float)
+        else:
+            data = rng.normal(size=(n, 3))
+        assert len(engine_module._leaf_partition(data)) == (2 if offset > 0 else 1)
+        for k in (1, 10, n - 1):
+            _assert_pruned_is_brute(data, k)
+        _assert_pruned_is_brute(data, n, exclude_self=False)
+
+    @given(
+        n=st.integers(min_value=2, max_value=400),
+        d=st.integers(min_value=1, max_value=6),
+        lattice=st.booleans(),
+        leaf=st.integers(min_value=1, max_value=64),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        draw=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_equals_brute_force(self, n, d, lattice, leaf, seed, draw):
+        rng = np.random.default_rng(seed)
+        if lattice:
+            data = rng.integers(0, 4, size=(n, d)).astype(float)
+        else:
+            data = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+        exclude_self = draw.draw(st.booleans(), label="exclude_self")
+        k = draw.draw(st.integers(1, n - 1 if exclude_self else n), label="k")
+        attributes = draw.draw(st.permutations(range(d)), label="attributes")
+        with mock.patch.object(engine_module, "_LEAF_SIZE", leaf):
+            _assert_pruned_is_brute(data, k, attributes, exclude_self)
 
 
 class TestRowBandScorerEquivalence:
