@@ -11,9 +11,6 @@ matrix alone is 80 GB):
   which answers kNN with its pruned leaf search once the dense pass exceeds
   its memory budget: no ``O(n^2)`` work, and no more than one
   ``leaf x n`` block alive at a time.
-* **approx** — full-space LOF through the approximate subsample backend
-  (``algorithm="subsample"``): exact distances against a deterministic
-  2048-row reference set, linear in the dataset size.
 * **exactness** — a small-``n`` cross-check that the pruned-search ranking
   is bit-for-bit identical to the per-subspace brute-force path, so the
   scale numbers above are for the *same* algorithm, not an approximation
@@ -23,13 +20,14 @@ matrix alone is 80 GB):
 ``d = 10`` dataset persisted with :meth:`Dataset.to_npy` and reopened as a
 read-only memmap view (:meth:`Dataset.from_npy`), searched by HiCS with
 ``storage="memmap(chunk_rows=65536)"`` (chunked argsort-merge rank columns
-spilled to scratch) and sharded mask evaluation, then ranked through the
-linear subsample LOF backend.  Its exactness phase proves the memmap +
-sharded search bit-identical to the in-memory search on a small fixture,
-and the chunked fingerprint identical to the in-memory digest, so the 1M
-numbers are for the *same* algorithm.  The ``scale_1m`` gate suite bounds
-total wall time and peak RSS (1.5 GB — the point of the exercise: the run
-must never page the whole plane into memory).
+spilled to scratch) and sharded mask evaluation, then ranked by exact LOF
+with the default scorer, ``SubspaceOutlierRanker(LOFScorer(min_pts=10))``,
+whose engine runs the pruned leaf search.  Its exactness phase proves the
+memmap + sharded search bit-identical to the in-memory search on a small
+fixture, and the chunked fingerprint identical to the in-memory digest, so
+the 1M numbers are for the *same* algorithm.  The ``scale_1m`` gate suite
+bounds total wall time and peak RSS (978 MB — the point of the exercise: the
+run must never page the whole plane into memory).
 
 The run fails (non-zero exit) when total wall time or peak RSS exceeds the
 gates (declared in :mod:`repro.reporting.gates`; the CLI flags override the
@@ -131,7 +129,7 @@ def memmap_exactness_check() -> None:
 
 
 def run_1m(args, phases: dict) -> dict:
-    """The out-of-core cell: memmap dataset -> memmap HiCS -> subsample LOF."""
+    """The out-of-core cell: memmap dataset -> memmap HiCS -> exact LOF."""
     timed(phases, "exactness", memmap_exactness_check)
 
     dataset = timed(
@@ -179,16 +177,13 @@ def run_1m(args, phases: dict) -> dict:
         best = scored[0].subspace
         print(f"fit: best subspace {best.attributes}", flush=True)
 
-        projected = np.ascontiguousarray(data[:, list(best.attributes)])
-        ranked = timed(
+        ranking = timed(
             phases,
             "rank",
-            lambda: LOFScorer(min_pts=10, algorithm="subsample")
-            .fit(projected)
-            .score_samples(projected),
+            lambda: SubspaceOutlierRanker(LOFScorer(min_pts=10)).rank(data, [best]),
         )
-        if ranked.shape != (args.objects,) or not np.all(np.isfinite(ranked)):
-            raise SystemExit("FAIL: subsample ranking produced malformed scores")
+        if ranking.scores.shape != (args.objects,) or not np.all(np.isfinite(ranking.scores)):
+            raise SystemExit("FAIL: pruned-search ranking produced malformed scores")
     finally:
         shutil.rmtree(store, ignore_errors=True)
         shutil.rmtree(scratch, ignore_errors=True)
@@ -245,14 +240,6 @@ def run_100k(args, phases: dict) -> dict:
     )
     if ranking.scores.shape != (args.objects,) or not np.all(np.isfinite(ranking.scores)):
         raise SystemExit("FAIL: pruned-search ranking produced malformed scores")
-
-    approx = timed(
-        phases,
-        "approx",
-        lambda: LOFScorer(min_pts=10, algorithm="subsample").fit(data).score_samples(data),
-    )
-    if approx.shape != (args.objects,) or not np.all(np.isfinite(approx)):
-        raise SystemExit("FAIL: approximate backend produced malformed scores")
 
     return {"subsample_size": min(1000, args.objects)}
 

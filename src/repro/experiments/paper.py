@@ -364,11 +364,12 @@ def _fig06_dataset(n, *, n_dims) -> DatasetSpec:
 #: Extended-regime methods for the ``full`` profile: the exact methods keep
 #: their quadratic reference implementations but are capped at 4000 objects
 #: (``max_objects`` produces the paper-style "-" entry beyond that), the
-#: streaming configuration — seeded-subsample Monte Carlo contrast plus the
-#: approximate subsample scoring backend — covers every size up to the
-#: 100k-row point, and the memmap configuration — the same search over an
-#: out-of-core index (chunked argsort-merge rank columns spilled to scratch,
-#: sharded mask evaluation) — extends the curve to the 1M-row point while
+#: streaming configuration — seeded-subsample Monte Carlo contrast plus exact
+#: LOF, whose kNN runs the engine's pruned search past its memory budget —
+#: covers every size up to the 100k-row point, and the memmap configuration
+#: — the same search over an out-of-core index (chunked argsort-merge rank
+#: columns spilled to scratch, sharded mask evaluation) — extends the curve
+#: to the 1M-row point while
 #: holding its in-memory footprint to the chunk size.  The memmap series is
 #: bit-identical to an in-memory run of the same spec (storage and
 #: ``n_shards`` are throughput knobs), so the extra series measures storage
@@ -381,7 +382,7 @@ _RUNTIME_METHODS_SCALE = tuple(
         label="HiCS-streaming",
         method=(
             "hics(n_iterations=20, candidate_cutoff=40, subsample_size=1000)"
-            "+lof(min_pts=10, algorithm='subsample')"
+            "+lof(min_pts=10)"
         ),
         config={"max_subspaces": 5},
         max_objects=100000,
@@ -391,7 +392,7 @@ _RUNTIME_METHODS_SCALE = tuple(
         method=(
             "hics(n_iterations=20, candidate_cutoff=40, subsample_size=1000, "
             "storage=memmap(chunk_rows=65536), n_shards=4)"
-            "+lof(min_pts=10, algorithm='subsample')"
+            "+lof(min_pts=10)"
         ),
         config={"max_subspaces": 5},
     ),

@@ -2,8 +2,10 @@
 
 Density-based outlier scores such as LOF are defined over k-nearest-neighbour
 queries.  This package provides distance metrics (including subspace-restricted
-metrics as required by the subspace extension of LOF), a brute-force searcher
-and a KD-tree searcher, all implemented from scratch on top of NumPy.
+metrics as required by the subspace extension of LOF), the shared neighbour
+engine — one exact kNN path, dense below its memory budget and a pruned leaf
+search past it — and the dense brute-force searcher it is tested against, all
+implemented from scratch on top of NumPy.
 """
 
 from .base import KNNResult, NearestNeighborSearcher, create_knn_searcher
@@ -17,8 +19,6 @@ from .distance import (
     subspace_pairwise_distances,
 )
 from .engine import SharedEngineKNN, SharedNeighborEngine, normalise_engine_mode
-from .kdtree import KDTree, KDTreeKNN
-from .subsample import SubsampledKNN
 from .topk import merge_top_k, top_k_smallest
 
 __all__ = [
@@ -29,13 +29,10 @@ __all__ = [
     "squared_difference_block",
     "subspace_pairwise_distances",
     "BruteForceKNN",
-    "KDTree",
-    "KDTreeKNN",
     "KNNResult",
     "NearestNeighborSearcher",
     "SharedEngineKNN",
     "SharedNeighborEngine",
-    "SubsampledKNN",
     "create_knn_searcher",
     "merge_top_k",
     "normalise_engine_mode",

@@ -1,8 +1,9 @@
 """Common interface for k-nearest-neighbour searchers.
 
-Both the brute-force and the KD-tree searcher implement the
+The dense brute-force searcher and the shared engine's adapter implement the
 :class:`NearestNeighborSearcher` protocol; LOF and the kNN-distance scorer only
-depend on that protocol, so the backends are interchangeable.
+depend on that protocol, and both searchers return the same neighbours, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -21,17 +22,38 @@ __all__ = [
     "create_knn_searcher",
 ]
 
-#: kNN backend names :func:`create_knn_searcher` accepts.
-KNN_ALGORITHMS = ("auto", "brute", "kdtree", "shared", "subsample")
+#: kNN algorithm names :func:`create_knn_searcher` accepts.
+KNN_ALGORITHMS = ("auto", "brute")
+
+#: Retired kNN backend names and the algorithm that now computes their
+#: neighbours.  ``kdtree`` and ``shared`` were exact (the KD-tree could order
+#: exact distance ties differently; ``auto`` keeps the brute-force order).
+#: ``subsample`` was approximate, so no exact path reproduces its scores and
+#: it maps to ``None``: rejected.
+LEGACY_KNN_ALGORITHMS = {"kdtree": "auto", "shared": "auto", "subsample": None}
 
 
-def check_knn_algorithm(algorithm: str) -> str:
-    """Validate a kNN backend name, so a scorer fails at construction time."""
-    if algorithm not in KNN_ALGORITHMS:
+def check_knn_algorithm(algorithm: object) -> str:
+    """Validate a kNN algorithm name, so a scorer fails at construction time.
+
+    Constructors, spec strings and saved models all resolve retired names
+    here, through :data:`LEGACY_KNN_ALGORITHMS`.
+    """
+    if not isinstance(algorithm, str):
+        raise ParameterError(f"algorithm must be a string, got {type(algorithm).__name__}")
+    key = algorithm.strip().lower()
+    if key in LEGACY_KNN_ALGORITHMS:
+        key = LEGACY_KNN_ALGORITHMS[key]
+        if key is None:
+            raise ParameterError(
+                f"algorithm={algorithm!r}: the approximate subsample kNN backend "
+                f"was removed; algorithm='auto' is exact"
+            )
+    if key not in KNN_ALGORITHMS:
         raise ParameterError(
             f"algorithm must be one of {KNN_ALGORITHMS}, got {algorithm!r}"
         )
-    return algorithm
+    return key
 
 
 @dataclass(frozen=True)
@@ -90,38 +112,19 @@ def create_knn_searcher(
     *,
     algorithm: str = "auto",
 ) -> NearestNeighborSearcher:
-    """Factory choosing a kNN backend.
+    """Factory choosing a kNN searcher; both choices are exact and bit-identical.
 
-    ``"auto"`` picks the vectorised brute-force backend for all but very large
-    low-dimensional inputs: the dense NumPy distance matrix is faster than a
-    pure-Python KD-tree traversal up to several thousand objects, and the
-    datasets of the paper stay in that regime.  ``"brute"`` / ``"kdtree"`` /
-    ``"shared"`` force a backend; ``"shared"`` runs on a
-    :class:`~repro.neighbors.engine.SharedNeighborEngine` and produces the
-    same neighbours as ``"brute"``, bit for bit.  ``"subsample"`` is the
-    approximate backend: exact distances against a deterministic reference
-    subsample (:class:`~repro.neighbors.subsample.SubsampledKNN`), linear in
-    the dataset size.
+    ``"auto"`` (the default) is the dense :class:`~repro.neighbors.brute.BruteForceKNN`
+    while a :class:`~repro.neighbors.engine.SharedNeighborEngine` at its
+    default budget would take its fused dense pass, and the engine's pruned
+    search past that: a one-shot query below the budget gains nothing from
+    the engine's block cache.  ``"brute"`` is always the dense reference.
     """
     from .brute import BruteForceKNN
     from .engine import SharedEngineKNN
-    from .kdtree import KDTreeKNN
-    from .subsample import SubsampledKNN
 
-    algorithm = algorithm.strip().lower()
-    arr = np.asarray(data, dtype=float)
-    n_dims = len(attributes) if attributes is not None else (arr.shape[1] if arr.ndim == 2 else 1)
-    if algorithm == "auto":
-        algorithm = "kdtree" if n_dims <= 4 and arr.shape[0] > 20000 else "brute"
-    if algorithm == "brute":
-        return BruteForceKNN(data, attributes)
-    if algorithm == "kdtree":
-        return KDTreeKNN(data, attributes)
-    if algorithm == "shared":
-        return SharedEngineKNN(data, attributes)
-    if algorithm == "subsample":
-        return SubsampledKNN(data, attributes)
-    raise ParameterError(
-        f"unknown kNN algorithm {algorithm!r}; expected 'auto', 'brute', 'kdtree', "
-        f"'shared' or 'subsample'"
-    )
+    if check_knn_algorithm(algorithm) == "auto":
+        searcher = SharedEngineKNN(data, attributes)
+        if not searcher.engine.fused_pass_fits():
+            return searcher
+    return BruteForceKNN(data, attributes)

@@ -63,6 +63,7 @@ from .distance import squared_difference_block
 from .topk import merge_top_k, top_k_smallest
 
 __all__ = [
+    "DEFAULT_MEMORY_BUDGET_MB",
     "SharedNeighborEngine",
     "SharedEngineKNN",
     "check_memory_budget_mb",
@@ -75,6 +76,9 @@ __all__ = [
 #: workload (n = 6000, 2-6 attributes, k = 10), and at n = 100,000 they
 #: halved the time of a 2- and a 3-attribute subspace.
 _LEAF_SIZE = 64
+
+#: Default cache budget (MiB) of an engine, including the ones scorers build.
+DEFAULT_MEMORY_BUDGET_MB = 256.0
 
 #: Canonical engine-mode names accepted everywhere an engine switch appears
 #: (pipeline, ranker, config, spec grammar, CLI).  ``per-subspace`` is the
@@ -281,7 +285,9 @@ class SharedNeighborEngine:
         the same floats either way.
     """
 
-    def __init__(self, data: np.ndarray, *, memory_budget_mb: float = 256.0):
+    def __init__(
+        self, data: np.ndarray, *, memory_budget_mb: float = DEFAULT_MEMORY_BUDGET_MB
+    ):
         self._data = check_data_matrix(data, name="data", min_objects=2)
         self.memory_budget_mb = check_memory_budget_mb(memory_budget_mb)
         self._budget_bytes = int(self.memory_budget_mb * 1024 * 1024)
@@ -545,6 +551,10 @@ class SharedNeighborEngine:
         per_row = n * 8 * 3  # squared chunk + sqrt + comparison scratch
         return int(max(1, min(n, self._budget_bytes // max(per_row, 1) or 1)))
 
+    def fused_pass_fits(self) -> bool:
+        """Whether :meth:`kneighbors` takes the fused dense pass, not the pruned search."""
+        return self._chunk_rows() >= self.n_objects
+
     def kneighbors(
         self,
         k: int,
@@ -571,15 +581,13 @@ class SharedNeighborEngine:
             if cached is not None:
                 self._knn_cache.move_to_end(cache_key)
                 return cached
-            diagonal = np.inf if exclude_self else 0.0
-            chunk = self._chunk_rows()
-            if chunk >= n:
+            if self.fused_pass_fits():
                 # Fused fast path: assemble and square-root in one persistent
                 # scratch buffer so the top-k partition runs on warm pages.
                 rows = self._scratch_rows(n)
                 self._assemble_squared_into(attrs, rows)
                 np.sqrt(rows, out=rows)
-                rows[np.arange(n), np.arange(n)] = diagonal
+                rows[np.arange(n), np.arange(n)] = np.inf if exclude_self else 0.0
                 indices, distances = top_k_smallest(rows, k)
             else:
                 indices, distances = _pruned_kneighbors(
@@ -651,10 +659,10 @@ class SharedNeighborEngine:
 class SharedEngineKNN(NearestNeighborSearcher):
     """:class:`NearestNeighborSearcher` adapter over a :class:`SharedNeighborEngine`.
 
-    Makes the engine addressable through ``create_knn_searcher(...,
-    algorithm="shared")`` so any scorer that accepts a kNN backend name can run
-    on the shared substrate.  An existing engine may be passed to share its
-    block cache across searchers.
+    What ``create_knn_searcher(..., algorithm="auto")`` returns once the
+    engine's fused dense pass no longer fits its budget, so a scorer without
+    an engine of its own still gets the pruned search.  An existing engine may
+    be passed to share its block cache across searchers.
     """
 
     def __init__(
@@ -663,7 +671,7 @@ class SharedEngineKNN(NearestNeighborSearcher):
         attributes: Optional[Sequence[int]] = None,
         *,
         engine: Optional[SharedNeighborEngine] = None,
-        memory_budget_mb: float = 256.0,
+        memory_budget_mb: float = DEFAULT_MEMORY_BUDGET_MB,
     ):
         if engine is None:
             engine = SharedNeighborEngine(data, memory_budget_mb=memory_budget_mb)

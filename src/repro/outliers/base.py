@@ -23,14 +23,15 @@ from typing import List, Optional
 import numpy as np
 
 from ..exceptions import DataError, NotFittedError
-from ..neighbors.engine import SharedNeighborEngine, normalise_engine_mode
+from ..neighbors.engine import (
+    DEFAULT_MEMORY_BUDGET_MB,
+    SharedNeighborEngine,
+    normalise_engine_mode,
+)
 from ..types import Subspace
 from ..utils.validation import check_data_matrix
 
 __all__ = ["OutlierScorer"]
-
-#: Default cache budget (MiB) for engines built implicitly by scorers.
-DEFAULT_MEMORY_BUDGET_MB = 256.0
 
 #: Guards the lazy construction of per-scorer reference engines, so that
 #: concurrent first scoring calls (a burst of requests hitting a freshly
@@ -108,19 +109,6 @@ class OutlierScorer:
                 f"engine was built over {engine.n_objects} objects but the data "
                 f"has {data.shape[0]}"
             )
-
-    @staticmethod
-    def _engine_matches_backend(algorithm: str, n_objects: int) -> bool:
-        """Whether the shared engine reproduces this kNN backend bit for bit.
-
-        The engine is exactly brute-force.  ``create_knn_searcher``'s
-        ``"auto"`` resolves to the KD-tree for very large low-dimensional
-        inputs, whose ordering of exact distance ties may differ, so such
-        configurations must stay on their own per-subspace path.
-        """
-        if algorithm in ("brute", "shared"):
-            return True
-        return algorithm == "auto" and n_objects <= 20000
 
     @staticmethod
     def _subspace_attributes(

@@ -46,7 +46,8 @@ def knn_distance_score(
         ``"mean"`` the average distance to all k neighbours (Angiulli &
         Pizzuti).
     algorithm:
-        kNN backend, one of :data:`~repro.neighbors.base.KNN_ALGORITHMS`.
+        kNN searcher, one of :data:`~repro.neighbors.base.KNN_ALGORITHMS`
+        (see :func:`~repro.neighbors.base.create_knn_searcher`).
     """
     data = check_data_matrix(data, name="data", min_objects=2)
     k = check_positive_int(k, name="k")
@@ -102,9 +103,7 @@ class KNNDistanceScorer(OutlierScorer):
     ) -> List[np.ndarray]:
         """All subspaces answered from the engine's shared distance blocks."""
         data = check_data_matrix(data, name="data", min_objects=2)
-        if engine is None or not self._engine_matches_backend(
-            self.algorithm, data.shape[0]
-        ):
+        if engine is None:
             return super().score_batch(data, subspaces, engine=engine)
         self._check_engine(engine, data)
         effective_k = min(self.k, data.shape[0] - 1)
@@ -130,10 +129,7 @@ class KNNDistanceScorer(OutlierScorer):
         asymmetric top-k query per subspace — no per-object passes at all.
         """
         data = self._check_reference(data)
-        mode = self._resolve_engine_mode(engine)
-        if mode != "shared" or not self._engine_matches_backend(
-            self.algorithm, self.reference_data_.shape[0] + 1
-        ):
+        if self._resolve_engine_mode(engine) != "shared":
             return super().score_samples_independent(
                 data, subspaces, engine=engine, memory_budget_mb=memory_budget_mb
             )

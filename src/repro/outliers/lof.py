@@ -49,11 +49,13 @@ def _lof_from_knn(indices: np.ndarray, distances: np.ndarray) -> np.ndarray:
     # lrd_k(o) = 1 / mean(reach-dist_k(o, p)); guard against zero mean
     # (duplicate points) by flooring with a small epsilon, which gives those
     # objects a very high but finite density and LOF close to 1 — the same
-    # convention scikit-learn uses.  The floor is scaled to the data so that
-    # averaging the resulting lrd values can never overflow.
+    # convention scikit-learn uses.  The floor is relative to the largest
+    # mean, so a common power-of-two scale of the data leaves every score
+    # bit-identical.  A positive distance is the square root of a float, at
+    # least about 1e-162, so averaging the lrd values cannot overflow.
     mean_reach = reach_dist.mean(axis=1)
     positive = mean_reach[mean_reach > 0.0]
-    floor = max(1e-12, 1e-12 * float(positive.max())) if positive.size else 1e-12
+    floor = 1e-12 * float(positive.max()) if positive.size else 1e-12
     mean_reach = np.maximum(mean_reach, floor)
     lrd = 1.0 / mean_reach
 
@@ -80,7 +82,8 @@ def local_outlier_factor(
     subspace:
         Optional subspace restricting the distance computation.
     algorithm:
-        kNN backend: ``"auto"``, ``"brute"``, ``"kdtree"`` or ``"shared"``.
+        kNN searcher, one of :data:`~repro.neighbors.base.KNN_ALGORITHMS`
+        (see :func:`~repro.neighbors.base.create_knn_searcher`).
 
     Returns
     -------
@@ -135,15 +138,11 @@ class LOFScorer(OutlierScorer):
     ) -> List[np.ndarray]:
         """One shared kNN pass per subspace instead of a fresh distance matrix.
 
-        Configurations whose reference path resolves to the KD-tree (pinned,
-        or ``"auto"`` on very large low-dimensional data) keep their own
-        per-subspace trees; every other backend answers all subspaces from
-        the engine's shared per-dimension blocks with identical results.
+        With an engine every subspace is answered from it, whatever
+        ``algorithm`` says: all searchers return the same neighbours.
         """
         data = check_data_matrix(data, name="data", min_objects=2)
-        if engine is None or not self._engine_matches_backend(
-            self.algorithm, data.shape[0]
-        ):
+        if engine is None:
             return super().score_batch(data, subspaces, engine=engine)
         self._check_engine(engine, data)
         effective_min_pts = min(self.min_pts, data.shape[0] - 1)
@@ -176,14 +175,8 @@ class LOFScorer(OutlierScorer):
         n_reference = self.reference_data_.shape[0]
         mode = self._resolve_engine_mode(engine)
         # The incremental path needs the full MinPts neighbourhood among the
-        # references alone; fall back on tiny references and on KD-tree
-        # configurations (each per-query reference pass runs over
-        # n_reference + 1 objects, which decides what "auto" resolves to).
-        if (
-            mode != "shared"
-            or not self._engine_matches_backend(self.algorithm, n_reference + 1)
-            or self.min_pts > n_reference - 1
-        ):
+        # references alone; tiny references fall back to the reference loop.
+        if mode != "shared" or self.min_pts > n_reference - 1:
             return super().score_samples_independent(
                 data, subspaces, engine=engine, memory_budget_mb=memory_budget_mb
             )

@@ -9,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 from repro.exceptions import DataError, ParameterError
 from repro.neighbors import (
     BruteForceKNN,
-    KDTree,
-    KDTreeKNN,
     SharedEngineKNN,
     SharedNeighborEngine,
     create_knn_searcher,
@@ -21,6 +19,7 @@ from repro.neighbors import (
     subspace_pairwise_distances,
     top_k_smallest,
 )
+from repro.neighbors.base import check_knn_algorithm
 from repro.types import Subspace
 
 
@@ -233,67 +232,6 @@ class TestBruteForceKNN:
             )
 
 
-class TestKDTree:
-    def test_query_matches_brute_force(self):
-        rng = np.random.default_rng(1)
-        data = rng.uniform(size=(200, 3))
-        tree = KDTree(data, leaf_size=8)
-        matrix = pairwise_distances(data)
-        for query_index in [0, 17, 99, 150]:
-            idx, dist = tree.query(data[query_index], k=5, exclude_index=query_index)
-            row = matrix[query_index].copy()
-            row[query_index] = np.inf
-            expected = np.sort(row)[:5]
-            assert np.allclose(np.sort(dist), expected, atol=1e-9)
-
-    def test_duplicate_points_handled(self):
-        data = np.ones((20, 2))
-        tree = KDTree(data, leaf_size=4)
-        idx, dist = tree.query(data[0], k=3, exclude_index=0)
-        assert np.allclose(dist, 0.0)
-        assert 0 not in idx
-
-    def test_k_too_large(self):
-        tree = KDTree(np.zeros((3, 2)))
-        with pytest.raises(ParameterError):
-            tree.query(np.zeros(2), k=3, exclude_index=0)
-
-    def test_dimension_mismatch(self):
-        tree = KDTree(np.zeros((5, 3)))
-        with pytest.raises(DataError):
-            tree.query(np.zeros(2), k=1)
-
-    def test_leaf_size_validation(self):
-        with pytest.raises(ParameterError):
-            KDTree(np.zeros((5, 2)), leaf_size=0)
-
-
-class TestKDTreeKNN:
-    def test_agrees_with_brute_force(self):
-        rng = np.random.default_rng(2)
-        data = rng.uniform(size=(150, 4))
-        brute = BruteForceKNN(data).kneighbors(4)
-        tree = KDTreeKNN(data, leaf_size=10).kneighbors(4)
-        assert np.allclose(np.sort(brute.distances, axis=1), np.sort(tree.distances, axis=1), atol=1e-9)
-
-    def test_subspace_projection(self):
-        rng = np.random.default_rng(3)
-        data = rng.uniform(size=(100, 5))
-        brute = BruteForceKNN(data, attributes=[1, 3]).kneighbors(3)
-        tree = KDTreeKNN(data, attributes=[1, 3]).kneighbors(3)
-        assert np.allclose(brute.kth_distance(), tree.kth_distance(), atol=1e-9)
-
-    def test_invalid_attributes(self):
-        with pytest.raises(DataError):
-            KDTreeKNN(np.zeros((5, 2)), attributes=[9])
-        with pytest.raises(ParameterError):
-            KDTreeKNN(np.zeros((5, 2)), attributes=[])
-
-    def test_k_too_large(self):
-        with pytest.raises(ParameterError):
-            KDTreeKNN(np.zeros((4, 2))).kneighbors(4)
-
-
 class TestSharedNeighborEngine:
     def test_kneighbors_identical_to_brute_on_duplicates_and_ties(self):
         data = _tie_heavy_data()
@@ -305,18 +243,6 @@ class TestSharedNeighborEngine:
                     shared = engine.kneighbors(k, attrs, exclude_self=exclude)
                     assert np.array_equal(shared.indices, brute.indices)
                     assert np.array_equal(shared.distances, brute.distances)
-
-    def test_kdtree_agrees_on_distances_in_subspaces(self):
-        # The KD-tree may order exact ties differently, so compare the
-        # distance profile (which is tie-invariant) across all three backends.
-        data = _tie_heavy_data(seed=5)
-        engine = SharedNeighborEngine(data)
-        for attrs in ((0, 1), (1, 3, 4)):
-            tree = KDTreeKNN(data, attrs).kneighbors(4)
-            brute = BruteForceKNN(data, attrs).kneighbors(4)
-            shared = engine.kneighbors(4, attrs)
-            assert np.allclose(tree.distances, shared.distances, atol=1e-9)
-            assert np.array_equal(brute.distances, shared.distances)
 
     def test_distance_matrix_matches_pairwise_distances(self):
         data = _tie_heavy_data(seed=2)
@@ -402,24 +328,100 @@ class TestSharedNeighborEngine:
             SharedEngineKNN(data[:5], engine=engine)  # shape mismatch
 
 
+class TestSharedEngineKNN:
+    """The searcher ``create_knn_searcher("auto")`` returns past the budget."""
+
+    # A budget of one byte makes the engine answer with the pruned search.
+    TINY_BUDGET_MB = 2**-20
+
+    def test_pruned_search_matches_brute_force(self):
+        data = _tie_heavy_data(seed=5)
+        searcher = SharedEngineKNN(data, memory_budget_mb=self.TINY_BUDGET_MB)
+        assert not searcher.engine.fused_pass_fits()
+        for k in (1, 4, 9):
+            result = searcher.kneighbors(k)
+            brute = BruteForceKNN(data).kneighbors(k)
+            assert np.array_equal(result.indices, brute.indices)
+            assert np.array_equal(result.distances, brute.distances)
+
+    def test_subspace_projection(self):
+        data = np.random.default_rng(3).uniform(size=(100, 5))
+        projected = SharedEngineKNN(data, [1, 3], memory_budget_mb=self.TINY_BUDGET_MB)
+        result = projected.kneighbors(3)
+        brute = BruteForceKNN(data, [1, 3]).kneighbors(3)
+        assert np.array_equal(result.indices, brute.indices)
+        assert np.array_equal(result.kth_distance(), brute.kth_distance())
+        assert not np.array_equal(result.indices, BruteForceKNN(data).kneighbors(3).indices)
+
+    def test_duplicate_points_handled(self):
+        # 200 copies of one point: several leaves, every bound is zero.
+        data = np.ones((200, 2))
+        result = SharedEngineKNN(data, memory_budget_mb=self.TINY_BUDGET_MB).kneighbors(3)
+        assert np.array_equal(result.distances, np.zeros((200, 3)))
+        assert not np.any(result.indices == np.arange(200)[:, None])
+        # Brute-force order on ties: the lowest other indices.
+        assert np.array_equal(result.indices[0], [1, 2, 3])
+        assert np.array_equal(result.indices[150], [0, 1, 2])
+
+    def test_include_self(self):
+        data = _tie_heavy_data(seed=8)
+        searcher = SharedEngineKNN(data, (0, 4), memory_budget_mb=self.TINY_BUDGET_MB)
+        result = searcher.kneighbors(5, exclude_self=False)
+        brute = BruteForceKNN(data, (0, 4)).kneighbors(5, exclude_self=False)
+        assert np.array_equal(result.indices, brute.indices)
+        assert np.array_equal(result.distances, brute.distances)
+        assert np.all(result.distances[:, 0] == 0.0)
+
+    def test_invalid_attributes(self):
+        with pytest.raises(DataError):
+            SharedEngineKNN(np.zeros((5, 2)), attributes=[9])
+        with pytest.raises(ParameterError):
+            SharedEngineKNN(np.zeros((5, 2)), attributes=[])
+
+    def test_k_too_large(self):
+        with pytest.raises(ParameterError):
+            SharedEngineKNN(np.zeros((4, 2))).kneighbors(4)
+
+
 class TestFactory:
+    # At the default 256 MiB budget the engine's fused pass (24 * n^2 bytes
+    # of scratch) fits up to n = 3344 rows.
+    LAST_FUSED = 3344
+
     def test_auto_prefers_brute_for_small_data(self):
         searcher = create_knn_searcher(np.zeros((100, 3)))
         assert isinstance(searcher, BruteForceKNN)
 
-    def test_explicit_backends(self):
-        data = np.random.default_rng(0).normal(size=(50, 2))
-        assert isinstance(create_knn_searcher(data, algorithm="brute"), BruteForceKNN)
-        assert isinstance(create_knn_searcher(data, algorithm="kdtree"), KDTreeKNN)
-        assert isinstance(create_knn_searcher(data, algorithm="shared"), SharedEngineKNN)
+    def test_auto_follows_the_engine_budget(self):
+        rng = np.random.default_rng(0)
+        below = rng.normal(size=(self.LAST_FUSED, 2))
+        past = rng.normal(size=(self.LAST_FUSED + 1, 2))
+        assert SharedNeighborEngine(below).fused_pass_fits()
+        assert not SharedNeighborEngine(past).fused_pass_fits()
+        assert isinstance(create_knn_searcher(below), BruteForceKNN)
+        assert isinstance(create_knn_searcher(past, (1,)), SharedEngineKNN)
+        assert isinstance(create_knn_searcher(past, algorithm="brute"), BruteForceKNN)
 
-    def test_shared_backend_matches_brute(self):
-        data = _tie_heavy_data(seed=7)
+    def test_auto_past_the_budget_matches_brute(self):
+        rows = self.LAST_FUSED + 1
+        data = np.resize(_tie_heavy_data(seed=7), (rows, 5))  # repeats: ties
+        data[::7] += np.random.default_rng(7).normal(size=data[::7].shape)
+        auto = create_knn_searcher(data, (1, 3)).kneighbors(5)
         brute = create_knn_searcher(data, (1, 3), algorithm="brute").kneighbors(5)
-        shared = create_knn_searcher(data, (1, 3), algorithm="shared").kneighbors(5)
-        assert np.array_equal(brute.indices, shared.indices)
-        assert np.array_equal(brute.distances, shared.distances)
+        assert np.array_equal(brute.indices, auto.indices)
+        assert np.array_equal(brute.distances, auto.distances)
 
     def test_unknown_backend(self):
         with pytest.raises(ParameterError):
             create_knn_searcher(np.zeros((10, 2)), algorithm="balltree")
+
+    def test_retired_names_resolve_through_the_legacy_map(self):
+        data = np.random.default_rng(0).normal(size=(50, 2))
+        for name in ("kdtree", "shared", " KDTree"):
+            assert check_knn_algorithm(name) == "auto"
+            assert isinstance(create_knn_searcher(data, algorithm=name), BruteForceKNN)
+        assert check_knn_algorithm("BRUTE") == "brute"
+        with pytest.raises(ParameterError, match="approximate.*'auto' is exact"):
+            create_knn_searcher(data, algorithm="subsample")
+        with pytest.raises(ParameterError, match="string"):
+            check_knn_algorithm(None)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import DataError, ParameterError
+from repro.neighbors import SharedEngineKNN, create_knn_searcher
 from repro.outliers import (
     KNNDistanceScorer,
     LOFScorer,
@@ -76,12 +77,14 @@ class TestLocalOutlierFactor:
         with pytest.raises(DataError):
             local_outlier_factor(np.zeros((1, 2)), min_pts=1)
 
-    def test_brute_and_kdtree_agree(self):
-        rng = np.random.default_rng(3)
-        data = rng.uniform(size=(150, 3))
+    def test_brute_and_auto_agree_past_the_engine_budget(self):
+        # 3345 rows is one past what the engine's fused pass fits at the
+        # default budget, so "auto" answers with the pruned search.
+        data = np.random.default_rng(3).uniform(size=(3345, 3))
+        assert isinstance(create_knn_searcher(data), SharedEngineKNN)
         brute = local_outlier_factor(data, 8, algorithm="brute")
-        tree = local_outlier_factor(data, 8, algorithm="kdtree")
-        assert np.allclose(brute, tree, atol=1e-9)
+        auto = local_outlier_factor(data, 8, algorithm="auto")
+        assert np.array_equal(brute, auto)
 
     @given(st.integers(min_value=2, max_value=15))
     @settings(max_examples=15, deadline=None)

@@ -572,3 +572,77 @@ class TestRetiredNJobs:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv + ["--n-jobs", "2"])
         assert "unrecognized arguments: --n-jobs" in capsys.readouterr().err
+
+
+class TestRetiredKNNAlgorithms:
+    """``kdtree`` and ``shared`` were exact kNN backends; ``subsample`` was not.
+
+    The exact names resolve to ``auto`` wherever they appear — constructor,
+    spec string, saved model — and reproduce its scores bit for bit (a
+    KD-tree could order exact distance ties differently; the survivor keeps
+    the brute-force order).  No exact path reproduces the approximate
+    ``subsample`` scores, so that name is rejected with the same error
+    everywhere.
+    """
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        data = generate_synthetic_dataset(
+            n_objects=150, n_dims=6, n_relevant_subspaces=2, random_state=4
+        ).data
+        data[7] = data[8]  # an exact distance tie
+        return data
+
+    @staticmethod
+    def _save_with_algorithm(pipeline, path, algorithm):
+        import json
+
+        pipeline.save(path)
+        # Rewrite the header the way files were saved before the removal.
+        with np.load(path) as archive:
+            header = json.loads(str(archive["header"][()]))
+            reference = archive["reference_data"]
+        header["pipeline"]["scorer"]["params"]["algorithm"] = algorithm
+        np.savez(path, header=np.array(json.dumps(header)), reference_data=reference)
+
+    def test_saved_pipeline_with_kdtree(self, data, tmp_path):
+        pipeline = SubspaceOutlierPipeline(_fast_hics(), LOFScorer(min_pts=8)).fit(data)
+        path = str(tmp_path / "model.npz")
+        self._save_with_algorithm(pipeline, path, "kdtree")
+
+        with SubspaceOutlierPipeline.load(path) as loaded:
+            assert loaded.scorer.algorithm == "auto"
+            assert loaded.to_dict()["scorer"]["params"]["algorithm"] == "auto"
+            query = data[:12] + 0.01
+            for independent in (False, True):
+                assert np.array_equal(
+                    loaded.score_samples(query, independent=independent),
+                    pipeline.score_samples(query, independent=independent),
+                )
+
+    def test_spec_with_shared(self, data):
+        legacy = make_method_pipeline("hics(random_state=0)+lof(algorithm='shared')")
+        survivor = make_method_pipeline("hics(random_state=0)+lof")
+        assert legacy.scorer.algorithm == "auto"
+        with legacy, survivor:
+            assert np.array_equal(legacy.fit_rank(data).scores, survivor.fit_rank(data).scores)
+
+    @pytest.mark.parametrize("factory", [LOFScorer, KNNDistanceScorer], ids=["lof", "knn"])
+    def test_constructor_with_kdtree(self, data, factory):
+        legacy, survivor = factory(algorithm="kdtree"), factory()
+        assert legacy.algorithm == "auto"
+        for subspace in (None, Subspace((0, 1)), Subspace((2, 3, 4))):
+            assert np.array_equal(legacy.score(data, subspace), survivor.score(data, subspace))
+
+    def test_subsample_rejected_everywhere(self, data, tmp_path):
+        message = "approximate subsample kNN backend was removed"
+        for factory in (LOFScorer, KNNDistanceScorer):
+            with pytest.raises(ParameterError, match=message):
+                factory(algorithm="subsample")
+        with pytest.raises(ParameterError, match=message):
+            make_method_pipeline("hics(random_state=0)+lof(algorithm='subsample')")
+        pipeline = SubspaceOutlierPipeline(_fast_hics(), LOFScorer(min_pts=8)).fit(data)
+        path = str(tmp_path / "model.npz")
+        self._save_with_algorithm(pipeline, path, "subsample")
+        with pytest.raises(ParameterError, match=message):
+            SubspaceOutlierPipeline.load(path)

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for the batched statistics and the index.
 
-Four families of invariants:
+Five families of invariants:
 
 * the array-level Welch-t / KS implementations are bit-for-bit equal to their
   scalar counterparts on arbitrary sample pairs,
@@ -10,7 +10,9 @@ Four families of invariants:
   condition selects exactly ``block_size`` objects and the conjunction can
   only shrink that set,
 * contrasts do not depend on the order of the rows: slicing is rank-based,
-  and permuting the rows permutes the LOF scores.
+  and permuting the rows permutes the LOF scores,
+* a common power-of-two scale of the data leaves every LOF score
+  bit-identical, on the dense, fused and pruned kNN paths.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.index import SliceSampler, SortedDatabaseIndex
+from repro.neighbors import SharedNeighborEngine
 from repro.neighbors.distance import pairwise_distances
 from repro.outliers import LOFScorer, SubspaceOutlierRanker
 from repro.stats.descriptive import sample_moments, sample_moments_batch
@@ -315,3 +318,45 @@ class TestRowPermutationInvariance:
             return ranker.rank(matrix, subspaces).scores
 
         assert np.array_equal(scores(data[permutation]), scores(data)[permutation])
+
+
+class TestPowerOfTwoScaleInvariance:
+    """Multiplying every coordinate by ``2**e`` is exact, and so is every step
+    of LOF after it: squared differences scale by ``4**e``, ``sqrt`` and the
+    reach-distances by ``2**e``, the relative floor ``1e-12 * max`` of the
+    mean reach-distance by ``2**e`` too, and the lrd ratios cancel the scale.
+    The leaf partition and the bounds of the pruned search only order and
+    compare such values, so every path returns the unscaled scores bit for
+    bit — including a block of duplicates whose mean reach-distance is 0 and
+    takes the floor.
+    """
+
+    @pytest.mark.parametrize("path", ["brute", "fused", "pruned-search"])
+    @given(
+        exponent=st.integers(min_value=-400, max_value=400),
+        n_objects=st.integers(min_value=12, max_value=200),
+        n_dims=st.integers(min_value=1, max_value=4),
+        duplicates=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_lof_scores_keep_their_bits(
+        self, path, exponent, n_objects, n_dims, duplicates, seed
+    ):
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(n_objects, n_dims))
+        if duplicates:
+            data[:11] = data[0]  # each has its 10 neighbours at distance 0
+        subspaces = [Subspace((a, b)) for a in range(n_dims) for b in range(a + 1, n_dims)]
+        subspaces.append(Subspace(range(n_dims)))
+
+        def scores(matrix):
+            if path == "brute":
+                return LOFScorer(min_pts=10, algorithm="brute").score_batch(matrix, subspaces)
+            # A budget of one byte makes the engine answer with the pruned search.
+            budget = 256.0 if path == "fused" else 2**-20
+            engine = SharedNeighborEngine(matrix, memory_budget_mb=budget)
+            return LOFScorer(min_pts=10).score_batch(matrix, subspaces, engine=engine)
+
+        for scaled, unscaled in zip(scores(data * 2.0**exponent), scores(data)):
+            assert np.array_equal(scaled, unscaled)

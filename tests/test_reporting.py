@@ -202,8 +202,10 @@ class TestRegistryParity:
         assert get_gate("serving_speedup").threshold == 2.0
         assert get_gate("serving_p50_ms").threshold == 150.0
         assert get_gate("serving_p99_ms").threshold == 750.0
-        assert get_gate("scale_total_sec").threshold == 120.0
-        assert get_gate("scale_peak_rss_mb").threshold == 2048.0
+        assert get_gate("scale_total_sec").threshold == 8.2
+        assert get_gate("scale_peak_rss_mb").threshold == 142.0
+        assert get_gate("scale_1m_total_sec").threshold == 81.0
+        assert get_gate("scale_1m_peak_rss_mb").threshold == 978.0
         assert get_gate("figures_warm_hit_rate").threshold == 0.9
 
 

@@ -206,6 +206,58 @@ class TestRankerGoldenEquivalence:
             SubspaceOutlierRanker(LOFScorer(), engine="warp")
 
 
+class TestDefaultScorersStayOnTheEngine:
+    """Default scorers answer from the engine at every size.
+
+    Past 20,000 rows, ``algorithm="auto"`` once meant a KD-tree for subspaces
+    of up to 4 attributes, and the whole rank or request then left the
+    engine.  A spy on the engine's query methods pins that it no longer does.
+    """
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return np.random.default_rng(3).normal(size=(20_001, 3))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"kneighbors": 0, "query_distances": 0}
+
+        def spy(name):
+            original = getattr(SharedNeighborEngine, name)
+
+            def counted(self, *args, **kwargs):
+                counts[name] += 1
+                return original(self, *args, **kwargs)
+
+            return counted
+
+        for name in counts:
+            monkeypatch.setattr(SharedNeighborEngine, name, spy(name))
+        return counts
+
+    @pytest.mark.parametrize("factory", [LOFScorer, KNNDistanceScorer], ids=["lof", "knn"])
+    def test_rank(self, data, calls, factory):
+        ranking = SubspaceOutlierRanker(factory()).rank(data, [Subspace((0, 2))])
+        assert calls == {"kneighbors": 1, "query_distances": 0}
+        assert np.all(np.isfinite(ranking.scores))
+
+    @pytest.mark.parametrize(
+        "factory, expected",
+        [
+            (LOFScorer, {"kneighbors": 1, "query_distances": 1}),
+            (KNNDistanceScorer, {"kneighbors": 0, "query_distances": 1}),
+        ],
+        ids=["lof", "knn"],
+    )
+    def test_independent_scoring(self, data, calls, factory, expected):
+        scorer = factory().fit(data)
+        scores = scorer.score_samples_independent(
+            data[:4] + 0.01, [Subspace((0, 2))], engine="shared"
+        )
+        assert calls == expected
+        assert np.all(np.isfinite(scores[0]))
+
+
 # ---------------------------------------------------------- pipeline layer
 
 

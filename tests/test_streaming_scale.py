@@ -1,6 +1,6 @@
-"""Sub-quadratic scale suite: row-band assembly, approximate kNN, subsampled contrast.
+"""Sub-quadratic scale suite: row-band assembly, pruned kNN, subsampled contrast.
 
-Three families of guarantees:
+Two families of guarantees:
 
 * **Chunked exactness** — the paths the shared engine takes once its dense
   pass exceeds the memory budget (row bands for distance rows, the pruned
@@ -9,10 +9,6 @@ Three families of guarantees:
   reference, for *every* band height and leaf size from 1 to ``n``, on data
   with duplicate rows and exact distance ties straddling band and leaf
   edges, plus a golden suite of inputs built to break a pruning bound.
-* **Golden rank divergence** — the approximate subsample backend reports true
-  distances that never under-estimate the exact k-th distance rank for rank,
-  degenerates to bit-for-bit brute force at full coverage, and its recall
-  against the exact neighbours stays above a pinned golden threshold.
 * **Replayable subsampling** — the seeded-subsample Monte Carlo contrast is a
   pure function of (data bytes, entropy, subspace): identical across re-runs
   and across the serial/thread/process backends, with the replay pair
@@ -30,7 +26,6 @@ from hypothesis import given, settings, strategies as st
 from repro import (
     AdaptiveDensityScorer,
     HiCS,
-    LOFScorer,
     make_pipeline_from_spec,
     parse_spec,
 )
@@ -38,12 +33,7 @@ from repro.exceptions import ParameterError
 from repro.index.slicing import SliceSampler
 from repro.index.sorted_index import SortedDatabaseIndex
 from repro.lint import lint_source
-from repro.neighbors import (
-    BruteForceKNN,
-    SharedNeighborEngine,
-    SubsampledKNN,
-    create_knn_searcher,
-)
+from repro.neighbors import BruteForceKNN, SharedNeighborEngine
 from repro.neighbors import engine as engine_module
 from repro.pipeline import PipelineConfig
 from repro.subspaces.contrast import ContrastEstimator
@@ -281,85 +271,6 @@ class TestRowBandScorerEquivalence:
             parse_spec(spec + "+shared(memory_budget_mb=0.01)")
         ).fit_rank(data)
         assert np.array_equal(reference.scores, banded.scores)
-
-
-# ------------------------------------------------- approximate backend
-
-
-class TestSubsampledKNN:
-    def test_full_coverage_is_bitwise_brute_force(self):
-        rng = np.random.default_rng(5)
-        data = rng.normal(size=(150, 6))
-        data[7] = data[8]
-        for exclude_self in (True, False):
-            exact = BruteForceKNN(data).kneighbors(9, exclude_self=exclude_self)
-            full = SubsampledKNN(data, n_reference=150).kneighbors(
-                9, exclude_self=exclude_self
-            )
-            assert np.array_equal(exact.indices, full.indices)
-            assert np.array_equal(exact.distances, full.distances)
-
-    def test_golden_rank_divergence_bound(self):
-        rng = np.random.default_rng(5)
-        data = rng.normal(size=(400, 6))
-        k = 10
-        exact = BruteForceKNN(data).kneighbors(k)
-        approx = SubsampledKNN(data, n_reference=128, random_state=0).kneighbors(k)
-        # Rank for rank, the approximate k-th distance can only over-estimate:
-        # the j-th smallest over a subset is >= the j-th smallest overall.
-        assert np.all(approx.distances >= exact.distances)
-        # Reported neighbours are true objects at their true distances.
-        deltas = data[:, None, :] - data[approx.indices]
-        true_distances = np.sqrt((deltas**2).sum(axis=-1))
-        assert np.allclose(true_distances, approx.distances)
-        # Golden recall floor for this (data, seed, m) triple: most reported
-        # neighbours fall inside the exact 4k-neighbourhood.
-        wide = BruteForceKNN(data).kneighbors(4 * k)
-        hits = np.array(
-            [
-                np.isin(approx.indices[q], wide.indices[q]).mean()
-                for q in range(data.shape[0])
-            ]
-        )
-        assert hits.mean() > 0.5
-
-    def test_deterministic_in_the_seed(self):
-        rng = np.random.default_rng(5)
-        data = rng.normal(size=(200, 4))
-        first = SubsampledKNN(data, n_reference=50, random_state=3).kneighbors(6)
-        second = SubsampledKNN(data, n_reference=50, random_state=3).kneighbors(6)
-        assert np.array_equal(first.indices, second.indices)
-        assert np.array_equal(first.distances, second.distances)
-        other = SubsampledKNN(data, n_reference=50, random_state=4).kneighbors(6)
-        assert not np.array_equal(first.indices, other.indices)
-
-    def test_factory_registration(self):
-        searcher = create_knn_searcher(EDGE, (0, 2), algorithm="subsample")
-        assert isinstance(searcher, SubsampledKNN)
-        with pytest.raises(ParameterError, match="subsample"):
-            create_knn_searcher(EDGE, algorithm="bogus")
-
-    def test_k_exceeding_subsample_raises(self):
-        rng = np.random.default_rng(5)
-        data = rng.normal(size=(60, 3))
-        with pytest.raises(ParameterError, match="too large"):
-            SubsampledKNN(data, n_reference=5).kneighbors(5)
-
-    def test_lof_identical_below_default_reference_size(self):
-        rng = np.random.default_rng(5)
-        data = rng.normal(size=(120, 5))
-        exact = LOFScorer(min_pts=8, algorithm="brute").fit(data).score_samples(data)
-        approx = (
-            LOFScorer(min_pts=8, algorithm="subsample").fit(data).score_samples(data)
-        )
-        assert np.array_equal(exact, approx)
-
-    def test_reachable_through_spec_grammar(self):
-        rng = np.random.default_rng(5)
-        data = rng.normal(size=(80, 5))
-        spec = "hics(n_iterations=5, random_state=0)+lof(min_pts=7, algorithm='subsample')"
-        result = make_pipeline_from_spec(parse_spec(spec)).fit_rank(data)
-        assert result.scores.shape == (80,)
 
 
 # ------------------------------------------------ subsampled contrast
