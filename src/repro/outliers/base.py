@@ -33,11 +33,12 @@ from ..utils.validation import check_data_matrix
 
 __all__ = ["OutlierScorer"]
 
-#: Guards the lazy construction of per-scorer reference engines, so that
-#: concurrent first scoring calls (a burst of requests hitting a freshly
-#: loaded model) agree on one engine instead of racing to install two.  A
-#: module-level lock keeps scorer instances free of unpicklable state;
-#: engine construction is rare (once per fit/budget), so contention is nil.
+#: Guards the lazy construction of per-scorer reference engines and their
+#: preparations, so that concurrent first scoring calls (a burst of requests
+#: hitting a freshly loaded model) agree on one of each instead of racing to
+#: install two.  A module-level lock keeps scorer instances free of
+#: unpicklable state; construction is rare (once per fit/budget), so
+#: contention is nil.
 _REFERENCE_ENGINE_LOCK = threading.Lock()
 
 
@@ -124,7 +125,7 @@ class OutlierScorer:
     def fit(self, data: np.ndarray) -> OutlierScorer:
         """Remember ``data`` as the reference population for :meth:`score_samples`."""
         self.reference_data_ = check_data_matrix(data, name="data", min_objects=2)
-        self._reference_engine_: Optional[SharedNeighborEngine] = None
+        self.close()
         return self
 
     def _check_reference(self, data: np.ndarray) -> np.ndarray:
@@ -166,17 +167,39 @@ class OutlierScorer:
                     self._reference_engine_ = engine
         return engine
 
+    def _reference_preparation(self, engine: SharedNeighborEngine, key, build):
+        """``build(engine)``, kept beside the reference engine under ``key``.
+
+        A scorer keeps here what it derives once from the reference engine
+        for many scoring calls (LOF's local-update plan of the served
+        subspaces).  It is built under the same double-checked module lock
+        as the engine, so concurrent first calls build it once, and it is
+        never mutated after.  It belongs to ``engine``: a rebuilt engine
+        (refit, a budget change) or another ``key`` builds it anew, and
+        :meth:`close` drops it.
+        """
+        held = getattr(self, "_reference_preparation_", None)
+        if held is None or held[0] is not engine or held[1] != key:
+            with _REFERENCE_ENGINE_LOCK:
+                held = getattr(self, "_reference_preparation_", None)
+                if held is None or held[0] is not engine or held[1] != key:
+                    held = (engine, key, build(engine))
+                    self._reference_preparation_ = held
+        return held[2]
+
     def close(self) -> None:
-        """Release the warm reference engine; the scorer stays fitted.
+        """Release the warm reference engine and its preparation; the scorer stays fitted.
 
         The engine caches up to its memory budget of distance blocks and
-        neighbour lists — state a long-lived host must be able to drop
-        deterministically when it retires a model (serving hot reload) rather
-        than waiting for garbage collection.  Idempotent; the next
-        ``independent=True`` scoring call rebuilds the engine and produces
-        bit-identical scores.
+        neighbour lists, and the preparation (LOF's local-update plan) holds
+        a few ``n x k`` arrays per served subspace — state a long-lived host
+        must be able to drop deterministically when it retires a model
+        (serving hot reload) rather than waiting for garbage collection.
+        Idempotent; the next ``independent=True`` scoring call rebuilds both
+        and produces bit-identical scores.
         """
         self._reference_engine_ = None
+        self._reference_preparation_ = None
 
     @staticmethod
     def _resolve_engine_mode(engine: Optional[str]) -> Optional[str]:

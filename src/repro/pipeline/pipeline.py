@@ -217,10 +217,13 @@ class SubspaceOutlierPipeline:
         neighbourhoods — a burst of near-duplicate anomalies in one batch can
         mask itself.  With ``independent=True`` every object is scored on its
         own against the reference only (immune to that masking).  Under the
-        ``"shared"`` engine both modes run on shared distance blocks; the
-        independent mode uses the engine's asymmetric query mode, so even a
-        1-row query costs an incremental neighbourhood update instead of a
-        full per-object scoring pass.
+        ``"shared"`` engine both modes run on shared distance blocks.  The
+        independent mode reads the query's distance rows from the engine's
+        asymmetric query mode; LOF then scores each query from the few
+        reference rows its insertion changes, with state prepared once per
+        fitted model (see :meth:`LOFScorer.score_samples_independent
+        <repro.outliers.lof.LOFScorer.score_samples_independent>`), instead
+        of a full per-object scoring pass.
 
         Returns scores of shape ``(n_new_objects,)``; larger means more
         outlying.

@@ -426,7 +426,7 @@ register_gate(GateSpec(
     suite="serving",
     metric="acceptance.measured_p50_ms",
     direction="max",
-    threshold=150.0,
+    threshold=36.9,
     tolerance=0.25,
     description="batched p50 request latency bound (ms)",
 ))
@@ -435,7 +435,7 @@ register_gate(GateSpec(
     suite="serving",
     metric="acceptance.measured_p99_ms",
     direction="max",
-    threshold=750.0,
+    threshold=55.1,
     tolerance=0.25,
     description="batched p99 request latency bound (ms)",
 ))

@@ -63,12 +63,14 @@ class ModelVersion:
         return self.pipeline.score_samples(rows, independent=True)
 
     def warm(self) -> None:
-        """Build the shared reference engine before the version goes live.
+        """Build the scorer's reference state before the version goes live.
 
-        Scoring one reference row pays the engine construction (per-dimension
-        blocks and neighbour lists) on the reloading thread, so the first
-        real request after a hot swap hits a warm cache instead of a cold
-        build.
+        Scoring one reference row pays, on the reloading thread, for the
+        shared reference engine (per-dimension blocks and neighbour lists)
+        and for what the scorer prepares from it — for LOF, the local-update
+        plan of every served subspace (reference kNN lists, mean
+        reach-distances, reverse kNN lists).  The first real request after a
+        hot swap then computes no reference kNN at all.
         """
         self.score(self.pipeline.reference_data_[:1])
 

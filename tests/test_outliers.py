@@ -66,6 +66,18 @@ class TestLocalOutlierFactor:
         scores = local_outlier_factor(data, min_pts=5)
         assert np.all(np.isfinite(scores))
 
+    def test_overflowing_row_scores_inf_and_leaves_the_rest(self):
+        # Squared distances of a finite row at 1e200 overflow, so its mean
+        # reach-distance is inf; the floor is taken over finite means only,
+        # and that row alone scores +inf.
+        data = np.random.default_rng(0).normal(size=(300, 3))
+        far = data.copy()
+        far[0, 0] = 1e200
+        with np.errstate(over="ignore"):
+            scores = local_outlier_factor(far, 10)
+        assert scores[0] == np.inf
+        assert np.array_equal(scores[1:], local_outlier_factor(data[1:], 10))
+
     def test_min_pts_validation(self):
         data = np.random.default_rng(0).normal(size=(20, 2))
         with pytest.raises(ParameterError):

@@ -135,9 +135,9 @@ class TestGateRegistry:
         assert resolve_metric(payload, "rows[7].v") is MISSING
 
     def test_evaluate_gate_directions_and_override(self):
-        spec = get_gate("serving_p50_ms")  # max 150
+        spec = get_gate("serving_p50_ms")  # max 36.9
         ok = evaluate_gate(spec, {"acceptance": {"measured_p50_ms": 20.0}})
-        assert ok.passed and ok.threshold == 150.0
+        assert ok.passed and ok.threshold == 36.9
         tight = evaluate_gate(
             spec, {"acceptance": {"measured_p50_ms": 20.0}}, threshold=10.0
         )
@@ -200,8 +200,8 @@ class TestRegistryParity:
         # the legacy scripts used to hard-code.
         assert get_gate("contrast_search_50d_sec").threshold == 1.45
         assert get_gate("serving_speedup").threshold == 2.0
-        assert get_gate("serving_p50_ms").threshold == 150.0
-        assert get_gate("serving_p99_ms").threshold == 750.0
+        assert get_gate("serving_p50_ms").threshold == 36.9
+        assert get_gate("serving_p99_ms").threshold == 55.1
         assert get_gate("scale_total_sec").threshold == 8.2
         assert get_gate("scale_peak_rss_mb").threshold == 142.0
         assert get_gate("scale_1m_total_sec").threshold == 81.0

@@ -20,6 +20,7 @@ import pytest
 
 from repro.dataset import generate_synthetic_dataset
 from repro.exceptions import DataError
+from repro.neighbors import SharedNeighborEngine
 from repro.outliers import LOFScorer
 from repro.pipeline import SubspaceOutlierPipeline
 from repro.serving import ModelRegistry, serve_in_thread
@@ -380,6 +381,24 @@ class TestModelRegistry:
         with ModelRegistry(model_file) as registry:
             registry.load(force=True, warm=False)
             assert registry.current.pipeline.scorer._reference_engine_ is None
+
+    def test_warm_leaves_no_reference_knn_to_a_request(
+        self, model_file, reference_dataset, offline_scores, monkeypatch
+    ):
+        # warm() builds the engine and the LOF local-update plan, so the
+        # first request after a (hot) load computes no reference kNN.
+        calls = []
+        kneighbors = SharedNeighborEngine.kneighbors
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return kneighbors(self, *args, **kwargs)
+
+        with ModelRegistry(model_file) as registry:
+            monkeypatch.setattr(SharedNeighborEngine, "kneighbors", counted)
+            scores = registry.current.score(reference_dataset.data[:40])
+        assert calls == []
+        assert np.array_equal(scores, offline_scores)
 
     def test_close_releases_pipeline(self, model_file):
         registry = ModelRegistry(model_file)

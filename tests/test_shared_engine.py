@@ -10,8 +10,13 @@ distance ties.
 
 from __future__ import annotations
 
+import collections
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     AdaptiveDensityScorer,
@@ -26,6 +31,8 @@ from repro import (
 )
 from repro.exceptions import ParameterError
 from repro.neighbors import SharedNeighborEngine
+from repro.outliers import lof as lof_module
+from repro.outliers.base import OutlierScorer
 from repro.types import Subspace
 
 # --------------------------------------------------------------------- data
@@ -258,6 +265,213 @@ class TestDefaultScorersStayOnTheEngine:
         assert np.all(np.isfinite(scores[0]))
 
 
+# ------------------------------------------------------- local LOF update
+
+
+def _definitional_lof(data, queries, subspaces, k):
+    """LOF on ``reference + [q]`` for each query: the base-class reference loop."""
+    scorer = LOFScorer(min_pts=k).fit(data)
+    return OutlierScorer.score_samples_independent(scorer, queries, subspaces)
+
+
+def _assert_local_update_exact(data, queries, subspaces, k):
+    """The local update equals the reference loop, as a batch and row by row."""
+    scorer = LOFScorer(min_pts=k).fit(data)
+    batch = scorer.score_samples_independent(queries, subspaces, engine="shared")
+    for got, expected in zip(batch, _definitional_lof(data, queries, subspaces, k)):
+        assert np.array_equal(got, expected)
+    for i in range(queries.shape[0]):
+        alone = scorer.score_samples_independent(queries[i : i + 1], subspaces, engine="shared")
+        assert np.array_equal(np.concatenate(alone), [scores[i] for scores in batch])
+
+
+def _affected_and_changed(data, query, attributes, k):
+    """A (rows whose k-distance the query beats) and C (A plus its reverse kNN),
+    straight from the definitions, to show which case a test exercises."""
+    engine = SharedNeighborEngine(data)
+    knn = engine.kneighbors(k, attributes)
+    distances = engine.query_distances(query[None, :], attributes)[0]
+    affected = set(np.flatnonzero(distances < knn.distances[:, -1]).tolist())
+    changed = affected | {
+        row for row in range(data.shape[0]) if affected & set(knn.indices[row].tolist())
+    }
+    return distances, knn, affected, changed
+
+
+def _mixed_queries(data, rng, n_random):
+    """Reference rows, 1e-12 and 1e-300 offsets of them, 1-ulp scalings, far
+    points, a repeated row and fresh draws."""
+    n, d = data.shape
+    picks = rng.integers(0, n, size=4)
+    return np.vstack(
+        [
+            data[picks],
+            data[picks[:2]] + 1e-12,
+            data[picks[2:]] + 1e-300,
+            data[picks[:2]] * (1.0 + 2.0**-52),
+            np.full((1, d), 1e3),
+            data[picks[:1]],
+            rng.normal(size=(n_random, d)),
+        ]
+    )
+
+
+class TestLocalLOFUpdateGolden:
+    """``LOFScorer.score_samples_independent`` scores a query from the rows its
+    insertion changes.  Every case is ``np.array_equal`` to the reference
+    loop, which runs LOF on ``reference + [q]`` for each query."""
+
+    @pytest.mark.parametrize("n", [400, 2000])
+    def test_reference_sizes(self, n):
+        rng = np.random.default_rng(n)
+        data = rng.normal(size=(n, 5))
+        queries = _mixed_queries(data, rng, 2)
+        _assert_local_update_exact(
+            data, queries, [Subspace((0, 1)), Subspace((1, 3, 4))], k=10
+        )
+
+    def test_query_distance_ties_a_k_distance(self):
+        rng = np.random.default_rng(21)
+        data = rng.integers(0, 4, size=(300, 3)).astype(float)
+        queries = np.vstack([rng.integers(0, 4, size=(6, 3)), rng.integers(0, 8, size=(4, 3)) / 2.0])
+        k = 6
+        ties = 0
+        for query in queries:
+            distances, knn, _, _ = _affected_and_changed(data, query, (0, 1, 2), k)
+            ties += int(np.count_nonzero(distances == knn.distances[:, -1]))
+        assert ties > 0  # the tie rule is exercised: q loses, the list stays
+        _assert_local_update_exact(data, queries, [None, Subspace((0, 2))], k)
+
+    def test_far_points_change_no_list(self):
+        rng = np.random.default_rng(4)
+        data = rng.normal(size=(500, 3))
+        queries = np.array([[40.0, 0.0, 0.0], [0.0, -60.0, 5.0], [1e6, 1e6, 1e6]])
+        for query in queries:
+            assert not _affected_and_changed(data, query, None, 10)[2]
+        _assert_local_update_exact(data, queries, [None, Subspace((1,))], k=10)
+
+    def test_floor_binds_and_comes_from_an_unchanged_row(self):
+        # 30 copies of one point have mean reach 0, so the floor binds; the
+        # isolated point holds the largest mean reach and lies outside C.
+        rng = np.random.default_rng(8)
+        data = np.vstack([rng.normal(size=(200, 2)), np.full((30, 2), 5.0), [[-40.0, -40.0]]])
+        k = 8
+        engine = SharedNeighborEngine(data)
+        knn = engine.kneighbors(k)
+        mean_reach = lof_module._mean_reach(knn.distances[:, -1][knn.indices], knn.distances)
+        assert mean_reach[200] == 0.0 and int(np.argmax(mean_reach)) == 230
+        queries = np.array([[5.0 + 1e-3, 5.0], [5.0, 5.0 - 1e-9], [5.0, 5.0], [4.0, 4.5]])
+        for query in queries:
+            assert 230 not in _affected_and_changed(data, query, None, k)[3]
+        _assert_local_update_exact(data, queries, [None, Subspace((0,))], k)
+
+    @pytest.mark.parametrize("k", [1, 39], ids=["min_pts=1", "min_pts=n-1"])
+    def test_min_pts_extremes(self, k):
+        rng = np.random.default_rng(k)
+        data = np.vstack([rng.normal(size=(34, 3)), np.zeros((6, 3))])
+        queries = _mixed_queries(data, rng, 3)
+        _assert_local_update_exact(data, queries, [None, Subspace((0, 2)), Subspace((1,))], k)
+
+    def test_one_attribute_subspaces_and_full_space(self):
+        rng = np.random.default_rng(12)
+        data = rng.normal(size=(300, 5))
+        data[:20, 3] = 0.5  # ties along one attribute
+        queries = _mixed_queries(data, rng, 3)
+        _assert_local_update_exact(
+            data, queries, [Subspace((0,)), Subspace((3,)), None], k=10
+        )
+
+    @pytest.fixture(scope="class")
+    def batch_case(self):
+        rng = np.random.default_rng(64)
+        data = rng.normal(size=(400, 4))
+        queries = np.vstack([_mixed_queries(data, rng, 0)] * 4 + [rng.normal(size=(28, 4))])[:64]
+        subspaces = [Subspace((0, 1)), Subspace((2,)), None]
+        return data, queries, subspaces, _definitional_lof(data, queries, subspaces, 10)
+
+    @pytest.mark.parametrize("size", [1, 8, 64])
+    def test_batches(self, batch_case, size):
+        data, queries, subspaces, expected = batch_case
+        scorer = LOFScorer(min_pts=10).fit(data)
+        rows = np.arange(size) * (64 // size)
+        got = scorer.score_samples_independent(queries[rows], subspaces, engine="shared")
+        for scores, want in zip(got, expected):
+            assert np.array_equal(scores, want[rows])
+
+    @given(
+        n=st.integers(min_value=12, max_value=300),
+        dims=st.integers(min_value=1, max_value=4),
+        lattice=st.booleans(),
+        k_draw=st.integers(min_value=1, max_value=20),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property(self, n, dims, lattice, k_draw, seed):
+        rng = np.random.default_rng(seed)
+        if lattice:
+            data = rng.integers(0, 3, size=(n, dims)).astype(float)
+            fresh = rng.integers(0, 5, size=(3, dims)) / 2.0
+        else:
+            data = rng.normal(size=(n, dims))
+            fresh = rng.normal(size=(3, dims))
+        queries = np.vstack([data[rng.integers(0, n, size=3)], fresh])
+        k = min(k_draw, n - 1)
+        _assert_local_update_exact(data, queries, [None, Subspace((dims - 1,))], k)
+
+    def test_gathered_row_means_equal_the_rows_in_place(self):
+        # The local update averages gathered (m, k) rows where LOF averages
+        # the rows of the (n + 1, k) matrix; NumPy reduces each row alike.
+        rng = np.random.default_rng(2)
+        for k in range(1, 41):
+            for n_rows in (1, 2, 3, 17, 256, 2001):
+                scale = 10.0 ** rng.integers(-6, 6, size=(n_rows, 1))
+                matrix = rng.random((n_rows, k)) * scale
+                rows = rng.integers(0, n_rows, size=min(n_rows, 9))
+                assert np.array_equal(matrix[rows].mean(axis=1), matrix.mean(axis=1)[rows])
+
+    def test_overflowing_query_scores_inf_and_leaves_the_rest(self):
+        # A query whose squared distances overflow has an infinite mean
+        # reach-distance: it scores +inf, where the floor once became inf and
+        # every score 0/0 = NaN.
+        rng = np.random.default_rng(1)
+        data = rng.normal(size=(300, 4))
+        queries = np.array([[1e200, 0.0, 0.0, 0.0], [1e160, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4]])
+        tame = queries.copy()
+        tame[:2, 0] = 0.0
+        subspaces = [Subspace((0, 1)), Subspace((2, 3))]
+        scorer = LOFScorer(min_pts=10).fit(data)
+        with np.errstate(over="ignore"):
+            for engine in ("shared", None):
+                scores = scorer.score_samples_independent(queries, subspaces, engine=engine)
+                assert np.array_equal(scores[0][:2], [np.inf, np.inf])
+                untouched = scorer.score_samples_independent(tame, subspaces, engine=engine)
+                assert np.array_equal(scores[0][2:], untouched[0][2:])
+                assert np.array_equal(scores[1], untouched[1])
+
+    def test_overflowing_reference_row(self):
+        # A reference row with an infinite mean reach-distance is left out
+        # of the floor and of the descending order; a query on top of it
+        # joins its list.
+        rng = np.random.default_rng(6)
+        data = rng.normal(size=(200, 3))
+        data[7, 0] = 1e200
+        queries = np.vstack([data[[7, 3]], data[7] + [0.0, 0.5, 0.0], rng.normal(size=(2, 3))])
+        with np.errstate(over="ignore"):
+            _assert_local_update_exact(data, queries, [None, Subspace((0, 2)), Subspace((1,))], 5)
+
+    def test_overflowing_query_scores_inf_through_the_pipeline(self):
+        dataset, shared, _ = _fitted_pipelines(lambda: LOFScorer(min_pts=8))
+        shared.fit(dataset)
+        queries = dataset.data[:3].copy()
+        queries[1] = 1e200
+        with np.errstate(over="ignore"):
+            scores = shared.score_samples(queries, independent=True)
+        assert scores[1] == np.inf
+        assert np.array_equal(
+            scores[[0, 2]], shared.score_samples(queries[[0, 2]], independent=True)
+        )
+
+
 # ---------------------------------------------------------- pipeline layer
 
 
@@ -424,3 +638,98 @@ class TestConcurrentWarmScoring:
             ]
             via_writer = np.concatenate([f.result() for f in futures])
         assert np.array_equal(via_writer, direct)
+
+
+class TestLocalUpdatePlanLifetime:
+    """The local-update plan is built once per subspace, beside the reference
+    engine, and lives and dies with it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts of ``_prepare_subspace`` calls, by subspace attributes."""
+        counts = collections.Counter()
+        lock = threading.Lock()
+        original = lof_module._prepare_subspace
+
+        def counted(engine, attributes, k):
+            with lock:
+                counts[attributes] += 1
+            return original(engine, attributes, k)
+
+        monkeypatch.setattr(lof_module, "_prepare_subspace", counted)
+        return counts
+
+    @staticmethod
+    def _once_per_subspace(pipeline):
+        selected = pipeline.subspaces_[: pipeline.ranker.max_subspaces]
+        return collections.Counter(
+            None if s is None else s.attributes for s in dict.fromkeys(selected)
+        )
+
+    def test_cold_pipeline_scored_by_eight_threads_at_once(self, builds):
+        import concurrent.futures
+
+        dataset, serial_pipeline, _ = _fitted_pipelines(lambda: LOFScorer(min_pts=8))
+        serial_pipeline.fit(dataset)
+        cold = _fitted_pipelines(lambda: LOFScorer(min_pts=8))[1]
+        cold.fit(dataset)
+        rng = np.random.default_rng(5)
+        batches = [rng.normal(size=(1 + i % 4, dataset.n_dims)) for i in range(8)]
+        batches[0] = dataset.data[:2].copy()
+        serial = [serial_pipeline.score_samples(b, independent=True) for b in batches]
+        builds.clear()
+        assert cold.scorer._reference_engine_ is None  # nothing is warm yet
+        barrier = threading.Barrier(8)
+
+        def score(index):
+            barrier.wait(timeout=30)
+            return cold.score_samples(batches[index], independent=True)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                threaded = list(pool.map(score, range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(previous)
+        for got, expected in zip(threaded, serial):
+            assert np.array_equal(got, expected)
+        assert builds == self._once_per_subspace(cold)
+
+    def test_close_drops_the_plan_and_the_next_call_rebuilds_it(self, builds):
+        dataset, pipeline, _ = _fitted_pipelines(lambda: LOFScorer(min_pts=8))
+        pipeline.fit(dataset)
+        queries = _queries(dataset.data)
+        first = pipeline.score_samples(queries, independent=True)
+        assert builds == self._once_per_subspace(pipeline)
+        pipeline.close()
+        assert pipeline.scorer._reference_preparation_ is None
+        builds.clear()
+        assert np.array_equal(pipeline.score_samples(queries, independent=True), first)
+        assert builds == self._once_per_subspace(pipeline)
+
+    def test_memory_budget_change_rebuilds_the_plan(self, builds):
+        data = GOLDEN["duplicates"]
+        queries = _queries(data)
+        scorer = LOFScorer(min_pts=7).fit(data)
+        first = scorer.score_samples_independent(queries, SUBSPACES, engine="shared")
+        builds.clear()
+        again = scorer.score_samples_independent(queries, SUBSPACES, engine="shared")
+        assert not builds  # warm: served from the cached plan
+        tight = scorer.score_samples_independent(
+            queries, SUBSPACES, engine="shared", memory_budget_mb=0.001
+        )
+        assert builds == collections.Counter(
+            None if s is None else s.attributes for s in SUBSPACES
+        )
+        for a, b, c in zip(first, again, tight):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+
+    def test_plan_is_read_only(self):
+        data = GOLDEN["random"]
+        scorer = LOFScorer(min_pts=7).fit(data)
+        scorer.score_samples_independent(data[:2], SUBSPACES, engine="shared")
+        plan = scorer._reference_preparation_[2]
+        for name in ("indices", "distances", "kth", "mean_reach", "order", "reverse_rows"):
+            with pytest.raises(ValueError):
+                getattr(plan, name)[0] = 0
