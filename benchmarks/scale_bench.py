@@ -20,14 +20,14 @@ matrix alone is 80 GB):
 ``d = 10`` dataset persisted with :meth:`Dataset.to_npy` and reopened as a
 read-only memmap view (:meth:`Dataset.from_npy`), searched by HiCS with
 ``storage="memmap(chunk_rows=65536)"`` (chunked argsort-merge rank columns
-spilled to scratch) and sharded mask evaluation, then ranked by exact LOF
-with the default scorer, ``SubspaceOutlierRanker(LOFScorer(min_pts=10))``,
-whose engine runs the pruned leaf search.  Its exactness phase proves the
-memmap + sharded search bit-identical to the in-memory search on a small
-fixture, and the chunked fingerprint identical to the in-memory digest, so
-the 1M numbers are for the *same* algorithm.  The ``scale_1m`` gate suite
-bounds total wall time and peak RSS (978 MB — the point of the exercise: the
-run must never page the whole plane into memory).
+spilled to scratch), then ranked by exact LOF with the default scorer,
+``SubspaceOutlierRanker(LOFScorer(min_pts=10))``, whose engine runs the
+pruned leaf search.  Its exactness phase proves the memmap search
+bit-identical to the in-memory search on a small fixture, and the chunked
+fingerprint identical to the in-memory digest, so the 1M numbers are for the
+*same* algorithm.  The ``scale_1m`` gate suite bounds total wall time and
+peak RSS (978 MB — the point of the exercise: the run must never page the
+whole plane into memory).
 
 The run fails (non-zero exit) when total wall time or peak RSS exceeds the
 gates (declared in :mod:`repro.reporting.gates`; the CLI flags override the
@@ -93,7 +93,7 @@ def exactness_check(rng: np.random.Generator) -> None:
 
 
 def memmap_exactness_check() -> None:
-    """Memmap storage + sharded search must equal the in-memory search bit for bit."""
+    """A memmap-backed search must equal the in-memory search bit for bit."""
     reference = generate_synthetic_dataset(
         n_objects=1500,
         n_dims=8,
@@ -113,14 +113,13 @@ def memmap_exactness_check() -> None:
             raise SystemExit(
                 "FAIL: chunked memmap fingerprint diverged from the in-memory digest"
             )
-        # chunk_rows straddles row boundaries; shards exercise the merge path
+        # chunk_rows straddles row boundaries
         mm = HiCS(
             n_iterations=10,
             candidate_cutoff=20,
             max_output_subspaces=5,
             random_state=0,
             storage="memmap(chunk_rows=997)",
-            n_shards=3,
         ).search(mapped.data)
     finally:
         shutil.rmtree(store, ignore_errors=True)
@@ -171,7 +170,6 @@ def run_1m(args, phases: dict) -> dict:
                 random_state=0,
                 storage=f"memmap(chunk_rows={args.chunk_rows})",
                 scratch_dir=scratch,
-                n_shards=4,
             ).search(data),
         )
         best = scored[0].subspace
@@ -191,7 +189,6 @@ def run_1m(args, phases: dict) -> dict:
     return {
         "subsample_size": min(1000, args.objects),
         "chunk_rows": args.chunk_rows,
-        "n_shards": 4,
         "storage": f"memmap(chunk_rows={args.chunk_rows})",
     }
 

@@ -121,15 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: the system temporary directory); requires a memmap "
             "--storage",
         )
-        sub.add_argument(
-            "--n-shards",
-            type=int,
-            default=1,
-            help="contiguous row shards for the sharded contrast evaluation "
-            "(default 1 = unsharded); with a parallel backend the shards are "
-            "fanned out through the worker pool; results are identical for "
-            "any shard count",
-        )
 
     def add_engine_arguments(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
@@ -499,7 +490,6 @@ def _resolve_method_pipeline(args: argparse.Namespace):
         memory_budget_mb=args.memory_budget_mb,
         storage=getattr(args, "storage", None),
         scratch_dir=getattr(args, "scratch_dir", None),
-        n_shards=getattr(args, "n_shards", 1),
     )
     return method, make_method_pipeline(method, config)
 
@@ -607,7 +597,6 @@ def _command_contrast(args: argparse.Namespace) -> int:
         backend=args.backend,
         storage=args.storage,
         scratch_dir=args.scratch_dir,
-        n_shards=args.n_shards,
     )
     with contextlib.closing(searcher):
         scored = searcher.search(dataset.data)[: args.top]
@@ -629,7 +618,6 @@ def _command_compare(args: argparse.Namespace) -> int:
         memory_budget_mb=args.memory_budget_mb,
         storage=args.storage,
         scratch_dir=args.scratch_dir,
-        n_shards=args.n_shards,
     )
     methods = list(args.methods) + list(args.specs)
     results = [evaluate_method_on_dataset(m, dataset, config) for m in methods]

@@ -39,7 +39,6 @@ _THROUGHPUT_FIELDS = (
     "memory_budget_mb",
     "storage",
     "scratch_dir",
-    "n_shards",
 )
 
 #: PipelineConfig fields that DO affect results and therefore feed the key

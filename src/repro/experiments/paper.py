@@ -368,12 +368,11 @@ def _fig06_dataset(n, *, n_dims) -> DatasetSpec:
 #: LOF, whose kNN runs the engine's pruned search past its memory budget —
 #: covers every size up to the 100k-row point, and the memmap configuration
 #: — the same search over an out-of-core index (chunked argsort-merge rank
-#: columns spilled to scratch, sharded mask evaluation) — extends the curve
-#: to the 1M-row point while
+#: columns spilled to scratch) — extends the curve to the 1M-row point while
 #: holding its in-memory footprint to the chunk size.  The memmap series is
-#: bit-identical to an in-memory run of the same spec (storage and
-#: ``n_shards`` are throughput knobs), so the extra series measures storage
-#: overhead, not a different algorithm.
+#: bit-identical to an in-memory run of the same spec (storage is a
+#: throughput knob), so the extra series measures storage overhead, not a
+#: different algorithm.
 _RUNTIME_METHODS_SCALE = tuple(
     MethodSpec(label=m.label, method=m.method, max_objects=4000)
     for m in _RUNTIME_METHODS
@@ -391,7 +390,7 @@ _RUNTIME_METHODS_SCALE = tuple(
         label="HiCS-memmap",
         method=(
             "hics(n_iterations=20, candidate_cutoff=40, subsample_size=1000, "
-            "storage=memmap(chunk_rows=65536), n_shards=4)"
+            "storage=memmap(chunk_rows=65536))"
             "+lof(min_pts=10)"
         ),
         config={"max_subspaces": 5},

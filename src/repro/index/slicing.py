@@ -21,7 +21,6 @@ with the batch bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -161,7 +160,6 @@ class SliceSampler:
         rng: np.random.Generator,
         min_conditional_size: int = 1,
         max_retries: int = 0,
-        mask_evaluator=None,
     ) -> SliceBatch:
         """Draw ``n_slices`` Monte Carlo slices of one subspace in one shot.
 
@@ -192,15 +190,6 @@ class SliceSampler:
             Minimum conditional sample size below which a slice is redrawn.
         max_retries:
             Maximum number of redraw rounds.
-        mask_evaluator:
-            Optional replacement for the built-in mask evaluation: a callable
-            ``(attrs, start_ranks, block) -> selected`` returning the same
-            ``(n_rows, n_objects)`` boolean matrix :meth:`_evaluate_masks`
-            would.  The row-sharded contrast path injects an evaluator that
-            computes the masks shard by shard and reassembles them in row
-            order — the *drawing* protocol (and therefore the random stream)
-            stays in this one method, which is what keeps sharded and
-            unsharded batches bit-for-bit identical.
 
         Returns
         -------
@@ -236,11 +225,8 @@ class SliceSampler:
                 return rng.integers(0, max_start + 1, size=(n_rows, d - 1))
             return np.zeros((n_rows, d - 1), dtype=np.intp)
 
-        evaluate = self._evaluate_masks if mask_evaluator is None else mask_evaluator
         start_ranks[condition_mask] = draw_starts(n_slices).ravel()
-        selected = evaluate(attrs, start_ranks, block)
-        if not selected.flags.writeable:
-            selected = selected.copy()
+        selected = self._evaluate_masks(attrs, start_ranks, block)
         counts = selected.sum(axis=1)
 
         rounds = 0
@@ -252,7 +238,7 @@ class SliceSampler:
             redraw = np.full((failing.size, d), -1, dtype=np.intp)
             redraw[condition_mask[failing]] = draw_starts(failing.size).ravel()
             start_ranks[failing] = redraw
-            selected[failing] = evaluate(attrs, redraw, block)
+            selected[failing] = self._evaluate_masks(attrs, redraw, block)
             counts[failing] = selected[failing].sum(axis=1)
 
         degenerate = counts < max(2, min_conditional_size)
@@ -270,11 +256,7 @@ class SliceSampler:
         )
 
     def _evaluate_masks(
-        self,
-        attrs: np.ndarray,
-        start_ranks: np.ndarray,
-        block: int,
-        object_range: Optional[Tuple[int, int]] = None,
+        self, attrs: np.ndarray, start_ranks: np.ndarray, block: int
     ) -> np.ndarray:
         """Selection masks for a matrix of drawn condition start ranks.
 
@@ -286,24 +268,12 @@ class SliceSampler:
         evaluated here column by column over all slices at once.  Rank columns
         are requested per attribute (:meth:`SortedDatabaseIndex.rank_column`),
         so only the subspace's own attributes are ever ranked.
-
-        ``object_range`` restricts the evaluation to objects ``[lo, hi)`` —
-        the row-shard of the sharded contrast path.  The returned matrix then
-        has ``hi - lo`` columns; each cell is identical to the corresponding
-        cell of a full evaluation (the rank-interval test of an object never
-        looks at any other object).
         """
-        n = self.index.n_objects
-        obj_lo, obj_hi = (0, n) if object_range is None else object_range
-        if not (0 <= obj_lo <= obj_hi <= n):
-            raise ParameterError(
-                f"object_range [{obj_lo}, {obj_hi}) out of bounds for {n} objects"
-            )
-        n_objects = obj_hi - obj_lo
+        n_objects = self.index.n_objects
         n_rows = start_ranks.shape[0]
         chunk = max(1, min(n_rows, _MAX_MASK_CELLS // max(1, n_objects)))
         out = np.empty((n_rows, n_objects), dtype=bool)
-        columns = {int(a): self.index.rank_column(a)[obj_lo:obj_hi] for a in attrs}
+        columns = {int(a): self.index.rank_column(a) for a in attrs}
         for lo in range(0, n_rows, chunk):
             hi = min(n_rows, lo + chunk)
             sel = np.ones((hi - lo, n_objects), dtype=bool)
@@ -318,17 +288,3 @@ class SliceSampler:
             out[lo:hi] = sel
         return out
 
-    def evaluate_masks_range(
-        self,
-        attrs: np.ndarray,
-        start_ranks: np.ndarray,
-        block: int,
-        object_range: Tuple[int, int],
-    ) -> np.ndarray:
-        """Public shard entry point: masks restricted to objects ``[lo, hi)``."""
-        return self._evaluate_masks(
-            np.asarray(attrs, dtype=np.intp),
-            np.asarray(start_ranks, dtype=np.intp),
-            int(block),
-            object_range,
-        )

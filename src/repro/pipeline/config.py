@@ -101,10 +101,6 @@ class PipelineConfig:
         Parent directory for out-of-core scratch spills (must already
         exist); ``None`` uses the system temporary directory.  Only
         meaningful together with a memmap ``storage``.
-    n_shards:
-        Row shards for the sharded contrast evaluation (default 1 =
-        unsharded).  Like ``backend``, purely a throughput knob — sharded
-        results are bit-for-bit identical.
     extra:
         Free-form per-method overrides.
     """
@@ -121,7 +117,6 @@ class PipelineConfig:
     memory_budget_mb: float = 256.0
     storage: Optional[str] = None
     scratch_dir: Optional[str] = None
-    n_shards: int = 1
     extra: Dict[str, object] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
@@ -151,13 +146,15 @@ class PipelineConfig:
         """Rebuild a config from :meth:`to_dict` output; rejects unknown keys.
 
         A retired ``n_jobs`` entry is folded into ``backend``
-        (:func:`~repro.parallel.fold_n_jobs`).
+        (:func:`~repro.parallel.fold_n_jobs`); a retired ``n_shards`` entry
+        (row shards, which never changed a result) is dropped.
         """
         if not isinstance(payload, dict):
             raise ParameterError(
                 f"config payload must be a mapping, got {type(payload).__name__}"
             )
         payload = fold_n_jobs(payload)
+        payload.pop("n_shards", None)
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -183,7 +180,6 @@ def _method_spec(key: str, config: PipelineConfig) -> PipelineSpec:
         "subsample_size": config.hics_subsample,
         "storage": config.storage,
         "scratch_dir": config.scratch_dir,
-        "n_shards": config.n_shards,
     }
     searchers = {
         "lof": ComponentSpec("fullspace"),
@@ -216,8 +212,8 @@ def _method_spec(key: str, config: PipelineConfig) -> PipelineSpec:
 def _inject_config_defaults(spec: PipelineSpec, config: PipelineConfig) -> PipelineSpec:
     """Apply the shared config parameters to spec components that accept them.
 
-    ``min_pts``, ``random_state``, ``backend``, ``storage``, ``scratch_dir``
-    and ``n_shards`` are the config knobs the CLI exposes (``--min-pts`` /
+    ``min_pts``, ``random_state``, ``backend``, ``storage`` and
+    ``scratch_dir`` are the config knobs the CLI exposes (``--min-pts`` /
     ``--seed`` / ``--backend`` / ...); they are injected into every component
     whose constructor accepts them, unless the spec already pins the
     parameter.  A spec without a scorer gets LOF with the config's
@@ -229,7 +225,6 @@ def _inject_config_defaults(spec: PipelineSpec, config: PipelineConfig) -> Pipel
         "backend": config.backend,
         "storage": config.storage,
         "scratch_dir": config.scratch_dir,
-        "n_shards": config.n_shards,
     }
 
     def merged(component: ComponentSpec, cls: type) -> ComponentSpec:

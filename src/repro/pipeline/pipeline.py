@@ -487,7 +487,9 @@ class SubspaceOutlierPipeline:
     def load(cls, path: str) -> SubspaceOutlierPipeline:
         """Load a fitted pipeline previously written by :meth:`save`."""
         try:
-            with np.load(path, allow_pickle=False) as archive:
+            # Our own handle: np.load leaks the file it opened itself when a
+            # torn archive fails to parse.
+            with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as archive:
                 header_raw = str(archive["header"][()])
                 reference = np.asarray(archive["reference_data"], dtype=float)
         except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:

@@ -177,10 +177,13 @@ class ContrastEstimator:
         (default, serial), a spec string (``"serial"``, ``"thread"``,
         ``"process(n_jobs=4, start_method=spawn)"``) or an
         :class:`~repro.parallel.ExecutionBackend` instance (whose pool the
-        caller owns).  Purely a throughput knob — contrasts are bit-for-bit
-        identical under every backend.  A backend constructed by the
-        estimator keeps one persistent pool across all calls; release it
-        with :meth:`close` (or use the estimator as a context manager).
+        caller owns).  A parallel backend spreads groups of pending
+        subspaces over its pool; each worker draws, evaluates and reduces
+        its subspaces' slices itself.  Purely a throughput knob — contrasts
+        are bit-for-bit identical under every backend.  A backend
+        constructed by the estimator keeps one persistent pool across all
+        calls; release it with :meth:`close` (or use the estimator as a
+        context manager).
     cache:
         ``True`` (default) attaches a fresh :class:`ContrastCache`; pass an
         existing cache to share results between estimators, or ``False`` /
@@ -208,18 +211,6 @@ class ContrastEstimator:
         contrasts are bit-for-bit identical to the in-memory index and the
         cache key does not change.  Only valid when ``data``
         is a raw matrix (the estimator must own the index it spills).
-    n_shards:
-        Number of deterministic contiguous row shards the selection-mask
-        evaluation is partitioned into (default 1 = unsharded).  Sharding
-        splits only the per-object rank-interval tests; the Monte Carlo
-        *draw* protocol stays in
-        :meth:`~repro.index.SliceSampler.sample_slice_batch` and the shard
-        slabs are reassembled in row order, so counts, retry rounds and all
-        downstream statistics are bit-for-bit identical to the unsharded
-        evaluation — ``n_shards`` is a throughput/memory knob and does not
-        enter the cache key.  With a parallel backend the shards are fanned
-        out through the worker pool (per-shard evaluation replaces the
-        per-subspace fan-out).
     """
 
     def __init__(
@@ -236,7 +227,6 @@ class ContrastEstimator:
         cache: Union[bool, ContrastCache, None] = True,
         subsample_size: Optional[int] = None,
         storage: Union[None, str, StorageSpec] = None,
-        n_shards: int = 1,
     ):
         self.n_iterations = check_positive_int(n_iterations, name="n_iterations")
         if not (0.0 < alpha < 1.0):
@@ -264,7 +254,6 @@ class ContrastEstimator:
                     f"subsample_size must be at least 2, got {subsample_size}"
                 )
         self.subsample_size = subsample_size
-        self.n_shards = check_positive_int(n_shards, name="n_shards")
         self.storage = check_storage_spec(storage)
         self.backend = check_backend_spec(backend)
         # Lazily resolved execution state, persistent across calls: the
@@ -412,76 +401,14 @@ class ContrastEstimator:
         """
         return self._contrast_results([subspace])[subspace]
 
-    def _shard_bounds(self) -> List[Tuple[int, int]]:
-        """Deterministic contiguous row ranges covering all objects.
-
-        ``n_shards`` ranges (fewer when the database has fewer rows), sized
-        like ``np.array_split``: the first ``n % shards`` ranges get one extra
-        row.  A pure function of ``(n_objects, n_shards)`` so every process
-        computes the same partition.
-        """
-        n = self.n_objects
-        shards = max(1, min(self.n_shards, n))
-        base, rem = divmod(n, shards)
-        bounds: List[Tuple[int, int]] = []
-        lo = 0
-        for i in range(shards):
-            hi = lo + base + (1 if i < rem else 0)
-            bounds.append((lo, hi))
-            lo = hi
-        return bounds
-
-    def _mask_evaluator(self):
-        """The sharded selection-mask evaluator, or ``None`` when unsharded.
-
-        The returned callable matches the ``mask_evaluator`` contract of
-        :meth:`~repro.index.SliceSampler.sample_slice_batch`: it evaluates the
-        rank-interval tests shard by shard over contiguous object ranges and
-        reassembles the slabs in row order.  An object's test never looks at
-        any other object, so the concatenated matrix is bitwise identical to
-        a full evaluation — counts, retries and the random stream are
-        untouched, which is what makes sharding a pure throughput/memory
-        knob.  Under a parallel backend the shards are fanned out through the
-        persistent worker pool.
-        """
-        if self.n_shards <= 1:
-            return None
-        bounds = self._shard_bounds()
-        if len(bounds) <= 1:
-            return None
-        backend = self._execution_backend()
-
-        def evaluate(
-            attrs: np.ndarray, start_ranks: np.ndarray, block: int
-        ) -> np.ndarray:
-            # Build (and for an out-of-core index, spill) the rank columns in
-            # the parent first so thread workers never race a lazy build.
-            for attribute in attrs:
-                self.index.rank_column(int(attribute))
-            if backend is None:
-                slabs = [
-                    self._sampler.evaluate_masks_range(attrs, start_ranks, block, b)
-                    for b in bounds
-                ]
-            else:
-                slabs = backend.map(
-                    _shard_masks_worker,
-                    [(attrs, start_ranks, block, b) for b in bounds],
-                    context=self._ensure_worker_context(),
-                )
-            return np.concatenate(slabs, axis=1)
-
-        return evaluate
-
     def _sample_batch(self, subspace: Subspace) -> SliceBatch:
-        """Draw one subspace's slice batch (sharded evaluation when configured)."""
+        """Draw one subspace's slice batch from its own generator."""
         return self._sampler.sample_slice_batch(
             subspace,
             self.n_iterations,
             rng=self._subspace_rng(subspace),
             min_conditional_size=self.min_conditional_size,
             max_retries=self.max_retries,
-            mask_evaluator=self._mask_evaluator(),
         )
 
     def _evaluate(self, subspaces: Sequence[Subspace]) -> List[ContrastResult]:
@@ -763,13 +690,13 @@ class ContrastEstimator:
     def _evaluate_pending(self, pending: List[Subspace]) -> List[ContrastResult]:
         """Evaluate cache misses inline or, in groups, on the execution backend.
 
-        Workers run the same :meth:`_evaluate` on one group per task, so the
-        fan-out changes no bit.  With row shards the parallelism lives inside
-        each mask evaluation instead (:meth:`_mask_evaluator`) and the
-        subspaces stay inline.
+        Each subspace's contrast is its own Monte Carlo estimate, so the
+        subspace is the unit of parallel work: workers run the same
+        :meth:`_evaluate` on one group per task, and the fan-out changes no
+        bit.
         """
         backend = self._execution_backend()
-        if backend is None or self.n_shards > 1 or len(pending) < 2:
+        if backend is None or len(pending) < 2:
             return self._evaluate(pending)
         # Slice sampling costs one rank-block comparison per conditioning
         # attribute, so higher levels get smaller groups; a backend that pins
@@ -857,18 +784,3 @@ def _contrast_worker(
     """Evaluate one group of pending subspaces against the worker state."""
     return estimator._evaluate(group)
 
-
-def _shard_masks_worker(
-    estimator: ContrastEstimator,
-    task: Tuple[np.ndarray, np.ndarray, int, Tuple[int, int]],
-) -> np.ndarray:
-    """Evaluate one row shard's slice masks against the worker state.
-
-    The task carries the parent's drawn start ranks; the worker only runs
-    the deterministic rank-interval tests over its ``[lo, hi)`` object range,
-    so no randomness crosses the process boundary.
-    """
-    attrs, start_ranks, block, object_range = task
-    return estimator._sampler.evaluate_masks_range(
-        attrs, start_ranks, block, object_range
-    )

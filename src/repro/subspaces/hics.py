@@ -73,7 +73,9 @@ class HiCS(SubspaceSearcher):
         (:meth:`ContrastEstimator.contrast_many`): ``None`` (default,
         serial), a spec string such as ``"thread"`` or
         ``"process(n_jobs=4, start_method=spawn)"``, or an
-        :class:`~repro.parallel.ExecutionBackend` instance.  One persistent
+        :class:`~repro.parallel.ExecutionBackend` instance.  A parallel
+        backend spreads groups of each level's candidates over its pool, one
+        subspace's Monte Carlo estimate per unit of work.  One persistent
         worker pool serves **all** apriori levels of a :meth:`search`; the
         data and its rank columns are published to process workers once
         through a shared-memory plane.  Results are bit-for-bit independent
@@ -105,12 +107,11 @@ class HiCS(SubspaceSearcher):
         exist); ``None`` uses the system temporary directory, or whatever
         the storage spec itself pins.  Requires a memmap ``storage``.
     n_shards:
-        Number of deterministic contiguous row shards the selection-mask
-        evaluation of every contrast is partitioned into (default 1).  With
-        a parallel ``backend`` the shards are fanned out through the worker
-        pool *instead of* the per-subspace fan-out.  Bit-for-bit identical
-        to the unsharded search under the shared seed-derivation scheme —
-        a pure throughput/memory knob.
+        Retired: row shards of the slice-mask evaluation, which were
+        bit-for-bit identical to the unsharded search.  The value is
+        validated (a positive int) and stored so saved models and spec
+        strings that name it still load, but nothing reads it — a parallel
+        ``backend`` always spreads groups of subspaces over its pool.
 
     Examples
     --------
@@ -181,6 +182,7 @@ class HiCS(SubspaceSearcher):
                 )
             scratch_dir = os.fspath(scratch_dir)
         self.scratch_dir = scratch_dir
+        # Retired and never read; stored so old models and spec strings load.
         self.n_shards = check_positive_int(n_shards, name="n_shards")
         self.cache = bool(cache)
         self._shared_cache: Optional[ContrastCache] = (
@@ -217,7 +219,6 @@ class HiCS(SubspaceSearcher):
             cache=self._shared_cache if self.cache else False,
             subsample_size=self.subsample_size,
             storage=storage,
-            n_shards=self.n_shards,
         )
         self.evaluated_subspaces_ = {}
         self.levels_ = []

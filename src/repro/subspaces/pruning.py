@@ -9,7 +9,8 @@ projections (following the non-redundant subspace-mining idea of [22]).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import math
+from typing import Dict, List, Sequence, Tuple
 
 from ..types import ScoredSubspace
 
@@ -18,19 +19,21 @@ __all__ = ["prune_redundant_subspaces"]
 
 def prune_redundant_subspaces(
     scored_subspaces: Sequence[ScoredSubspace],
-    *,
-    strict_superset_dimensionality: bool = True,
 ) -> List[ScoredSubspace]:
     """Drop subspaces dominated by a higher-contrast superset.
+
+    Only a superset with exactly one more attribute can prune (the paper's
+    rule).  Every such superset of ``T`` is ``T`` plus one attribute, so one
+    pass maps each subspace's one-smaller subsets to the best score among
+    their supersets, and a second pass prunes ``T`` when that best score
+    beats its own — linear in the list instead of pairwise.  Both passes
+    compare with ``>``, which is False with NaN, so a NaN score never enters
+    the map and is never pruned, as under the pairwise rule.
 
     Parameters
     ----------
     scored_subspaces:
         The scored subspaces collected over all levels of the search.
-    strict_superset_dimensionality:
-        If True (paper behaviour) only supersets with exactly one additional
-        attribute can prune a subspace; if False any higher-dimensional
-        superset with higher contrast prunes.
 
     Returns
     -------
@@ -39,20 +42,16 @@ def prune_redundant_subspaces(
         by the attribute tuple for determinism).
     """
     items = list(scored_subspaces)
-    kept: List[ScoredSubspace] = []
-    for candidate in items:
-        dominated = False
-        for other in items:
-            if other.subspace == candidate.subspace:
-                continue
-            if not other.subspace.is_superset_of(candidate.subspace):
-                continue
-            dimension_gap = other.dimensionality - candidate.dimensionality
-            if strict_superset_dimensionality and dimension_gap != 1:
-                continue
-            if other.score > candidate.score:
-                dominated = True
-                break
-        if not dominated:
-            kept.append(candidate)
+    best_superset: Dict[Tuple[int, ...], float] = {}
+    for item in items:
+        attrs = item.subspace.attributes
+        for drop in range(len(attrs)):
+            subset = attrs[:drop] + attrs[drop + 1 :]
+            if item.score > best_superset.get(subset, -math.inf):
+                best_superset[subset] = item.score
+    kept = [
+        item
+        for item in items
+        if not best_superset.get(item.subspace.attributes, -math.inf) > item.score
+    ]
     return sorted(kept, key=lambda s: (-s.score, s.subspace.attributes))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -160,16 +163,25 @@ class TestPruning:
         ]
         assert len(prune_redundant_subspaces(scored)) == 2
 
-    def test_strict_dimension_gap_by_default(self):
+    def test_only_a_one_larger_superset_prunes(self):
         # A (d+2)-dimensional superset does not prune under the paper's rule.
         scored = [
             ScoredSubspace(Subspace((0, 1)), 0.5),
             ScoredSubspace(Subspace((0, 1, 2, 3)), 0.9),
         ]
-        default = prune_redundant_subspaces(scored)
-        relaxed = prune_redundant_subspaces(scored, strict_superset_dimensionality=False)
-        assert {s.subspace.attributes for s in default} == {(0, 1), (0, 1, 2, 3)}
-        assert {s.subspace.attributes for s in relaxed} == {(0, 1, 2, 3)}
+        kept = prune_redundant_subspaces(scored)
+        assert {s.subspace.attributes for s in kept} == {(0, 1), (0, 1, 2, 3)}
+
+    def test_nan_contrast_neither_prunes_nor_is_pruned(self):
+        nan = float("nan")
+        scored = [
+            ScoredSubspace(Subspace((0, 1)), 0.5),
+            ScoredSubspace(Subspace((0, 1, 2)), nan),
+            ScoredSubspace(Subspace((0, 1, 3)), 0.4),
+            ScoredSubspace(Subspace((0, 1, 2, 3)), 0.9),
+        ]
+        kept = prune_redundant_subspaces(scored)
+        assert {s.subspace.attributes for s in kept} == {(0, 1), (0, 1, 2), (0, 1, 2, 3)}
 
     def test_output_sorted_by_score(self):
         scored = [
@@ -213,3 +225,54 @@ class TestPruning:
                 and other.score > item.score
             ]
             assert justification, "a subspace was pruned without a dominating superset"
+
+
+def pairwise_prune(scored_subspaces):
+    """The pairwise reference rule: the oracle of the hashed pruning."""
+    items = list(scored_subspaces)
+    kept = [
+        candidate
+        for candidate in items
+        if not any(
+            other.subspace != candidate.subspace
+            and other.subspace.is_superset_of(candidate.subspace)
+            and other.dimensionality - candidate.dimensionality == 1
+            and other.score > candidate.score
+            for other in items
+        )
+    ]
+    return sorted(kept, key=lambda s: (-s.score, s.subspace.attributes))
+
+
+class TestHashedPruningOracle:
+    """The one-smaller-subset dict keeps exactly the pairwise rule's list."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sets(st.integers(min_value=0, max_value=5), min_size=1, max_size=5),
+                # Few distinct values force ties; NaN and infinities are scores
+                # a custom deviation can produce.
+                st.sampled_from([0.0, 0.25, 0.5, 1.0, float("nan"), float("inf"), -float("inf")])
+                | st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            min_size=0,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_property_equals_pairwise_oracle(self, raw):
+        # Duplicated subspaces stay in: both rules must treat them alike.
+        scored = [ScoredSubspace(Subspace(attrs), score) for attrs, score in raw]
+        hashed = prune_redundant_subspaces(scored)
+        oracle = pairwise_prune(scored)
+        assert [(s.subspace, id(s)) for s in hashed] == [(s.subspace, id(s)) for s in oracle]
+
+    def test_dense_lattice_equals_pairwise_oracle(self):
+        rng = np.random.default_rng(0)
+        scored = [
+            ScoredSubspace(Subspace(attrs), float(rng.choice([0.1, 0.2, 0.3, np.nan])))
+            for size in (2, 3, 4)
+            for attrs in combinations(range(8), size)
+        ]
+        assert prune_redundant_subspaces(scored) == pairwise_prune(scored)

@@ -1,12 +1,12 @@
 """Golden tests for the out-of-core dataset plane.
 
 The plane's contract is absolute: a memmap-backed dataset, an out-of-core
-index build and a row-sharded contrast search are *storage and throughput*
-choices — every score, fingerprint and cache key is bit-for-bit identical to
-the in-memory path, across serial/thread/process backends, any shard count
-and any chunk size.  These tests pin that contract end to end, together with
-the failure modes (torn files, missing scratch directories) that must raise
-instead of serving wrong bytes.
+index build and a contrast search whose subspace groups fan out over a worker
+pool are *storage and throughput* choices — every score, fingerprint and
+cache key is bit-for-bit identical to the in-memory path, across
+serial/thread/process backends and any chunk size.  These tests pin that
+contract end to end, together with the failure modes (torn files, missing
+scratch directories) that must raise instead of serving wrong bytes.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.cli import build_parser
 from repro.dataset import (
     Dataset,
     array_fingerprint,
@@ -33,9 +34,10 @@ from repro.dataset.memmap import (
 from repro.exceptions import DataError, ParameterError
 from repro.index import SortedDatabaseIndex
 from repro.index.sorted_index import chunked_argsort
+from repro.outliers import LOFScorer
 from repro.parallel import SharedArrayPlane, attach_arrays
 from repro.parallel.shared import MemmapHandle
-from repro.pipeline import PipelineConfig, make_method_pipeline
+from repro.pipeline import PipelineConfig, SubspaceOutlierPipeline, make_method_pipeline
 from repro.subspaces import ContrastEstimator, HiCS
 from repro.types import Subspace
 
@@ -345,7 +347,7 @@ def _search_result(scored):
 
 
 class TestGoldenEquivalence:
-    """Memmap storage and row sharding never change a single bit."""
+    """Memmap storage and the subspace-group fan-out never change a single bit."""
 
     @pytest.fixture(scope="class")
     def baseline(self, small_dataset):
@@ -357,19 +359,6 @@ class TestGoldenEquivalence:
         )
         return _search_result(searcher.search(small_dataset.data))
 
-    @pytest.mark.parametrize("n_shards", [1, 2, 3, 4, 5, 6, 7, 8])
-    def test_shard_counts_reproduce_the_search(
-        self, small_dataset, baseline, n_shards
-    ):
-        searcher = HiCS(
-            n_iterations=10,
-            candidate_cutoff=15,
-            max_output_subspaces=5,
-            random_state=0,
-            n_shards=n_shards,
-        )
-        assert _search_result(searcher.search(small_dataset.data)) == baseline
-
     @pytest.mark.parametrize("chunk_rows", [64, 100, 299, 300, 997])
     def test_chunk_sizes_reproduce_the_search(
         self, stored, baseline, chunk_rows
@@ -380,7 +369,6 @@ class TestGoldenEquivalence:
             max_output_subspaces=5,
             random_state=0,
             storage=f"memmap(chunk_rows={chunk_rows})",
-            n_shards=3,
         )
         assert _search_result(searcher.search(stored.data)) == baseline
 
@@ -395,7 +383,6 @@ class TestGoldenEquivalence:
             random_state=0,
             backend=backend,
             storage="memmap(chunk_rows=128)",
-            n_shards=2,
         )
         assert _search_result(searcher.search(stored.data)) == baseline
 
@@ -409,7 +396,6 @@ class TestGoldenEquivalence:
                 hics_cutoff=15,
                 random_state=0,
                 storage=storage,
-                n_shards=2 if storage else 1,
             )
             pipeline = make_method_pipeline("HiCS", config)
             try:
@@ -431,7 +417,6 @@ class TestGoldenEquivalence:
             n_iterations=5,
             random_state=0,
             storage="memmap(chunk_rows=128)",
-            n_shards=4,
         )
         try:
             assert reference._cache_key(subspace) == mapped._cache_key(subspace)
@@ -466,8 +451,78 @@ class TestParameterErrors:
         with pytest.raises(DataError, match="does not exist"):
             searcher.search(small_dataset.data)
 
+
+# ------------------------------------------------------- retired row shards
+
+
+class TestRetiredNShards:
+    """``n_shards`` split each slice-mask evaluation into row shards.
+
+    Sharding never touched the random draw, so it never changed a bit; a
+    parallel backend now always spreads subspace groups instead.  ``HiCS``
+    still validates and stores the keyword so model files and spec strings
+    that name it load and reproduce the unsharded search, and a config dict
+    that still carries it drops it.
+    """
+
+    SEARCH = dict(n_iterations=10, candidate_cutoff=15, max_output_subspaces=5, random_state=0)
+
+    @pytest.fixture(scope="class")
+    def baseline(self, small_dataset):
+        return _search_result(HiCS(**self.SEARCH).search(small_dataset.data))
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_shard_counts_reproduce_the_search(self, small_dataset, baseline, n_shards):
+        searcher = HiCS(**self.SEARCH, n_shards=n_shards)
+        assert searcher.n_shards == n_shards
+        assert _search_result(searcher.search(small_dataset.data)) == baseline
+
     def test_n_shards_must_be_positive(self, small_dataset):
         with pytest.raises(ParameterError):
             HiCS(n_shards=0)
-        with pytest.raises(ParameterError):
-            ContrastEstimator(small_dataset.data, n_shards=-1)
+        with pytest.raises(TypeError):
+            ContrastEstimator(small_dataset.data, n_shards=2)
+
+    def test_spec_with_n_shards(self, small_dataset):
+        spec = "hics(n_iterations=10, candidate_cutoff=15, random_state=0{})+lof(min_pts=8)"
+        with make_method_pipeline(spec.format(", n_shards=4")) as legacy, make_method_pipeline(
+            spec.format("")
+        ) as survivor:
+            assert legacy.searcher.n_shards == 4
+            assert np.array_equal(
+                legacy.fit_rank(small_dataset.data).scores,
+                survivor.fit_rank(small_dataset.data).scores,
+            )
+
+    def test_saved_pipeline_with_n_shards(self, small_dataset, tmp_path):
+        pipeline = SubspaceOutlierPipeline(HiCS(**self.SEARCH, n_shards=4), LOFScorer(min_pts=8))
+        expected = pipeline.fit_rank(small_dataset.data).scores
+        path = str(tmp_path / "model.npz")
+        pipeline.save(path)
+        with SubspaceOutlierPipeline.load(path) as loaded:
+            assert loaded.to_dict()["searcher"]["params"]["n_shards"] == 4
+            query = small_dataset.data[:12] + 0.01
+            assert np.array_equal(loaded.score_samples(query), pipeline.score_samples(query))
+            assert np.array_equal(loaded.fit_rank(small_dataset.data).scores, expected)
+
+    def test_config_dict_drops_n_shards(self):
+        assert PipelineConfig.from_dict({"min_pts": 8, "n_shards": 4}) == PipelineConfig(
+            min_pts=8
+        )
+        with pytest.raises(TypeError):
+            PipelineConfig(n_shards=4)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--dataset", "toy-correlated"],
+            ["fit", "--dataset", "toy-correlated", "--out", "model.npz"],
+            ["contrast", "--dataset", "toy-correlated"],
+            ["compare", "--dataset", "toy-correlated"],
+        ],
+    )
+    def test_cli_rejects_n_shards(self, argv, capsys):
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--n-shards", "2"])
+        assert "unrecognized arguments: --n-shards" in capsys.readouterr().err

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -262,6 +265,22 @@ class TestSaveLoad:
         path.write_bytes(b"PK\x03\x04" + b"garbage")
         with pytest.raises(DataError):
             SubspaceOutlierPipeline.load(path)
+
+    def test_torn_model_file_raises_without_leaking_its_handle(self, small_synthetic, tmp_path):
+        pipeline = SubspaceOutlierPipeline(searcher=_fast_hics(), scorer=LOFScorer(min_pts=8))
+        pipeline.fit(small_synthetic)
+        path = tmp_path / "torn.npz"
+        pipeline.save(path)
+        raw = path.read_bytes()
+        for cut in (30, len(raw) // 2, len(raw) - 10):
+            path.write_bytes(raw[:cut])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(DataError):
+                    SubspaceOutlierPipeline.load(path)
+                gc.collect()
+            leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+            assert not leaks, f"cut at {cut} of {len(raw)} bytes: {leaks[0].message}"
 
     def test_load_rejects_non_numeric_header_fields(self, small_synthetic, tmp_path):
         pipeline = SubspaceOutlierPipeline(searcher=_fast_hics(), scorer=LOFScorer(min_pts=8))
