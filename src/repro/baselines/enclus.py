@@ -27,7 +27,7 @@ from ..exceptions import ParameterError
 from ..stats.entropy import subspace_grid_entropy
 from ..subspaces.apriori import all_two_dimensional_subspaces, apply_cutoff, generate_candidates
 from ..subspaces.base import SubspaceSearcher
-from ..types import ScoredSubspace, Subspace
+from ..types import ScoredSubspace, Subspace, best_first
 from ..utils.validation import check_data_matrix, check_positive_int
 
 __all__ = ["EnclusSearcher"]
@@ -109,5 +109,5 @@ class EnclusSearcher(SubspaceSearcher):
                 break
             candidates = generate_candidates([s.subspace for s in survivors])
 
-        ranked = sorted(all_scored, key=lambda s: (-s.score, s.subspace.attributes))
+        ranked = sorted(all_scored, key=best_first)
         return ranked[: self.max_output_subspaces]

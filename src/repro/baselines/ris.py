@@ -24,7 +24,7 @@ from ..exceptions import ParameterError
 from ..neighbors.distance import subspace_pairwise_distances
 from ..subspaces.apriori import all_two_dimensional_subspaces, apply_cutoff, generate_candidates
 from ..subspaces.base import SubspaceSearcher
-from ..types import ScoredSubspace, Subspace
+from ..types import ScoredSubspace, Subspace, best_first
 from ..utils.validation import check_data_matrix, check_fraction, check_positive_int
 
 __all__ = ["dbscan_core_object_count", "RISSearcher"]
@@ -128,5 +128,5 @@ class RISSearcher(SubspaceSearcher):
                 break
             candidates = generate_candidates([s.subspace for s in survivors])
 
-        ranked = sorted(all_scored, key=lambda s: (-s.score, s.subspace.attributes))
+        ranked = sorted(all_scored, key=best_first)
         return ranked[: self.max_output_subspaces]

@@ -4,41 +4,41 @@ Scoring every object in *each* high-contrast subspace is the dominant cost of
 the pipeline once the contrast search is vectorised: the selected subspaces
 heavily share dimensions, yet the per-subspace path rebuilds its own
 ``O(n^2 * |S|)`` distance matrix from scratch for every subspace.  The
-:class:`SharedNeighborEngine` pays the expensive pass once instead:
+:class:`SharedNeighborEngine` pays the expensive pass once instead.  Across
+calls it holds exactly two things, both charged against its memory budget:
 
-* per-dimension squared-difference blocks ``(x_id - x_jd)^2`` are computed
-  once per dataset and cached under a configurable memory budget,
-* subspace distance matrices are assembled by summing dimension blocks in
-  ascending attribute order, with **prefix memoisation** — subspaces sharing a
-  sorted-attribute prefix (ubiquitous in apriori-style outputs) reuse the
-  partial sums of that prefix,
-* top-k neighbour queries run via ``argpartition`` with the library-wide
-  stable index tie-break (:func:`~repro.neighbors.topk.top_k_smallest`),
-* when the dense pass over ``n x n`` distances does not fit the budget,
-  :meth:`~SharedNeighborEngine.kneighbors` stops doing ``O(n^2)`` work: an
-  exact branch-and-bound search over a k-d partition of the subspace's
-  points (Friedman, Bentley & Finkel, ACM TOMS 1977) scores each leaf of a
-  few dozen queries only against the leaves its float lower bounds cannot
-  rule out, so peak memory per block is ``O(leaf * n)``, not
-  ``O(chunk * n)``; :meth:`~SharedNeighborEngine.iter_distance_rows` still
-  accumulates budget-sized row bands straight from the data columns,
-* an asymmetric query-vs-reference mode scores new points against the fitted
-  reference without Python-level per-object loops.
+* an LRU of read-only per-dimension squared-difference blocks
+  ``(x_id - x_jd)^2``, each computed once per dataset; a subspace's
+  distances are assembled by adding its blocks left to right in the
+  caller's attribute order,
+* one ``n x n`` buffer that the fused kNN pass assembles into, so the top-k
+  partition (``argpartition`` with the library-wide stable index tie-break,
+  :func:`~repro.neighbors.topk.top_k_smallest`) runs on warm pages.
+
+When the dense pass over ``n x n`` distances does not fit the budget,
+:meth:`~SharedNeighborEngine.kneighbors` stops doing ``O(n^2)`` work: an
+exact branch-and-bound search over a k-d partition of the subspace's points
+(Friedman, Bentley & Finkel, ACM TOMS 1977) scores each leaf of a few dozen
+queries only against the leaves its float lower bounds cannot rule out, so
+peak memory per block is ``O(leaf * n)``, not ``O(chunk * n)``.
+:meth:`~SharedNeighborEngine.iter_distance_rows` yields budget-sized row
+bands, read from the cached blocks while an ``n x n`` block fits the budget
+and straight from the data columns otherwise.  An asymmetric
+query-vs-reference mode scores new points against the fitted reference
+without Python-level per-object loops.
 
 Thread safety
 -------------
-The engine is mutated by reads: assemblies update the LRU block cache, top-k
-queries recycle a persistent scratch buffer and memoise neighbour lists.  All
-cache-touching entry points (:meth:`SharedNeighborEngine.distance_matrix`,
-:meth:`~SharedNeighborEngine.iter_distance_rows`,
-:meth:`~SharedNeighborEngine.kneighbors`) therefore serialise on an internal
-lock, so a warm engine shared by concurrent scoring threads (the serving
-path) returns exactly the scores a serial caller would see — pinned bit for
-bit by ``tests/test_shared_engine.py``.  The asymmetric ``query_*`` methods
-touch no shared state and run without the lock.  Coarse per-call locking is
-deliberate: the serving layer funnels scoring through a single-writer
-executor anyway, so the lock is a correctness backstop for direct library
-use, not a throughput path.
+Reads mutate the engine: an assembly may insert or evict a block, and the
+fused kNN pass writes the assembly buffer.  One internal lock guards the
+blocks and the buffer, so a warm engine shared by concurrent scoring threads
+(the serving path) returns exactly the scores a serial caller would see —
+pinned bit for bit by ``tests/test_shared_engine.py``.  Cached blocks are
+read-only, so an in-place write into one raises instead of corrupting later
+results.  The pruned search and the asymmetric ``query_*`` methods touch
+neither and run without the lock.  Coarse locking is deliberate: the serving
+layer funnels scoring through a single-writer executor anyway, so the lock is
+a correctness backstop for direct library use, not a throughput path.
 
 Because the per-subspace reference path (:func:`~repro.neighbors.distance.pairwise_distances`)
 accumulates the very same :func:`~repro.neighbors.distance.squared_difference_block`
@@ -274,15 +274,15 @@ class SharedNeighborEngine:
         Data matrix of shape ``(n_objects, n_dims)``.  The engine keeps a
         reference and never mutates it.
     memory_budget_mb:
-        Upper bound (in MiB) on the memory spent on cached per-dimension
-        blocks and prefix partial sums, the persistent scratch rows and the
-        memoised neighbour lists.  Least-recently-used entries are evicted
-        when the budget is exceeded.  Once the fused top-k pass over ``n``
-        rows would exceed the budget, :meth:`kneighbors` switches to an
-        exact pruned search over leaves of a few dozen points, whose blocks
-        are ``O(leaf * n)`` at most, and :meth:`iter_distance_rows`
-        assembles budget-sized row bands straight from the data columns —
-        the same floats either way.
+        Upper bound (in MiB) on what the engine holds across calls: the
+        cached per-dimension blocks plus the fused pass's assembly buffer.
+        Least-recently-used blocks are evicted to make room for a new block
+        or for the buffer.  Once the fused top-k pass over ``n`` rows would
+        exceed the budget, :meth:`kneighbors` switches to an exact pruned
+        search over leaves of a few dozen points, whose blocks are
+        ``O(leaf * n)`` at most; once an ``n x n`` block exceeds it,
+        :meth:`iter_distance_rows` assembles its bands straight from the data
+        columns — the same floats either way.
     """
 
     def __init__(
@@ -291,34 +291,13 @@ class SharedNeighborEngine:
         self._data = check_data_matrix(data, name="data", min_objects=2)
         self.memory_budget_mb = check_memory_budget_mb(memory_budget_mb)
         self._budget_bytes = int(self.memory_budget_mb * 1024 * 1024)
-        n = self._data.shape[0]
-        self._block_nbytes = n * n * 8
-        # Sorted-attribute-prefix -> accumulated squared-distance matrix.  A
-        # single-attribute prefix is the dimension's raw block.  LRU-evicted
-        # under the byte budget.
-        self._prefixes: OrderedDict[Tuple[int, ...], np.ndarray] = OrderedDict()
-        self._cache_bytes = 0
-        # Assembled subspace matrices only enter the cache on their *second*
-        # request: a one-shot scoring pass touches every subspace exactly
-        # once, and parking its matrices in the cache would both evict the
-        # (constantly reused) dimension blocks and starve the allocator of
-        # reusable pages.  Scoring a stream of batches re-requests and gets cached.
-        self._assembly_requests: dict = {}
-        # Reusable scratch rows for assemble-and-partition passes, so the hot
-        # top-k loop runs on warm pages instead of fresh allocations.  Charged
-        # against the byte budget like every other persistent buffer.
-        self._scratch: Optional[np.ndarray] = None
-        self._scratch_bytes = 0
-        # Memoised kneighbors() results keyed by (attrs, k, exclude_self).
-        # Small (n x k each) but hot: independent scoring of a request stream
-        # re-reads the same reference neighbour lists for every batch.
-        self._knn_cache: OrderedDict[Tuple, KNNResult] = OrderedDict()
-        self._knn_bytes = 0
-        # Serialises every cache-mutating query (see module docstring): the
-        # LRU structures, the request counters and the scratch rows are all
-        # mutated mid-read, so unlocked concurrent queries would corrupt
-        # results, not merely waste work.
-        self._query_lock = threading.RLock()
+        # Attribute -> its read-only squared-difference block, least recently
+        # used first.
+        self._blocks: OrderedDict[int, np.ndarray] = OrderedDict()
+        # The fused kNN pass's n x n assembly buffer, allocated on first use.
+        self._buffer: Optional[np.ndarray] = None
+        # Guards the blocks and the buffer (see the module docstring).
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------- basics
 
@@ -347,161 +326,72 @@ class SharedNeighborEngine:
             )
         return attrs
 
-    # ------------------------------------------------------------- caching
-
-    def _charged_bytes(self) -> int:
-        """Every byte the engine holds against the budget: cached prefix/block
-        matrices, the persistent scratch rows and the memoised neighbour
-        lists.  The budget is one shared pool — a tight ``memory_budget_mb``
-        cannot be silently exceeded by an uncharged buffer."""
-        return self._cache_bytes + self._scratch_bytes + self._knn_bytes
-
-    def _evict_until(self, incoming_nbytes: int) -> None:
-        """LRU-evict prefixes, then neighbour lists, to fit ``incoming_nbytes``.
-
-        The persistent scratch buffer is never evicted (it is in use by the
-        very query that triggers eviction); callers that cannot fit even
-        after a full sweep simply skip caching.
-        """
-        while (
-            self._prefixes
-            and self._charged_bytes() + incoming_nbytes > self._budget_bytes
-        ):
-            _, evicted = self._prefixes.popitem(last=False)
-            self._cache_bytes -= evicted.nbytes
-        while (
-            self._knn_cache
-            and self._charged_bytes() + incoming_nbytes > self._budget_bytes
-        ):
-            _, evicted_result = self._knn_cache.popitem(last=False)
-            self._knn_bytes -= (
-                evicted_result.indices.nbytes + evicted_result.distances.nbytes
-            )
-
-    def _cache_put(self, key: Tuple[int, ...], matrix: np.ndarray) -> None:
-        if matrix.nbytes > self._budget_bytes:
-            return
-        previous = self._prefixes.pop(key, None)
-        if previous is not None:
-            self._cache_bytes -= previous.nbytes
-        self._evict_until(matrix.nbytes)
-        if self._charged_bytes() + matrix.nbytes > self._budget_bytes:
-            return
-        self._prefixes[key] = matrix
-        self._cache_bytes += matrix.nbytes
-
-    def _cache_get(self, key: Tuple[int, ...]) -> Optional[np.ndarray]:
-        matrix = self._prefixes.get(key)
-        if matrix is not None:
-            self._prefixes.move_to_end(key)
-        return matrix
+    # ------------------------------------------------------------- holdings
 
     @property
     def cache_bytes(self) -> int:
-        """Bytes currently charged against the budget (blocks, scratch, kNN)."""
-        return self._charged_bytes()
+        """Bytes held against the budget: the cached blocks plus the buffer.
+
+        Every holding is one ``n x n`` float matrix.
+        """
+        held = len(self._blocks) + (self._buffer is not None)
+        return held * self.n_objects**2 * 8
+
+    def _evict(self, incoming_nbytes: int) -> None:
+        """Drop least-recently-used blocks until ``incoming_nbytes`` more fit."""
+        while self._blocks and self.cache_bytes + incoming_nbytes > self._budget_bytes:
+            self._blocks.popitem(last=False)
 
     def _block(self, attribute: int) -> np.ndarray:
-        """The cached squared-difference block of one dimension."""
-        key = (attribute,)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
+        """The cached, read-only squared-difference block of one dimension.
+
+        Called only while an ``n x n`` block fits the budget, and the buffer
+        exists only while three do, so a new block always fits once the
+        least-recently-used ones are evicted.  They are evicted before it is
+        computed, so a new block never sits beside a full cache.
+        """
+        block = self._blocks.get(attribute)
+        if block is not None:
+            self._blocks.move_to_end(attribute)
+            return block
+        self._evict(self.n_objects**2 * 8)
         block = squared_difference_block(self._data[:, attribute])
-        self._cache_put(key, block)
+        block.flags.writeable = False
+        self._blocks[attribute] = block
         return block
 
-    def _longest_cached_base(self, attrs: Tuple[int, ...]) -> Tuple[int, np.ndarray]:
-        """Longest cached prefix of ``attrs`` to start an assembly from."""
-        depth = len(attrs) - 1
-        while depth >= 2:
-            base = self._cache_get(attrs[:depth])
-            if base is not None:
-                return depth, base
-            depth -= 1
-        return 1, self._block(attrs[0])
+    def _assemble(
+        self,
+        attrs: Tuple[int, ...],
+        start: int,
+        stop: int,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Squared distances of rows ``[start, stop)`` to every object.
 
-    def _should_cache_assembly(self, attrs: Tuple[int, ...]) -> bool:
-        """Cache an assembled subspace matrix only once it is re-requested."""
-        count = self._assembly_requests.get(attrs, 0) + 1
-        if count > 1 or len(self._assembly_requests) < 65536:
-            self._assembly_requests[attrs] = count
-        return count >= 2
-
-    def _squared_prefix(self, attrs: Tuple[int, ...]) -> np.ndarray:
-        """Accumulated squared distances over ``attrs`` (cached, do not mutate).
-
-        Starts from the longest cached prefix of ``attrs`` and adds the
-        remaining dimension blocks in place.  Summation runs left-to-right
-        over ``attrs`` — the same association as the reference accumulation in
-        ``pairwise_distances`` — so assembled matrices are bit-for-bit
-        identical however deep the prefix reuse goes.  Only dimension blocks
-        and re-requested subspace matrices enter the cache; caching every
-        one-shot assembly would flood the budget with matrices that are never
-        read again.
+        The per-dimension terms are added left to right in ``attrs`` order,
+        the accumulation of ``pairwise_distances``, so the floats are the
+        same whichever source the terms come from: the cached blocks while an
+        ``n x n`` block fits the budget, the data columns otherwise (peak
+        memory ``O((stop - start) * n)``).  Writes into ``out`` when given.
+        The caller holds the lock.
         """
-        if len(attrs) == 1:
-            return self._block(attrs[0])
-        cached = self._cache_get(attrs)
-        if cached is not None:
-            return cached
-        depth, base = self._longest_cached_base(attrs)
-        accumulated = base.copy()
-        for attribute in attrs[depth:]:
-            np.add(accumulated, self._block(attribute), out=accumulated)
-        if self._should_cache_assembly(attrs):
-            self._cache_put(attrs, accumulated)
-        return accumulated
-
-    def _scratch_rows(self, n_rows: int) -> np.ndarray:
-        """A persistent scratch buffer of ``(n_rows, n)`` rows (warm pages).
-
-        The buffer is charged against the memory budget: growing it first
-        releases the old buffer's charge and LRU-evicts cached entries until
-        the new allocation fits.
-        """
-        if self._scratch is None or self._scratch.shape[0] < n_rows:
-            self._scratch = None
-            self._scratch_bytes = 0
-            needed = n_rows * self.n_objects * 8
-            self._evict_until(needed)
-            self._scratch = np.empty((n_rows, self.n_objects))
-            self._scratch_bytes = self._scratch.nbytes
-        return self._scratch[:n_rows]
-
-    def _assemble_squared_into(self, attrs: Tuple[int, ...], out: np.ndarray) -> None:
-        """Write the full squared subspace matrix into ``out`` (same floats)."""
-        if len(attrs) == 1:
-            np.copyto(out, self._block(attrs[0]))
-            return
-        cached = self._cache_get(attrs)
-        if cached is not None:
-            np.copyto(out, cached)
-            return
-        depth, base = self._longest_cached_base(attrs)
-        np.copyto(out, base)
-        for attribute in attrs[depth:]:
-            np.add(out, self._block(attribute), out=out)
-        if self._should_cache_assembly(attrs):
-            self._cache_put(attrs, out.copy())
-
-    def _squared_rows(self, attrs: Tuple[int, ...], start: int, stop: int) -> np.ndarray:
-        """Squared distances of rows ``[start, stop)`` to all objects.
-
-        Served from the prefix cache when a full block fits the budget;
-        otherwise the row band is accumulated directly from the data columns,
-        which keeps peak memory at ``O(chunk * n)`` — same floats either way:
-        per-attribute squared differences are elementwise, and both paths add
-        them left-to-right in ascending attribute order.
-        """
-        if self._block_nbytes <= self._budget_bytes:
-            return self._squared_prefix(attrs)[start:stop]
-        squared = np.zeros((stop - start, self.n_objects))
-        for attribute in attrs:
-            squared += squared_difference_block(
-                self._data[start:stop, attribute], self._data[:, attribute]
-            )
-        return squared
+        n = self.n_objects
+        from_blocks = n * n * 8 <= self._budget_bytes
+        if out is None:
+            out = np.empty((stop - start, n))
+        for position, attribute in enumerate(attrs):
+            if from_blocks:
+                term = self._block(attribute)[start:stop]
+            else:
+                term = squared_difference_block(
+                    self._data[start:stop, attribute], self._data[:, attribute]
+                )
+            if position == 0:
+                np.copyto(out, term)
+            else:
+                np.add(out, term, out=out)
+        return out
 
     # ------------------------------------------------------------ queries
 
@@ -511,36 +401,33 @@ class SharedNeighborEngine:
         Returns a fresh array the caller may mutate.
         """
         attrs = self._attributes(attributes)
-        with self._query_lock:
-            distances = np.sqrt(self._squared_prefix(attrs))
+        with self._lock:
+            distances = self._assemble(attrs, 0, self.n_objects)
+        np.sqrt(distances, out=distances)
         np.fill_diagonal(distances, 0.0)
         return distances
 
-    def iter_distance_rows(
-        self,
-        attributes: Optional[Iterable[int]] = None,
-        *,
-        chunk_rows: Optional[int] = None,
-    ):
+    def iter_distance_rows(self, attributes: Optional[Iterable[int]] = None):
         """Yield ``(start, stop, rows)`` full-width distance bands in order.
 
         ``rows`` has shape ``(stop - start, n_objects)`` and holds exactly the
         floats of ``distance_matrix(attributes)[start:stop]``, including the
-        exact ``0.0`` diagonal — but only one band is alive at a time, so the
-        peak footprint beyond the block cache is ``O(chunk * n)``.  The yielded
-        band is reused internally: consumers must finish with (or copy) a band
-        before advancing the iterator.
+        exact ``0.0`` diagonal — but only one band is alive at a time, and
+        bands are sized so the transient buffers stay within the budget
+        (:meth:`_chunk_rows`).  The yielded band is reused internally:
+        consumers must finish with (or copy) a band before advancing the
+        iterator.
         """
         attrs = self._attributes(attributes)
-        if chunk_rows is not None:
-            chunk = min(check_positive_int(chunk_rows, name="chunk_rows"), self.n_objects)
-        else:
-            chunk = self._chunk_rows()
+        chunk = self._chunk_rows()
         n = self.n_objects
+        buffer = np.empty((chunk, n))
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
-            with self._query_lock:
-                rows = np.sqrt(self._squared_rows(attrs, start, stop))
+            rows = buffer[: stop - start]
+            with self._lock:
+                self._assemble(attrs, start, stop, out=rows)
+            np.sqrt(rows, out=rows)
             band = np.arange(start, stop)
             rows[band - start, band] = 0.0
             yield start, stop, rows
@@ -575,37 +462,20 @@ class SharedNeighborEngine:
             raise ParameterError(
                 f"k={k} is too large for {n} objects (max {max_k} with exclude_self={exclude_self})"
             )
-        cache_key = (attrs, k, exclude_self)
-        with self._query_lock:
-            cached = self._knn_cache.get(cache_key)
-            if cached is not None:
-                self._knn_cache.move_to_end(cache_key)
-                return cached
-            if self.fused_pass_fits():
-                # Fused fast path: assemble and square-root in one persistent
-                # scratch buffer so the top-k partition runs on warm pages.
-                rows = self._scratch_rows(n)
-                self._assemble_squared_into(attrs, rows)
-                np.sqrt(rows, out=rows)
-                rows[np.arange(n), np.arange(n)] = np.inf if exclude_self else 0.0
-                indices, distances = top_k_smallest(rows, k)
-            else:
-                indices, distances = _pruned_kneighbors(
-                    self._data[:, list(attrs)], k, exclude_self
-                )
-            result = KNNResult(indices=indices, distances=distances)
-            # Memoise under the shared byte budget; a result that still does
-            # not fit after eviction is simply served uncached.
-            result_nbytes = result.indices.nbytes + result.distances.nbytes
-            if result_nbytes <= self._budget_bytes:
-                while len(self._knn_cache) >= 128:
-                    _, dropped = self._knn_cache.popitem(last=False)
-                    self._knn_bytes -= dropped.indices.nbytes + dropped.distances.nbytes
-                self._evict_until(result_nbytes)
-                if self._charged_bytes() + result_nbytes <= self._budget_bytes:
-                    self._knn_cache[cache_key] = result
-                    self._knn_bytes += result_nbytes
-            return result
+        if not self.fused_pass_fits():
+            indices, distances = _pruned_kneighbors(
+                self._data[:, list(attrs)], k, exclude_self
+            )
+            return KNNResult(indices=indices, distances=distances)
+        with self._lock:
+            if self._buffer is None:
+                self._evict(n * n * 8)
+                self._buffer = np.empty((n, n))
+            rows = self._assemble(attrs, 0, n, out=self._buffer)
+            np.sqrt(rows, out=rows)
+            rows[np.arange(n), np.arange(n)] = np.inf if exclude_self else 0.0
+            indices, distances = top_k_smallest(rows, k)
+        return KNNResult(indices=indices, distances=distances)
 
     def query_squared_distances(
         self, queries: np.ndarray, attributes: Optional[Iterable[int]] = None

@@ -145,12 +145,14 @@ class OutlierScorer:
     def _shared_reference_engine(self, memory_budget_mb: float) -> SharedNeighborEngine:
         """Engine over the fitted reference data, cached across scoring calls.
 
-        The per-dimension blocks and precomputed neighbour lists it holds are
-        what makes ``independent=True`` scoring of a request stream cheap:
-        they are paid once per fit, not once per batch.  Construction is
-        double-checked under a module lock so concurrent scoring threads
-        share one engine; the engine itself serialises its cache-mutating
-        queries (see :class:`~repro.neighbors.engine.SharedNeighborEngine`).
+        The per-dimension blocks it holds are paid once per fit, not once per
+        batch; the reference neighbour lists that make ``independent=True``
+        scoring of a request stream cheap live in what a scorer prepares from
+        it (LOF's local-update plan, :meth:`_reference_preparation`).
+        Construction is double-checked under a module lock so concurrent
+        scoring threads share one engine; the engine itself serialises its
+        cache-mutating queries (see
+        :class:`~repro.neighbors.engine.SharedNeighborEngine`).
         """
 
         def _stale(candidate: Optional[SharedNeighborEngine]) -> bool:
@@ -190,11 +192,12 @@ class OutlierScorer:
     def close(self) -> None:
         """Release the warm reference engine and its preparation; the scorer stays fitted.
 
-        The engine caches up to its memory budget of distance blocks and
-        neighbour lists, and the preparation (LOF's local-update plan) holds
-        a few ``n x k`` arrays per served subspace — state a long-lived host
-        must be able to drop deterministically when it retires a model
-        (serving hot reload) rather than waiting for garbage collection.
+        The engine holds up to its memory budget of distance blocks and its
+        assembly buffer, and the preparation (LOF's local-update plan) holds
+        the reference neighbour lists, a few ``n x k`` arrays per served
+        subspace — state a long-lived host must be able to drop
+        deterministically when it retires a model (serving hot reload)
+        rather than waiting for garbage collection.
         Idempotent; the next ``independent=True`` scoring call rebuilds both
         and produces bit-identical scores.
         """

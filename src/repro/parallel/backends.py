@@ -417,9 +417,9 @@ class SingleWriterExecutor:
 
     A long-lived host (``repro-hics serve``) funnels every warm scoring pass
     through one of these, so all cache mutation of a model's
-    :class:`~repro.neighbors.engine.SharedNeighborEngine` — the LRU block
-    cache, memoised neighbour lists and scratch rows — happens on a single
-    thread while the asyncio front end stays free to accept requests.  The
+    :class:`~repro.neighbors.engine.SharedNeighborEngine` — its LRU of
+    dimension blocks and its assembly buffer — happens on a single thread
+    while the asyncio front end stays free to accept requests.  The
     engine's own internal lock remains the correctness backstop; the single
     writer removes even lock contention from the hot path and makes request
     ordering deterministic.

@@ -75,8 +75,8 @@ class SubspaceOutlierPipeline:
         purely a throughput/memory knob.  The retired name ``"streaming"``
         is read as ``"shared"``.
     memory_budget_mb:
-        Cache budget of the shared engine in MiB (per-dimension blocks,
-        prefix partial sums and neighbour lists); ignored by
+        Cache budget of the shared engine in MiB (its per-dimension blocks
+        and its fused pass's assembly buffer); ignored by
         ``"per-subspace"``.
     backend:
         Execution-backend spec (see :mod:`repro.parallel`), e.g.
@@ -466,7 +466,8 @@ class SubspaceOutlierPipeline:
         the searcher's shared contrast cache and any execution backend it
         owns, and the scorer's warm reference
         :class:`~repro.neighbors.engine.SharedNeighborEngine` (up to
-        ``memory_budget_mb`` of distance blocks and neighbour lists).  One-shot
+        ``memory_budget_mb`` of distance blocks and its assembly buffer) and
+        what the scorer prepared from it (LOF's local-update plan).  One-shot
         hosts (the CLI sub-commands) and long-lived hosts swapping models
         (``repro-hics serve`` hot reload) call this instead of relying on
         interpreter teardown.  Idempotent; a later scoring call simply rebuilds

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import ParameterError, SubspaceError
-from ..types import ScoredSubspace, Subspace
+from ..types import ScoredSubspace, Subspace, best_first
 
 __all__ = ["all_two_dimensional_subspaces", "merge_subspaces", "generate_candidates", "apply_cutoff"]
 
@@ -112,9 +112,9 @@ def apply_cutoff(
     contrast, the decision which candidates to keep is postponed until the
     contrast of all candidates of the level is known, and only the top
     ``cutoff`` are retained.  Ties are broken deterministically by the
-    subspace's attribute tuple.
+    subspace's attribute tuple, and a NaN contrast ranks below every other
+    (:func:`~repro.types.best_first`).
     """
     if cutoff < 1:
         raise ParameterError(f"cutoff must be >= 1, got {cutoff}")
-    ordered = sorted(scored, key=lambda s: (-s.score, s.subspace.attributes))
-    return ordered[:cutoff]
+    return sorted(scored, key=best_first)[:cutoff]

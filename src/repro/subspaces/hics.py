@@ -26,7 +26,7 @@ from ..dataset.memmap import check_storage_spec
 from ..exceptions import ParameterError
 from ..parallel import check_backend_spec
 from ..stats.deviation import DeviationFunction
-from ..types import ScoredSubspace, Subspace
+from ..types import ScoredSubspace, Subspace, best_first
 from ..utils.validation import check_data_matrix, check_positive_int
 from .apriori import all_two_dimensional_subspaces, apply_cutoff, generate_candidates
 from .base import SubspaceSearcher
@@ -255,7 +255,7 @@ class HiCS(SubspaceSearcher):
         if self.prune_redundant:
             final = prune_redundant_subspaces(all_scored)
         else:
-            final = sorted(all_scored, key=lambda s: (-s.score, s.subspace.attributes))
+            final = sorted(all_scored, key=best_first)
         return final[: self.max_output_subspaces]
 
     # ------------------------------------------------------------------ helpers

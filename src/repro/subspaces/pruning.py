@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Sequence, Tuple
 
-from ..types import ScoredSubspace
+from ..types import ScoredSubspace, best_first
 
 __all__ = ["prune_redundant_subspaces"]
 
@@ -38,8 +38,8 @@ def prune_redundant_subspaces(
     Returns
     -------
     list of ScoredSubspace
-        The non-redundant subspaces, sorted by decreasing contrast (ties broken
-        by the attribute tuple for determinism).
+        The non-redundant subspaces, sorted by decreasing contrast with NaN
+        scores last (ties broken by the attribute tuple for determinism).
     """
     items = list(scored_subspaces)
     best_superset: Dict[Tuple[int, ...], float] = {}
@@ -54,4 +54,4 @@ def prune_redundant_subspaces(
         for item in items
         if not best_superset.get(item.subspace.attributes, -math.inf) > item.score
     ]
-    return sorted(kept, key=lambda s: (-s.score, s.subspace.attributes))
+    return sorted(kept, key=best_first)

@@ -18,6 +18,7 @@ from .exceptions import SubspaceError
 __all__ = [
     "Subspace",
     "ScoredSubspace",
+    "best_first",
     "ContrastResult",
     "RankingResult",
 ]
@@ -112,6 +113,17 @@ class ScoredSubspace:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"ScoredSubspace({list(self.subspace.attributes)}, score={self.score:.4f})"
+
+
+def best_first(item: ScoredSubspace) -> Tuple[bool, float, Tuple[int, ...]]:
+    """Sort key of scored subspaces: highest score first, NaN scores last.
+
+    Ties are broken by the attribute tuple.  ``(-score, attributes)`` alone
+    is no total order once a score is NaN, and would leave the order of the
+    whole list arbitrary.
+    """
+    unscored = bool(np.isnan(item.score))
+    return unscored, 0.0 if unscored else -item.score, item.subspace.attributes
 
 
 @dataclass(frozen=True)

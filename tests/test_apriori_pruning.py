@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -17,6 +18,21 @@ from repro.subspaces.apriori import (
 )
 from repro.subspaces.pruning import prune_redundant_subspaces
 from repro.types import ScoredSubspace, Subspace
+
+
+def assert_best_first(items):
+    """Scores non-increasing with NaN scores last, checked without a sort key."""
+    unscored = [math.isnan(item.score) for item in items]
+    assert unscored == sorted(unscored), "a NaN score sorts ahead of a number"
+    scores = [item.score for item, nan in zip(items, unscored) if not nan]
+    assert all(a >= b for a, b in zip(scores, scores[1:])), scores
+
+
+def _disjoint_pairs(*scores):
+    """Scored subspaces (0, 1), (2, 3), ... with the given scores, in order."""
+    return [
+        ScoredSubspace(Subspace((2 * i, 2 * i + 1)), score) for i, score in enumerate(scores)
+    ]
 
 
 class TestTwoDimensionalStart:
@@ -138,6 +154,10 @@ class TestCutoff:
         with pytest.raises(ParameterError):
             apply_cutoff([], 0)
 
+    def test_nan_contrast_ranks_below_every_score(self):
+        kept = apply_cutoff(_disjoint_pairs(0.2, float("nan"), 0.9, 0.5), 2)
+        assert [s.score for s in kept] == [0.9, 0.5]
+
 
 class TestPruning:
     def test_lower_dimensional_dominated_subspace_removed(self):
@@ -192,6 +212,11 @@ class TestPruning:
         kept = prune_redundant_subspaces(scored)
         assert [s.score for s in kept] == [0.7, 0.5, 0.3]
 
+    def test_nan_contrast_sorts_last(self):
+        kept = prune_redundant_subspaces(_disjoint_pairs(0.2, float("nan"), 0.9, 0.5))
+        assert [s.subspace.attributes for s in kept] == [(4, 5), (6, 7), (0, 1), (2, 3)]
+        assert_best_first(kept)
+
     def test_empty_input(self):
         assert prune_redundant_subspaces([]) == []
 
@@ -241,7 +266,11 @@ def pairwise_prune(scored_subspaces):
             for other in items
         )
     ]
-    return sorted(kept, key=lambda s: (-s.score, s.subspace.attributes))
+    scored = [s for s in kept if not math.isnan(s.score)]
+    unscored = [s for s in kept if math.isnan(s.score)]
+    return sorted(scored, key=lambda s: (-s.score, s.subspace.attributes)) + sorted(
+        unscored, key=lambda s: s.subspace.attributes
+    )
 
 
 class TestHashedPruningOracle:
@@ -267,6 +296,7 @@ class TestHashedPruningOracle:
         hashed = prune_redundant_subspaces(scored)
         oracle = pairwise_prune(scored)
         assert [(s.subspace, id(s)) for s in hashed] == [(s.subspace, id(s)) for s in oracle]
+        assert_best_first(hashed)
 
     def test_dense_lattice_equals_pairwise_oracle(self):
         rng = np.random.default_rng(0)
@@ -275,4 +305,6 @@ class TestHashedPruningOracle:
             for size in (2, 3, 4)
             for attrs in combinations(range(8), size)
         ]
-        assert prune_redundant_subspaces(scored) == pairwise_prune(scored)
+        hashed = prune_redundant_subspaces(scored)
+        assert hashed == pairwise_prune(scored)
+        assert_best_first(hashed)

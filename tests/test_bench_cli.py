@@ -55,16 +55,16 @@ class TestBenchCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "fig02" in out and "suite: 2 experiments" in out
-        artifact = json.load(open(tmp_path / "ci" / "fig02.json"))
+        artifact = json.loads((tmp_path / "ci" / "fig02.json").read_text())
         assert artifact["profile"] == "ci"
         assert artifact["manifest"]["cache_misses"] == artifact["manifest"]["n_cells"]
-        summary = json.load(open(tmp_path / "ci" / "summary.json"))
+        summary = json.loads((tmp_path / "ci" / "summary.json").read_text())
         assert summary["n_experiments"] == 2
         assert os.path.isdir(tmp_path / "cache")
 
         # Warm re-run: everything served from the cache, rows byte-identical.
         assert main(["bench", "--only", "fig02", "--artifacts", str(tmp_path)]) == 0
-        warm = json.load(open(tmp_path / "ci" / "fig02.json"))
+        warm = json.loads((tmp_path / "ci" / "fig02.json").read_text())
         assert warm["manifest"]["cache_hits"] == warm["manifest"]["n_cells"]
         assert warm["rows"] == artifact["rows"]
 
@@ -74,7 +74,7 @@ class TestBenchCommand:
         )
         assert code == 0
         assert not os.path.isdir(tmp_path / "cache")
-        artifact = json.load(open(tmp_path / "ci" / "fig02.json"))
+        artifact = json.loads((tmp_path / "ci" / "fig02.json").read_text())
         assert artifact["manifest"]["cache_hits"] == 0
         assert artifact["manifest"]["cache_misses"] == 0
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,9 +216,10 @@ class TestArtifactCache:
         cache = ArtifactCache(str(tmp_path))
         key = "ef" * 32
         cache.put(key, {"rows": []})
-        payload = json.load(open(cache._path(key)))
+        path = Path(cache._path(key))
+        payload = json.loads(path.read_text())
         payload["schema"] = -1
-        json.dump(payload, open(cache._path(key), "w"))
+        path.write_text(json.dumps(payload))
         assert cache.get(key) is None
 
 
@@ -231,7 +233,7 @@ class TestRunner:
         manifest = artifact["manifest"]
         assert manifest["n_cells"] == 1 and manifest["library_version"]
         path = os.path.join(str(tmp_path), "ci", "tiny.json")
-        assert json.load(open(path))["experiment"] == "tiny"
+        assert json.loads(Path(path).read_text())["experiment"] == "tiny"
 
     def test_warm_rerun_is_bit_identical_and_fully_cached(self, tmp_path):
         cache = ArtifactCache(str(tmp_path / "cache"))
@@ -319,7 +321,7 @@ class TestPaperSuiteRegistry:
     def test_fig02_ci_end_to_end_with_check(self, tmp_path):
         artifact = run_experiment("fig02", profile="ci", artifacts_dir=str(tmp_path))
         check_artifact("fig02", artifact)
-        written = json.load(open(write_artifact(artifact, str(tmp_path))))
+        written = json.loads(Path(write_artifact(artifact, str(tmp_path))).read_text())
         assert written["figure"] == "figure-2"
 
     def test_fig02_hics_search_task_ranks_correlated_pair(self):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ParameterError
+from repro.stats.deviation import welch_deviation
 from repro.subspaces import HiCS
 from repro.types import Subspace
 
@@ -156,3 +157,39 @@ class TestHiCSSearch:
             if any(top.issubset(rel) or rel.issubset(top) for rel in relevant_attrs)
         )
         assert hits >= 3
+
+
+def _nan_on_a_shifted_marginal(conditional_sample, marginal_sample):
+    """Welch's deviation, except NaN when the marginal mean exceeds 5."""
+    if marginal_sample.mean() > 5:
+        return float("nan")
+    return welch_deviation(conditional_sample, marginal_sample)
+
+
+class TestNaNContrasts:
+    @pytest.mark.parametrize("prune_redundant", [True, False])
+    def test_nan_contrasts_never_displace_finite_ones(self, prune_redundant):
+        # Attribute 1 follows attribute 0, which is then shifted by +10, so
+        # every subspace holding attribute 0 scores NaN.  The best finite
+        # pairs must survive the cutoff and lead the output.
+        rng = np.random.default_rng(0)
+        data = rng.normal(size=(400, 5))
+        data[:, 1] = data[:, 0] + 0.1 * rng.normal(size=400)
+        data[:, 0] += 10.0
+        searcher = HiCS(
+            n_iterations=20,
+            candidate_cutoff=3,
+            random_state=0,
+            deviation=_nan_on_a_shifted_marginal,
+            prune_redundant=prune_redundant,
+        )
+        result = searcher.search(data)
+        evaluated = searcher.evaluated_subspaces_
+        assert np.isnan(evaluated[Subspace((0, 1))])
+        finite_pairs = [
+            s for s, score in evaluated.items() if s.dimensionality == 2 and np.isfinite(score)
+        ]
+        best = sorted(finite_pairs, key=lambda s: -evaluated[s])[:3]
+        assert [s.subspace for s in searcher.levels_[0]] == best
+        assert result[0].subspace == best[0]
+        assert not any(np.isnan(s.score) for s in result)

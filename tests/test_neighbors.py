@@ -247,7 +247,7 @@ class TestSharedNeighborEngine:
     def test_distance_matrix_matches_pairwise_distances(self):
         data = _tie_heavy_data(seed=2)
         engine = SharedNeighborEngine(data)
-        # Overlapping subspaces exercise prefix reuse in the block cache.
+        # Overlapping subspaces exercise block reuse in the cache.
         for attrs in ((0,), (0, 1), (0, 1, 2), (0, 1, 3), (2, 4), None):
             expected = pairwise_distances(data, attributes=attrs)
             assert np.array_equal(engine.distance_matrix(attrs), expected)
@@ -296,10 +296,45 @@ class TestSharedNeighborEngine:
                 knn.distances, np.take_along_axis(expected_rows, order, axis=1)
             )
 
-    def test_kneighbors_results_are_memoised(self):
-        engine = SharedNeighborEngine(np.random.default_rng(2).normal(size=(30, 4)))
-        assert engine.kneighbors(3, (0, 1)) is engine.kneighbors(3, (0, 1))
-        assert engine.kneighbors(3, (0, 1)) is not engine.kneighbors(4, (0, 1))
+    @pytest.mark.parametrize("blocks", [0.5, 1.5, 2.5, 5.5])
+    def test_holdings_are_read_only_blocks_plus_one_buffer(self, blocks):
+        # Budgets of a fraction of an n x n block (bands from the columns,
+        # pruned kNN), one or two blocks (bands from blocks, pruned kNN) and
+        # five (the fused kNN pass with its buffer, and LRU eviction).
+        data = _tie_heavy_data(seed=5)[:, [0, 1, 2, 3, 4, 0, 2, 4]]
+        data[:, 5:] += np.arange(3)
+        n = data.shape[0]
+        budget = int(blocks * n * n * 8)
+        engine = SharedNeighborEngine(data, memory_budget_mb=budget / 2**20)
+        calls = [
+            ("kneighbors", (0, 1)), ("distance_matrix", (1, 2, 3)),
+            ("rows", (3, 4, 5, 6)), ("kneighbors", (0, 1)), ("kneighbors", (6, 0)),
+            ("rows", (7,)), ("distance_matrix", (2, 5, 7)), ("kneighbors", None),
+            ("rows", (1, 0)), ("kneighbors", (2, 5, 7)), ("distance_matrix", None),
+        ]
+        for query, attrs in calls:
+            if query == "kneighbors":
+                got = engine.kneighbors(4, attrs)
+                want = BruteForceKNN(data, attrs).kneighbors(4)
+                assert np.array_equal(got.indices, want.indices), (query, attrs)
+                assert np.array_equal(got.distances, want.distances), (query, attrs)
+            else:
+                if query == "rows":
+                    got = np.vstack([band.copy() for *_, band in engine.iter_distance_rows(attrs)])
+                else:
+                    got = engine.distance_matrix(attrs)
+                want = pairwise_distances(data, attributes=attrs)
+                assert np.array_equal(got, want), (query, attrs)
+            held = list(engine._blocks.values())
+            if engine._buffer is not None:
+                held.append(engine._buffer)
+            assert engine.cache_bytes == sum(array.nbytes for array in held)
+            assert engine.cache_bytes <= budget
+            assert (engine._buffer is not None) == engine.fused_pass_fits() == (blocks > 3)
+            for block in engine._blocks.values():
+                with pytest.raises(ValueError):
+                    block += 1.0
+        assert bool(engine._blocks) == (blocks >= 1)
 
     def test_validation(self):
         data = np.random.default_rng(0).normal(size=(10, 3))

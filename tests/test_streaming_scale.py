@@ -33,7 +33,7 @@ from repro.exceptions import ParameterError
 from repro.index.slicing import SliceSampler
 from repro.index.sorted_index import SortedDatabaseIndex
 from repro.lint import lint_source
-from repro.neighbors import BruteForceKNN, SharedNeighborEngine
+from repro.neighbors import BruteForceKNN, SharedNeighborEngine, pairwise_distances
 from repro.neighbors import engine as engine_module
 from repro.pipeline import PipelineConfig
 from repro.subspaces.contrast import ContrastEstimator
@@ -73,7 +73,7 @@ BAND_BUDGET_MB = 0.001
 
 def _banded_engine():
     engine = SharedNeighborEngine(EDGE, memory_budget_mb=BAND_BUDGET_MB)
-    assert engine._block_nbytes > engine._budget_bytes
+    assert not engine.fused_pass_fits()
     return engine
 
 
@@ -91,15 +91,18 @@ class TestStreamingChunkBoundaries:
     @pytest.mark.parametrize("attributes", SUBSPACES)
     def test_iter_distance_rows_every_chunk_size(self, attributes):
         n = EDGE.shape[0]
-        dense = SharedNeighborEngine(EDGE).distance_matrix(attributes)
-        engine = _banded_engine()
+        dense = pairwise_distances(EDGE, attributes=attributes)
         for chunk in range(1, n + 1):
+            # Bands of `chunk` rows: the engine budgets 24 bytes a cell.  From
+            # 8 rows up an n x n block fits, and bands read cached blocks;
+            # below, they read the data columns.
+            engine = SharedNeighborEngine(EDGE, memory_budget_mb=chunk * n * 24 / 2**20)
+            assert engine._chunk_rows() == chunk
             assembled = np.empty((n, n))
-            for start, stop, rows in engine.iter_distance_rows(
-                attributes, chunk_rows=chunk
-            ):
+            for start, stop, rows in engine.iter_distance_rows(attributes):
                 assembled[start:stop] = rows
             assert np.array_equal(assembled, dense), chunk
+            assert (engine.cache_bytes > 0) == (chunk >= 8), chunk
 
     def test_duplicates_and_ties_straddle_a_leaf_edge(self, monkeypatch):
         # One-point leaves put the duplicate pair (10, 11) in different
