@@ -10,12 +10,15 @@ dimensionality of the subspace (no curse of dimensionality in the slice).
 
 :meth:`SliceSampler.sample_slice_batch` draws all ``M`` Monte Carlo slices of
 a subspace at once from an explicit generator and evaluates their selection
-masks against the per-attribute rank columns of the index.  It is the only
-slice recipe the library runs; the paper's per-iteration form — one boolean
-mask per iteration, built condition by condition from the index blocks
+masks against the ``int32`` rank columns of the index, one unsigned
+comparison per attribute.  The contrast estimator calls it once per
+candidate subspace, each from the candidate's own generator, and reduces the
+masks of a whole group of candidates together.  It is the only slice recipe
+the library runs; the paper's per-iteration form — one boolean mask per
+iteration, built condition by condition from the index blocks
 ``order[start:start + block]`` — lives on as the test oracle
-``oracle_contrast`` in ``tests/test_contrast_batch.py``, which must agree
-with the batch bit for bit.
+``oracle_contrast`` in ``tests/test_contrast_batch.py``, which draws its own
+slices with the same recipe and must agree with the batch bit for bit.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ from .sorted_index import SortedDatabaseIndex
 
 __all__ = ["SliceBatch", "SliceSampler"]
 
-#: Upper bound on the number of boolean cells materialised at once while
-#: evaluating batched slice masks; batches larger than this are processed in
-#: row chunks to keep peak memory flat.
-_MAX_MASK_CELLS = 1 << 24
+#: Upper bound on the number of cells evaluated at once while building slice
+#: masks: each chunk of rows holds one ``int32`` and one boolean scratch cell
+#: per mask cell, so peak memory stays flat however tall the data.
+_MAX_MASK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -227,7 +230,7 @@ class SliceSampler:
 
         start_ranks[condition_mask] = draw_starts(n_slices).ravel()
         selected = self._evaluate_masks(attrs, start_ranks, block)
-        counts = selected.sum(axis=1)
+        counts = np.count_nonzero(selected, axis=1)
 
         rounds = 0
         while rounds < max_retries:
@@ -239,7 +242,7 @@ class SliceSampler:
             redraw[condition_mask[failing]] = draw_starts(failing.size).ravel()
             start_ranks[failing] = redraw
             selected[failing] = self._evaluate_masks(attrs, redraw, block)
-            counts[failing] = selected[failing].sum(axis=1)
+            counts[failing] = np.count_nonzero(selected[failing], axis=1)
 
         degenerate = counts < max(2, min_conditional_size)
         counts.setflags(write=False)
@@ -263,28 +266,33 @@ class SliceSampler:
         ``start_ranks`` has one row per slice and one column per subspace
         attribute (-1 marking the unconditioned test attribute).  A block
         ``[start, start + block)`` on an attribute selects exactly the objects
-        whose rank under that attribute falls inside the interval, so the mask
-        of each slice is the conjunction of ``d - 1`` rank-interval tests —
-        evaluated here column by column over all slices at once.  Rank columns
-        are requested per attribute (:meth:`SortedDatabaseIndex.rank_column`),
-        so only the subspace's own attributes are ever ranked.
+        whose rank under that attribute falls inside the interval, i.e. whose
+        ``rank - start``, read as an unsigned integer, is below ``block``
+        (a rank below ``start`` wraps to a huge value).  The test attribute
+        gets start 0 and width ``n``, which every rank passes, so the mask of
+        each slice is the conjunction of one such comparison per attribute —
+        evaluated here column by column over a chunk of slices at once.  Rank
+        columns are requested per attribute
+        (:meth:`SortedDatabaseIndex.rank_column`), so only the subspace's own
+        attributes are ever ranked.
         """
         n_objects = self.index.n_objects
         n_rows = start_ranks.shape[0]
+        unconditioned = start_ranks < 0
+        starts = np.where(unconditioned, 0, start_ranks).astype(np.int32)
+        widths = np.where(unconditioned, n_objects, block).astype(np.uint32)
         chunk = max(1, min(n_rows, _MAX_MASK_CELLS // max(1, n_objects)))
         out = np.empty((n_rows, n_objects), dtype=bool)
-        columns = {int(a): self.index.rank_column(a) for a in attrs}
+        offsets = np.empty((chunk, n_objects), dtype=np.int32)
+        inside = np.empty((chunk, n_objects), dtype=bool)
+        columns = [self.index.rank_column(a) for a in attrs]
         for lo in range(0, n_rows, chunk):
             hi = min(n_rows, lo + chunk)
-            sel = np.ones((hi - lo, n_objects), dtype=bool)
-            for j, attribute in enumerate(attrs):
-                starts = start_ranks[lo:hi, j, None]
-                column = columns[int(attribute)][None, :]
-                inside = (column >= starts) & (column < starts + block)
-                # Unconditioned (test-attribute) rows have start == -1; their
-                # interval test is replaced by all-True.
-                np.logical_or(inside, starts < 0, out=inside)
-                sel &= inside
-            out[lo:hi] = sel
+            selected = out[lo:hi]
+            for j, column in enumerate(columns):
+                offset = np.subtract(column, starts[lo:hi, j, None], out=offsets[: hi - lo])
+                target = selected if j == 0 else inside[: hi - lo]
+                np.less(offset.view(np.uint32), widths[lo:hi, j, None], out=target)
+                if j:
+                    selected &= target
         return out
-

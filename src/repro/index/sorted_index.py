@@ -9,8 +9,9 @@ exact number of objects — the building block of the HiCS subspace slices.
 The slice sampler reads the inverse of each permutation, a per-attribute
 *rank column* (:meth:`SortedDatabaseIndex.rank_column`): an object lies in
 the block exactly when ``start <= rank < start + block``.  Rank columns are
-the index's one rank layout, in memory and out of core alike; worker
-processes rebuild an index from published columns without sorting
+the index's one rank layout, in memory and out of core alike, stored as
+``int32`` (an index holds at most ``2**31 - 1`` rows); worker processes
+rebuild an index from published columns without sorting or copying them
 (:meth:`SortedDatabaseIndex.from_rank_columns`).
 """
 
@@ -26,10 +27,13 @@ from ..dataset.memmap import (
     check_storage_spec,
     open_memmap_readonly,
 )
-from ..exceptions import ParameterError, SubspaceError
+from ..exceptions import DataError, ParameterError, SubspaceError
 from ..utils.validation import check_data_matrix
 
 __all__ = ["AttributeIndex", "SortedDatabaseIndex", "chunked_argsort"]
+
+#: Rank columns are ``int32``, so an index holds at most this many rows.
+_MAX_ROWS = int(np.iinfo(np.int32).max)
 
 
 def _stable_merge(left: np.ndarray, right: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -172,10 +176,20 @@ class SortedDatabaseIndex:
         ``.npy`` file, so only the columns being read are resident.  Call
         :meth:`close` (out-of-core only) to remove the scratch files.
         Bit-for-bit: every rank served in either mode is identical.
+
+    Raises
+    ------
+    DataError
+        If ``data`` has more than ``2**31 - 1`` rows (ranks are ``int32``).
     """
 
     def __init__(self, data: np.ndarray, *, storage=None):
         self._data = check_data_matrix(data, name="data")
+        if self._data.shape[0] > _MAX_ROWS:
+            raise DataError(
+                f"the sorted index stores int32 ranks and holds at most {_MAX_ROWS} "
+                f"rows, got {self._data.shape[0]}"
+            )
         self._storage: Optional[StorageSpec] = check_storage_spec(storage)
         self._scratch: Optional[ScratchDirectory] = (
             ScratchDirectory(self._storage.scratch_dir)
@@ -256,7 +270,9 @@ class SortedDatabaseIndex:
         (shared memory, or the memmapped scratch files of an out-of-core
         index) reconstructs the parent's index bit for bit without sorting
         anything.  ``columns`` must map *every* attribute to the column the
-        parent's :meth:`rank_column` produced for the same ``data``.
+        parent's :meth:`rank_column` produced for the same ``data``.  An
+        ``int32`` column is kept as it is (a read-only view, never a copy);
+        other integer columns are converted to ``int32``.
         """
         index = cls(data)
         n, d = index._data.shape
@@ -266,11 +282,15 @@ class SortedDatabaseIndex:
                 f"{sorted(columns)}"
             )
         for attribute in range(d):
-            column = np.asarray(columns[attribute], dtype=np.intp)
+            column = np.asarray(columns[attribute])
             if column.shape != (n,):
                 raise ParameterError(
                     f"rank column {attribute} has shape {column.shape}, "
                     f"expected ({n},)"
+                )
+            if column.dtype.kind not in "iu":
+                raise ParameterError(
+                    f"rank column {attribute} must hold integers, got {column.dtype}"
                 )
             if column.size and (column.min() < 0 or column.max() >= n):
                 raise ParameterError(
@@ -280,8 +300,9 @@ class SortedDatabaseIndex:
             index._indices[attribute] = AttributeIndex(
                 index._data[:, attribute], attribute, order=order
             )
+            column = column.astype(np.int32, copy=False)
             if column.flags.writeable:
-                column = column.copy()
+                column = column.view()
                 column.setflags(write=False)
             index._rank_columns[attribute] = column
         return index
@@ -291,7 +312,7 @@ class SortedDatabaseIndex:
 
         ``rank_column(a)[i]`` is the position of object ``i`` in the sorted
         order of attribute ``a`` (``order[rank_column(a)[i]] == i``), so the
-        column is a permutation of ``0..n_objects-1`` and an index block
+        ``int32`` column is a permutation of ``0..n_objects-1`` and an index block
         ``[start, stop)`` selects exactly the objects with ``start <= rank <
         stop``.  Ties inherit the stable (mergesort) ordering of
         :class:`AttributeIndex`.  Only the requested attribute is argsorted
@@ -305,9 +326,9 @@ class SortedDatabaseIndex:
                 f"attribute {attribute} out of range for {self.n_dims}-dimensional data"
             )
         if attribute not in self._rank_columns:
-            column = np.empty(self.n_objects, dtype=np.intp)
+            column = np.empty(self.n_objects, dtype=np.int32)
             column[self.attribute_index(attribute).order] = np.arange(
-                self.n_objects, dtype=np.intp
+                self.n_objects, dtype=np.int32
             )
             if self._scratch is not None:
                 # Spill to scratch and serve a read-only memmap view: the

@@ -343,7 +343,7 @@ register_gate(GateSpec(
     suite="contrast",
     metric="suites[suite=fig5_50d].wall_time_sec",
     direction="max",
-    threshold=1.45,  # slowest best-of-three run on a shared 2-core x86-64 host (1.26 s) + 15%
+    threshold=0.41,  # slowest best-of-three run on a shared 2-core x86-64 host (0.354 s) + 15%
     tolerance=0.15,
     description="50-d contrast search suite wall time (s)",
 ))
@@ -506,7 +506,7 @@ register_gate(GateSpec(
     suite="perf-smoke-contrast",
     metric="wall_time_sec",
     direction="max",
-    threshold=0.2,  # slowest best-of-three run on a shared 2-core x86-64 host (0.16 s) + 25%
+    threshold=0.056,  # slowest best-of-three run on a shared 2-core x86-64 host (0.0446 s) + 25%
     tolerance=0.25,
     description="one contrast level on the smoke fixture, wall time (s)",
 ))

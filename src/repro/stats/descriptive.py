@@ -6,7 +6,7 @@ sample (mean and variance) and compares the samples through those moments.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -71,31 +71,50 @@ def sample_moments(values: np.ndarray) -> Tuple[float, float, int]:
 
 
 def sample_moments_batch(
-    samples: Sequence[np.ndarray],
+    values: np.ndarray, lengths: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(means, variances, sizes)`` arrays for a sequence of 1-D samples.
+    """``(means, variances, sizes)`` of samples stored back to back.
 
-    The batched hot-path counterpart of :func:`sample_moments`: finiteness
-    validation is skipped (callers pass slices of an already-validated data
-    matrix) and mean/variance are evaluated through ``np.add.reduce`` — the
-    same pairwise summation kernel ``np.mean`` / ``np.var`` use internally, so
-    the results are bit-for-bit identical to calling :func:`sample_moments`
-    per sample (the property-based suite asserts this).
+    ``values`` holds the samples one after another and ``lengths[i]`` is the
+    size of sample ``i``.  The batched hot-path counterpart of
+    :func:`sample_moments`: finiteness validation is skipped (callers pass
+    values of an already-validated data matrix).  Samples of equal length are
+    stacked into one C-contiguous ``(k, L)`` matrix — a view when they lie
+    next to each other in ``values`` — and reduced along axis 1.  Each row
+    then goes through the same pairwise ``np.add.reduce`` that ``np.mean`` /
+    ``np.var`` run on the sample alone, so the results are bit-for-bit
+    identical to calling :func:`sample_moments` per sample (the
+    property-based suite asserts this).
     """
-    n_samples = len(samples)
-    means = np.empty(n_samples, dtype=float)
-    variances = np.empty(n_samples, dtype=float)
-    sizes = np.empty(n_samples, dtype=np.intp)
-    for i, sample in enumerate(samples):
-        n = sample.size
-        if n == 0:
-            raise DataError("sample must not be empty")
-        mean = np.add.reduce(sample) / n
-        means[i] = mean
-        sizes[i] = n
-        if n > 1:
-            centred = sample - mean
-            variances[i] = np.add.reduce(centred * centred) / (n - 1)
+    values = np.asarray(values, dtype=float)
+    sizes = np.asarray(lengths, dtype=np.intp)
+    if sizes.ndim != 1 or values.ndim != 1:
+        raise DataError("values and lengths must be one-dimensional")
+    if sizes.size and sizes.min() < 1:
+        raise DataError("sample must not be empty")
+    if int(sizes.sum()) != values.size:
+        raise DataError(
+            f"lengths add up to {int(sizes.sum())}, but there are {values.size} values"
+        )
+    means = np.empty(sizes.size, dtype=float)
+    variances = np.zeros(sizes.size, dtype=float)
+    if sizes.size == 0:
+        return means, variances, sizes
+    starts = np.cumsum(sizes) - sizes
+    order = np.argsort(sizes, kind="stable")
+    bounds = [0, *(np.flatnonzero(np.diff(sizes[order])) + 1).tolist(), sizes.size]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        rows = order[lo:hi]
+        length = int(sizes[rows[0]])
+        first = int(starts[rows[0]])
+        if rows[-1] - rows[0] == rows.size - 1:
+            block = values[first : first + rows.size * length].reshape(rows.size, length)
         else:
-            variances[i] = 0.0
+            block = values[starts[rows, None] + np.arange(length)]
+        mean = np.add.reduce(block, axis=1) / length
+        means[rows] = mean
+        if length > 1:
+            centred = block - mean[:, None]
+            centred *= centred
+            variances[rows] = np.add.reduce(centred, axis=1) / (length - 1)
     return means, variances, sizes

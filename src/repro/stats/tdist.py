@@ -191,25 +191,24 @@ def regularized_incomplete_beta_batch(a, b, x) -> np.ndarray:
     out = np.empty(x.shape, dtype=float)
     flat_a, flat_b, flat_x = a.ravel(), b.ravel(), x.ravel()
     flat_out = out.ravel()
-    front = np.empty(flat_x.shape, dtype=float)
-    interior = np.ones(flat_x.shape, dtype=bool)
-    for i in range(flat_x.shape[0]):
-        xi = flat_x[i]
-        if xi == 0.0:
-            flat_out[i] = 0.0
-            interior[i] = False
-        elif xi == 1.0:
-            flat_out[i] = 1.0
-            interior[i] = False
-        else:
-            ai, bi = flat_a[i], flat_b[i]
-            front[i] = math.exp(
-                math.lgamma(ai + bi)
-                - math.lgamma(ai)
-                - math.lgamma(bi)
-                + ai * math.log(xi)
-                + bi * math.log1p(-xi)
-            )
+    flat_out[flat_x == 0.0] = 0.0
+    flat_out[flat_x == 1.0] = 1.0
+    interior = (flat_x != 0.0) & (flat_x != 1.0)
+    # The prefactor loop runs over Python floats: indexing numpy scalars
+    # costs more than the libm calls themselves.
+    front = np.zeros(flat_x.shape, dtype=float)
+    front[interior] = [
+        math.exp(
+            math.lgamma(ai + bi)
+            - math.lgamma(ai)
+            - math.lgamma(bi)
+            + ai * math.log(xi)
+            + bi * math.log1p(-xi)
+        )
+        for ai, bi, xi in zip(
+            flat_a[interior].tolist(), flat_b[interior].tolist(), flat_x[interior].tolist()
+        )
+    ]
     direct = interior & (flat_x < (flat_a + 1.0) / (flat_a + flat_b + 2.0))
     mirrored = interior & ~direct
     if direct.any():

@@ -16,21 +16,25 @@ marginal sample (Welch's t-test for HiCS_WT, the KS statistic for HiCS_KS).
 
 Every contrast takes one route (:meth:`ContrastEstimator.contrast_many` and
 its siblings all call it): each requested subspace is validated once, cache
-hits are served, and the misses are evaluated one subspace at a time.  All
-``M`` slices of a subspace are drawn by
-:meth:`~repro.index.SliceSampler.sample_slice_batch`, whose selection masks
-are evaluated against the per-attribute rank columns of the index in one
-pass; the conditional samples are gathered with a single ``nonzero``/``split``
-pass and reduced to per-iteration statistics before the next subspace is
-drawn, so at most one ``(M, n)`` mask matrix is alive.  Welch keeps only the
-``t``/``df`` pairs and one p-value call covers a whole group of subspaces;
-KS and custom deviations are computed per subspace
+hits are served, and the misses are evaluated in groups of whole subspaces
+under a fixed cell budget.  Each subspace draws its ``M`` slices from its own
+generator through :meth:`~repro.index.SliceSampler.sample_slice_batch`,
+whose selection masks are evaluated against the ``int32`` rank columns of
+the index.  The group's masks are stacked by conditional sample size and
+gathered with one ``flatnonzero`` and one read of the data; the moments of
+every sample of one size are one matrix reduction, and Welch's ``t``/``df``
+are one array pass per group, on each attribute's values scaled by a power
+of two.  Welch keeps only the ``t``/``df`` pairs and one p-value call covers
+every group; KS reads the group's masks in the rank domain, and custom
+deviations are called per sample
 (:func:`~repro.stats.deviation.get_batch_deviation_function`).  The result is
 bit-for-bit what the paper's per-iteration recipe gives — one boolean mask
 per iteration, built condition by condition from the index blocks
 ``order[start:start + block]``, and one scalar two-sample test per
 iteration — which is kept as the oracle of the golden-equivalence suite
-(``oracle_contrast`` in ``tests/test_contrast_batch.py``).
+(``oracle_contrast`` in ``tests/test_contrast_batch.py``).  The Welch scale
+is exact, so this holds wherever the unscaled moments neither overflow nor
+underflow; beyond that range only the scaled moments stay finite.
 
 The randomness of each subspace evaluation is derived from the estimator seed
 *and* the subspace's attributes, so a subspace's contrast does not depend on
@@ -48,6 +52,7 @@ level.
 from __future__ import annotations
 
 import logging
+import math
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -81,6 +86,12 @@ from ..utils.validation import check_positive_int
 __all__ = ["ContrastCache", "ContrastEstimator"]
 
 logger = logging.getLogger(__name__)
+
+#: Cell budget of one evaluation group: whole subspaces join a group until
+#: their ``(M, n)`` slice masks reach it, and a group always holds at least
+#: one subspace.  Budgets from ``2**19`` to ``2**23`` ran equally fast on the
+#: paper's n=1000, d=40 protocol.
+_GROUP_CELLS = 1 << 21
 
 
 class ContrastCache:
@@ -289,7 +300,7 @@ class ContrastEstimator:
                 f"{type(cache).__name__}"
             )
         self._data_fingerprint: Optional[str] = None
-        self._marginal_moments: Dict[int, Tuple[float, float, int]] = {}
+        self._marginal_moments: Dict[int, Tuple[float, float, float]] = {}
         self._marginal_cdf: Dict[int, np.ndarray] = {}
 
     @staticmethod
@@ -412,42 +423,49 @@ class ContrastEstimator:
         )
 
     def _evaluate(self, subspaces: Sequence[Subspace]) -> List[ContrastResult]:
-        """Monte Carlo results of validated subspaces, one subspace at a time.
+        """Monte Carlo results of validated subspaces, evaluated in groups.
 
-        Welch's deviation spends most of its time in the incomplete-beta
-        continued fraction, whose cost is dominated by per-call overhead, so
-        the ``t``/``df`` pairs of the whole group share one
+        Whole subspaces join a group until their ``(M, n)`` slice masks reach
+        :data:`_GROUP_CELLS` (at least one subspace per group).  Each subspace
+        draws its slices from its own generator, and the group's iterations
+        are then reduced together (:meth:`_group_statistics`).  Welch's
+        deviation spends most of its time in the incomplete-beta continued
+        fraction, whose cost is dominated by per-call overhead, so the
+        ``t``/``df`` pairs of all groups share one
         :func:`~repro.stats.tdist.student_t_two_tailed_pvalue_batch` call.
-        The p-values are element-wise, so every subspace gets the bits it
-        would get alone.
+        Every statistic is computed per iteration, so every subspace gets the
+        bits it would get alone.
         """
         if not subspaces:
             return []
         if self.subsample_size is not None and self.subsample_size < self.n_objects:
             return [self._evaluate_subsampled(s) for s in subspaces]
-        statistics = [self._iteration_statistics(s) for s in subspaces]
+        size = max(1, _GROUP_CELLS // (self.n_iterations * self.n_objects))
+        degenerate: List[np.ndarray] = []
+        statistics = []
+        for lo in range(0, len(subspaces), size):
+            batches = [self._sample_batch(s) for s in subspaces[lo : lo + size]]
+            degenerate.extend(batch.degenerate for batch in batches)
+            statistics.append(self._group_statistics(batches))
         if self.deviation is welch_deviation:
-            ts = [t for (t, _), _ in statistics]
             pvalues = student_t_two_tailed_pvalue_batch(
-                np.concatenate(ts), np.concatenate([df for (_, df), _ in statistics])
+                np.concatenate([t for t, _ in statistics]),
+                np.concatenate([df for _, df in statistics]),
             )
-            bounds = np.cumsum([0] + [t.size for t in ts])
-            deviations = [
-                np.clip(1.0 - pvalues[lo:hi], 0.0, 1.0)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
+            values = np.clip(1.0 - pvalues, 0.0, 1.0)
         else:
-            deviations = [stats[0] for stats, _ in statistics]
+            values = np.concatenate([deviations for deviations, in statistics])
+        bounds = np.cumsum([0] + [int((~flags).sum()) for flags in degenerate])
         return [
             ContrastResult(
                 subspace=subspace,
-                contrast=float(np.mean(values)) if values.size else 0.0,
-                deviations=tuple(float(v) for v in values),
+                contrast=float(np.mean(values[start:stop])) if stop > start else 0.0,
+                deviations=tuple(values[start:stop].tolist()),
                 n_iterations=self.n_iterations,
-                n_degenerate=n_degenerate,
+                n_degenerate=int(flags.sum()),
             )
-            for subspace, values, (_, n_degenerate) in zip(
-                subspaces, deviations, statistics
+            for subspace, flags, start, stop in zip(
+                subspaces, degenerate, bounds[:-1], bounds[1:]
             )
         ]
 
@@ -488,21 +506,23 @@ class ContrastEstimator:
             subsample=(size, child_entropy),
         )
 
-    def _marginal_moment_arrays(
-        self, test_attributes: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Per-row marginal moments, computed once per attribute and cached."""
-        mean_b = np.empty(test_attributes.shape[0], dtype=float)
-        var_b = np.empty(test_attributes.shape[0], dtype=float)
-        for attribute in np.unique(test_attributes):
-            moments = self._marginal_moments.get(int(attribute))
-            if moments is None:
-                moments = sample_moments(self.index.values(int(attribute)))
-                self._marginal_moments[int(attribute)] = moments
-            rows = test_attributes == attribute
-            mean_b[rows] = moments[0]
-            var_b[rows] = moments[1]
-        return mean_b, var_b, self.n_objects
+    def _welch_marginal(self, attribute: int) -> Tuple[float, float, float]:
+        """``(scale, mean, variance)`` of one attribute for Welch, cached.
+
+        ``scale`` is ``2**-e``, with ``e`` the exponent of the attribute's
+        largest magnitude, and the moments are those of the scaled values.
+        Welch's ``t`` and degrees of freedom do not change under a power of
+        two, which is exact, so in-range data keeps its bits; data near
+        1e±160 no longer over- or underflows the squared terms.
+        """
+        cached = self._marginal_moments.get(attribute)
+        if cached is None:
+            sorted_values = self.index.attribute_index(attribute).sorted_values
+            peak = max(abs(float(sorted_values[0])), abs(float(sorted_values[-1])))
+            scale = math.ldexp(1.0, -math.frexp(peak)[1])
+            mean, variance, _ = sample_moments(self.index.values(attribute) * scale)
+            cached = self._marginal_moments[attribute] = (scale, mean, variance)
+        return cached
 
     def _marginal_ks_tables(
         self, attribute: int
@@ -517,51 +537,77 @@ class ContrastEstimator:
             self._marginal_cdf[attribute] = tables
         return tables
 
-    def _iteration_statistics(
-        self, subspace: Subspace
-    ) -> Tuple[Tuple[np.ndarray, ...], int]:
-        """One subspace's per-iteration statistics and degenerate count.
+    def _group_statistics(self, batches: List[SliceBatch]) -> Tuple[np.ndarray, ...]:
+        """Per-iteration statistics of a group's valid iterations.
 
         Welch yields ``(t, df)`` (the caller computes the p-values), every
         other deviation ``(deviations,)``; degenerate iterations are
-        excluded.  The slice batch and its ``(M, n)`` masks die on return.
+        excluded, and the rows come back subspace by subspace in iteration
+        order.  The valid mask rows of the group are stacked by conditional
+        sample size (a stable sort), so one ``flatnonzero`` and one gather
+        (:meth:`_gather`) put samples of equal size next to each other, and
+        :func:`~repro.stats.descriptive.sample_moments_batch` reduces each
+        size as one matrix.  Welch moments are taken on each attribute's
+        scaled values (:meth:`_welch_marginal`); KS and custom deviations see
+        the raw values.
         """
-        batch = self._sample_batch(subspace)
+        rows = np.flatnonzero(~np.concatenate([batch.degenerate for batch in batches]))
+        counts = np.concatenate([batch.counts for batch in batches])[rows]
         welch = self.deviation is welch_deviation
-        valid = np.flatnonzero(~batch.degenerate)
-        if valid.size == 0:
+        if counts.size == 0:
             empty = np.empty(0, dtype=float)
-            return ((empty, empty) if welch else (empty,)), batch.n_degenerate
-        selected = batch.selected[valid]
-        test_attributes = batch.test_attributes[valid]
-        counts = batch.counts[valid]
+            return (empty, empty) if welch else (empty,)
+        by_size = np.argsort(counts, kind="stable")
+        rows, sizes = rows[by_size], counts[by_size]
+        masks = np.concatenate([batch.selected for batch in batches])[rows]
+        test_attributes = np.concatenate([batch.test_attributes for batch in batches])[rows]
         if self.deviation is ks_deviation:
-            return (
-                (self._ks_deviations(selected, test_attributes, counts),),
-                batch.n_degenerate,
+            statistics = (self._ks_deviations(masks, test_attributes, sizes),)
+        elif welch:
+            attributes, inverse = np.unique(test_attributes, return_inverse=True)
+            marginals = np.array([self._welch_marginal(int(a)) for a in attributes])
+            scale, mean_b, var_b = marginals[inverse].T
+            values = self._gather(masks, test_attributes, sizes)
+            values *= np.repeat(scale, sizes)
+            means, variances, n_a = sample_moments_batch(values, sizes)
+            statistics = (
+                welch_t_statistic_batch(means, variances, n_a, mean_b, var_b, self.n_objects),
+                welch_satterthwaite_df_batch(variances, n_a, var_b, self.n_objects),
             )
-        row_idx, obj_idx = np.nonzero(selected)
-        # np.nonzero is row-major, so each row's objects come out in ascending
-        # index order — the same order as extracting one iteration's sample
-        # with its boolean mask, which keeps the sample means bit-identical.
-        flat_values = self.index.data[obj_idx, test_attributes[row_idx]]
-        samples = np.split(flat_values, np.cumsum(counts)[:-1])
-        if welch:
-            means, variances, sizes = sample_moments_batch(samples)
-            mean_b, var_b, n_b = self._marginal_moment_arrays(test_attributes)
-            t = welch_t_statistic_batch(means, variances, sizes, mean_b, var_b, n_b)
-            df = welch_satterthwaite_df_batch(variances, sizes, var_b, n_b)
-            return (t, df), batch.n_degenerate
-        deviations = np.empty(valid.size, dtype=float)
-        for attribute in np.unique(test_attributes):
-            rows = np.flatnonzero(test_attributes == attribute)
-            attr_index = self.index.attribute_index(int(attribute))
-            deviations[rows] = self._deviation_batch(
-                [samples[r] for r in rows],
-                attr_index.values,
-                marginal_sorted=attr_index.sorted_values,
-            )
-        return (deviations,), batch.n_degenerate
+        else:
+            values = self._gather(masks, test_attributes, sizes)
+            ends = np.cumsum(sizes)
+            deviations = np.empty(sizes.size, dtype=float)
+            for attribute in np.unique(test_attributes):
+                picked = np.flatnonzero(test_attributes == attribute)
+                attr_index = self.index.attribute_index(int(attribute))
+                deviations[picked] = self._deviation_batch(
+                    [values[ends[r] - sizes[r] : ends[r]] for r in picked],
+                    attr_index.values,
+                    marginal_sorted=attr_index.sorted_values,
+                )
+            statistics = (deviations,)
+        unsort = np.argsort(by_size)
+        return tuple(column[unsort] for column in statistics)
+
+    def _gather(
+        self, masks: np.ndarray, test_attributes: np.ndarray, counts: np.ndarray
+    ) -> np.ndarray:
+        """The selected values of every mask row's test attribute, row by row.
+
+        One ``flatnonzero`` over the ``(rows, n)`` masks: position
+        ``r * n + i`` of row ``r`` maps to entry ``i * d + a_r`` of the
+        C-contiguous data matrix, read through a flat view (no copy).
+        ``flatnonzero`` is row-major, so each row's objects come out in
+        ascending index order — the order of masking one iteration's sample,
+        which keeps its sums bit-identical.
+        """
+        data = self.index.data
+        n, d = data.shape
+        positions = np.flatnonzero(masks)
+        positions *= d
+        positions += np.repeat(test_attributes - np.arange(counts.size) * (n * d), counts)
+        return data.reshape(-1)[positions]
 
     def _ks_deviations(
         self, selected: np.ndarray, test_attributes: np.ndarray, counts: np.ndarray

@@ -21,6 +21,7 @@ import pytest
 from repro.exceptions import ParameterError
 from repro.registry import make_searcher
 from repro.subspaces import HiCS
+from repro.subspaces import contrast as contrast_module
 from repro.subspaces.contrast import ContrastCache, ContrastEstimator
 from repro.types import ContrastResult, Subspace
 
@@ -39,35 +40,77 @@ def make_estimator(data, **overrides):
     return ContrastEstimator(data, **params)
 
 
+def oracle_slices(estimator, subspace):
+    """The seeded draw recipe of a subspace's slices, one step at a time.
+
+    A test-side copy of the protocol every contrast rests on, so that a
+    change in the draw order fails the golden suite: the subspace's own
+    generator (root entropy, spawn key = its attributes), then one test
+    position per iteration, then the start ranks of the conditioned
+    attributes row by row, then redraw rounds for the rows whose selection is
+    too small (new start ranks, same test attribute).  Each iteration's mask
+    is built condition by condition from the index blocks
+    ``order[start:start + block]`` — not from the rank columns.
+
+    Returns ``(test_attributes, masks, degenerate)``.
+    """
+    rng = np.random.default_rng(
+        np.random.SeedSequence(estimator.root_entropy, spawn_key=subspace.attributes)
+    )
+    index = estimator.index
+    n, d, m_total = index.n_objects, subspace.dimensionality, estimator.n_iterations
+    block = int(min(n, max(2, int(round(n * float(estimator.alpha ** (1.0 / d)))))))
+    max_start = n - block
+
+    def draw_starts(rows):
+        if max_start > 0:
+            return rng.integers(0, max_start + 1, size=(rows, d - 1))
+        return np.zeros((rows, d - 1), dtype=np.intp)
+
+    def mask(test_position, starts):
+        selected = np.ones(n, dtype=bool)
+        conditioned = [a for j, a in enumerate(subspace.attributes) if j != test_position]
+        for attribute, start in zip(conditioned, starts):
+            order = index.attribute_index(attribute).order
+            condition = np.zeros(n, dtype=bool)
+            condition[order[start : start + block]] = True
+            selected &= condition
+        return selected
+
+    test_positions = rng.integers(0, d, size=m_total)
+    starts = draw_starts(m_total)
+    masks = [mask(test_positions[m], starts[m]) for m in range(m_total)]
+    for _ in range(estimator.max_retries):
+        failing = [m for m in range(m_total) if masks[m].sum() < estimator.min_conditional_size]
+        if not failing:
+            break
+        for m, redrawn in zip(failing, draw_starts(len(failing))):
+            masks[m] = mask(test_positions[m], redrawn)
+    degenerate = [
+        masks[m].sum() < max(2, estimator.min_conditional_size) for m in range(m_total)
+    ]
+    test_attributes = [subspace.attributes[p] for p in test_positions]
+    return test_attributes, masks, degenerate
+
+
 def oracle_contrast(estimator, subspace):
     """Algorithm 1 one iteration at a time: the reference for the estimator.
 
-    Takes the estimator's slice draws (the seeded draw protocol is shared),
-    but rebuilds each iteration's selection mask condition by condition from
-    the index blocks ``order[start:start + block]`` — deliberately *not*
-    reusing the batch-evaluated masks or the rank columns — and runs one
-    scalar two-sample test per iteration on the masked conditional sample.
+    Draws its own slices (:func:`oracle_slices`) and runs one scalar
+    two-sample test per valid iteration on the masked conditional sample.
     """
-    batch = estimator._sample_batch(subspace)
-    index = estimator.index
+    test_attributes, masks, degenerate = oracle_slices(estimator, subspace)
     deviations = []
-    for m in np.flatnonzero(~batch.degenerate):
-        selected = np.ones(index.n_objects, dtype=bool)
-        for j, attribute in enumerate(subspace.attributes):
-            start = int(batch.start_ranks[m, j])
-            if start >= 0:
-                order = index.attribute_index(attribute).order
-                block = np.zeros(index.n_objects, dtype=bool)
-                block[order[start : start + batch.block_size]] = True
-                selected &= block
-        values = index.values(int(batch.test_attributes[m]))
-        deviations.append(float(estimator.deviation(values[selected], values)))
+    for attribute, selected, skip in zip(test_attributes, masks, degenerate):
+        if not skip:
+            values = estimator.index.values(attribute)
+            deviations.append(float(estimator.deviation(values[selected], values)))
     return ContrastResult(
         subspace=subspace,
         contrast=float(np.mean(deviations)) if deviations else 0.0,
         deviations=tuple(deviations),
         n_iterations=estimator.n_iterations,
-        n_degenerate=batch.n_degenerate,
+        n_degenerate=int(sum(degenerate)),
     )
 
 
@@ -140,6 +183,23 @@ class TestGoldenEquivalence:
                 subspace
             )
             assert_identical(level[subspace], alone)
+
+    @pytest.mark.parametrize("deviation", ["welch", "ks", "mean-shift"])
+    @pytest.mark.parametrize("group_cells", [1, 3 * 20 * 300, 1 << 30])
+    def test_group_budget_changes_no_bit(
+        self, mixed_data, deviation, group_cells, monkeypatch
+    ):
+        """One subspace per group, groups of three, or one group: a level
+        reduced together keeps every subspace's oracle bits."""
+        monkeypatch.setattr(contrast_module, "_GROUP_CELLS", group_cells)
+        subspaces = [Subspace(p) for p in combinations(range(6), 2)]
+        subspaces += [Subspace((0, 1, 2)), Subspace((1, 3, 5)), Subspace((0, 1, 2, 3))]
+        level = make_estimator(mixed_data, deviation=deviation).contrast_many_detailed(
+            subspaces
+        )
+        reference = make_estimator(mixed_data, deviation=deviation)
+        for subspace in subspaces:
+            assert_identical(level[subspace], oracle_contrast(reference, subspace))
 
     def test_all_degenerate_subspace_inside_a_level(self):
         """A subspace with no valid iteration scores 0.0 inside a level too
@@ -295,6 +355,22 @@ class TestDegenerateRetryFallback:
         batch = estimator.contrast_detailed(subspace)
         assert batch.n_degenerate > 0
         assert_identical(batch, oracle_contrast(estimator, subspace))
+
+    def test_degenerate_and_valid_subspaces_share_a_group(self, tiny_data):
+        estimator = ContrastEstimator(
+            tiny_data,
+            n_iterations=30,
+            alpha=0.05,
+            min_conditional_size=9,
+            max_retries=1,
+            random_state=4,
+            cache=False,
+        )
+        subspaces = [Subspace((0, 1)), Subspace((0, 1, 2, 3)), Subspace((1, 2))]
+        level = estimator.contrast_many_detailed(subspaces)
+        assert level[Subspace((0, 1, 2, 3))].n_degenerate > 0
+        for subspace in subspaces:
+            assert_identical(level[subspace], oracle_contrast(estimator, subspace))
 
     def test_retries_recover_small_slices(self, correlated_2d):
         """With generous retries, normal data produces no degenerate iterations."""

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import ParameterError, SubspaceError
+from repro.exceptions import DataError, ParameterError, SubspaceError
 from repro.index import AttributeIndex, SliceSampler, SortedDatabaseIndex
+from repro.index import sorted_index as sorted_index_module
 from repro.types import Subspace
 
 
@@ -101,6 +102,29 @@ class TestSortedDatabaseIndex:
                 built.attribute_index(attribute).sorted_values,
             )
 
+    def test_rank_columns_are_int32_and_kept_without_copies(self, correlated_2d):
+        built = SortedDatabaseIndex(correlated_2d).build_all()
+        columns = {a: built.rank_column(a) for a in range(built.n_dims)}
+        writable = {a: column.copy() for a, column in columns.items()}
+        for published in (columns, writable):
+            rebuilt = SortedDatabaseIndex.from_rank_columns(correlated_2d, published)
+            for attribute, column in published.items():
+                served = rebuilt.rank_column(attribute)
+                assert served.dtype == np.int32
+                assert np.shares_memory(served, column)
+                assert not served.flags.writeable
+        # Other integer columns are converted.
+        wide = {a: column.astype(np.int64) for a, column in columns.items()}
+        rebuilt = SortedDatabaseIndex.from_rank_columns(correlated_2d, wide)
+        assert rebuilt.rank_column(0).dtype == np.int32
+        assert np.array_equal(rebuilt.rank_column(0), columns[0])
+
+    def test_more_rows_than_int32_ranks_rejected(self, monkeypatch):
+        monkeypatch.setattr(sorted_index_module, "_MAX_ROWS", 10)
+        SortedDatabaseIndex(np.zeros((10, 2)))
+        with pytest.raises(DataError, match="int32"):
+            SortedDatabaseIndex(np.zeros((11, 2)))
+
     def test_from_rank_columns_rejects_invalid(self, correlated_2d):
         built = SortedDatabaseIndex(correlated_2d).build_all()
         columns = {a: built.rank_column(a).copy() for a in range(built.n_dims)}
@@ -121,6 +145,10 @@ class TestSortedDatabaseIndex:
         duplicated[0] = duplicated[1]  # column no longer a permutation
         with pytest.raises(ParameterError):
             SortedDatabaseIndex.from_rank_columns(correlated_2d, {**columns, 0: duplicated})
+        with pytest.raises(ParameterError, match="integers"):
+            SortedDatabaseIndex.from_rank_columns(
+                correlated_2d, {**columns, 0: columns[0].astype(float)}
+            )
 
 
 def _batch(sampler, subspace, n_slices=20, seed=0):

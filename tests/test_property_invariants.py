@@ -1,9 +1,10 @@
 """Property-based tests (hypothesis) for the batched statistics and the index.
 
-Five families of invariants:
+Six families of invariants:
 
 * the array-level Welch-t / KS implementations are bit-for-bit equal to their
-  scalar counterparts on arbitrary sample pairs,
+  scalar counterparts on arbitrary sample pairs, and the moments of samples
+  stored back to back equal those of each sample alone,
 * :class:`SortedDatabaseIndex` structural invariants — each rank column is a
   permutation consistent with the sorted order, also under heavy ties,
 * batched subspace slices always hit the target selectivity bounds: every
@@ -12,15 +13,17 @@ Five families of invariants:
 * contrasts do not depend on the order of the rows: slicing is rank-based,
   and permuting the rows permutes the LOF scores,
 * a common power-of-two scale of the data leaves every LOF score
-  bit-identical, on the dense, fused and pruned kNN paths.
+  bit-identical, on the dense, fused and pruned kNN paths,
+* a power-of-two scale per column leaves the Welch search bit-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from repro.exceptions import DataError
 from repro.index import SliceSampler, SortedDatabaseIndex
 from repro.neighbors import SharedNeighborEngine
 from repro.neighbors.distance import pairwise_distances
@@ -45,7 +48,7 @@ from repro.stats.welch import (
     welch_t_test,
     welch_t_test_batch,
 )
-from repro.subspaces import ContrastEstimator
+from repro.subspaces import ContrastEstimator, HiCS
 from repro.types import Subspace
 
 finite_floats = st.floats(
@@ -120,15 +123,49 @@ class TestWelchBatchProperties:
         )
         assert batch[0] == regularized_incomplete_beta(a, 0.5, x)
 
-    @given(samples=st.lists(samples_strategy, min_size=1, max_size=10))
+    @given(
+        lengths=st.lists(
+            st.one_of(
+                st.integers(min_value=1, max_value=40),
+                st.integers(min_value=1, max_value=50_000),
+                st.sampled_from([8191, 8192, 8193, 50_000]),
+            ),
+            min_size=1,
+            max_size=6,
+        ).flatmap(lambda drawn: st.permutations(drawn + drawn[:2])),
+        exponent=st.integers(min_value=-8, max_value=8),
+        zeros=st.sampled_from(["none", "negative", "positive", "signed"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(lengths=[3, 5, 3, 3, 5, 8192, 8192, 1], exponent=0, zeros="negative", seed=0)
     @settings(max_examples=40, deadline=None)
-    def test_sample_moments_batch_bit_equal(self, samples):
-        means, variances, sizes = sample_moments_batch(samples)
+    def test_sample_moments_batch_bit_equal(self, lengths, exponent, zeros, seed):
+        """Samples stored back to back and reduced by length keep the bits of
+        ``sample_moments`` on each sample alone: equal lengths next to each
+        other (a reshaped view) or apart (a gathered matrix), lengths across
+        numpy's 8192-element buffer, magnitudes 1e-8 to 1e8 and signed zeros.
+        """
+        rng = np.random.default_rng(seed)
+        samples = [rng.normal(size=n) * 10.0 ** (exponent + rng.uniform(-0.5, 0.5))
+                   for n in lengths]
+        if zeros == "negative":
+            samples[0][:] = -0.0
+        elif zeros == "positive":
+            samples[0][:] = 0.0
+        elif zeros == "signed":
+            samples[0][:] = rng.choice([-0.0, 0.0], size=samples[0].size)
+        means, variances, sizes = sample_moments_batch(np.concatenate(samples), lengths)
         for i, sample in enumerate(samples):
-            mean, variance, n = sample_moments(sample)
-            assert means[i] == mean
-            assert variances[i] == variance
-            assert sizes[i] == n
+            expected = np.array(sample_moments(sample)[:2])
+            got = np.array([means[i], variances[i]])
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), i
+            assert sizes[i] == sample.size
+
+    def test_sample_moments_batch_rejects_bad_lengths(self):
+        with pytest.raises(DataError):
+            sample_moments_batch(np.ones(4), [2, 0, 2])
+        with pytest.raises(DataError):
+            sample_moments_batch(np.ones(4), [2, 3])
 
 
 class TestKSBatchProperties:
@@ -360,3 +397,38 @@ class TestPowerOfTwoScaleInvariance:
 
         for scaled, unscaled in zip(scores(data * 2.0**exponent), scores(data)):
             assert np.array_equal(scaled, unscaled)
+
+
+class TestWelchPowerOfTwoScaleInvariance:
+    """Welch moments are taken on each attribute's values times ``2**-e``,
+    ``e`` the exponent of the attribute's largest magnitude.  ``ldexp`` by
+    ``k`` moves that exponent by exactly ``k``, so the scaled values, and with
+    them every ``t``, degree of freedom and contrast, keep their bits — for a
+    common ``k`` and for one ``k`` per column, far past the magnitudes where
+    unscaled squares over- or underflow (about 1e±154).  Slices are rank
+    intervals, which no positive scale moves.
+    """
+
+    @staticmethod
+    def search(data):
+        searcher = HiCS(n_iterations=20, random_state=0)
+        found = searcher.search(data)
+        return (
+            [(s.subspace.attributes, s.score) for s in found],
+            sorted((s.attributes, c) for s, c in searcher.evaluated_subspaces_.items()),
+        )
+
+    @given(
+        exponent=st.integers(min_value=-900, max_value=900),
+        per_column=st.lists(
+            st.integers(min_value=-900, max_value=900), min_size=4, max_size=4
+        ),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @example(exponent=-300, per_column=[531, -900, 900, 0], seed=0)
+    @settings(max_examples=15, deadline=None)
+    def test_welch_search_keeps_its_bits(self, exponent, per_column, seed):
+        data = np.random.default_rng(seed).normal(size=(300, 4))
+        reference = self.search(data)
+        assert self.search(np.ldexp(data, exponent)) == reference
+        assert self.search(np.ldexp(data, np.array(per_column))) == reference

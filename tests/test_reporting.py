@@ -198,7 +198,7 @@ class TestRegistryParity:
     def test_scripts_default_to_registered_thresholds(self):
         # The argparse defaults read from the registry; spot-check the bars
         # the legacy scripts used to hard-code.
-        assert get_gate("contrast_search_50d_sec").threshold == 1.45
+        assert get_gate("contrast_search_50d_sec").threshold == 0.41
         assert get_gate("serving_speedup").threshold == 2.0
         assert get_gate("serving_p50_ms").threshold == 36.9
         assert get_gate("serving_p99_ms").threshold == 55.1

@@ -59,6 +59,11 @@ def _edge_case_data():
 
 
 EDGE = _edge_case_data()
+#: EDGE's lattice levels 0, 1, 2 mapped to inexact floats, duplicates and
+#: lattice ties kept.  EDGE's squared differences are small integers, whose
+#: sums are exact in any order; these are not, so the sweeps on this copy
+#: also pin the order in which the per-dimension terms are added.
+EDGE_FLOAT = np.array([0.1, 0.7, 1.9])[EDGE.astype(int)] + np.linspace(0.0, 0.3, 5)
 SUBSPACES = [None, (0, 2), (3, 1, 4)]
 
 
@@ -71,32 +76,36 @@ SUBSPACES = [None, (0, 2), (3, 1, 4)]
 BAND_BUDGET_MB = 0.001
 
 
-def _banded_engine():
-    engine = SharedNeighborEngine(EDGE, memory_budget_mb=BAND_BUDGET_MB)
+def _banded_engine(data):
+    engine = SharedNeighborEngine(data, memory_budget_mb=BAND_BUDGET_MB)
     assert not engine.fused_pass_fits()
     return engine
 
 
 class TestStreamingChunkBoundaries:
+    data = EDGE
+
     @pytest.mark.parametrize("attributes", SUBSPACES)
     def test_kneighbors_every_leaf_size(self, attributes, monkeypatch):
-        n = EDGE.shape[0]
-        dense = BruteForceKNN(EDGE, attributes).kneighbors(5)
+        data = self.data
+        n = data.shape[0]
+        dense = BruteForceKNN(data, attributes).kneighbors(5)
         for leaf in range(1, n + 1):
             monkeypatch.setattr(engine_module, "_LEAF_SIZE", leaf)
-            result = _banded_engine().kneighbors(5, attributes)
+            result = _banded_engine(data).kneighbors(5, attributes)
             assert np.array_equal(result.indices, dense.indices), leaf
             assert np.array_equal(result.distances, dense.distances), leaf
 
     @pytest.mark.parametrize("attributes", SUBSPACES)
     def test_iter_distance_rows_every_chunk_size(self, attributes):
-        n = EDGE.shape[0]
-        dense = pairwise_distances(EDGE, attributes=attributes)
+        data = self.data
+        n = data.shape[0]
+        dense = pairwise_distances(data, attributes=attributes)
         for chunk in range(1, n + 1):
             # Bands of `chunk` rows: the engine budgets 24 bytes a cell.  From
             # 8 rows up an n x n block fits, and bands read cached blocks;
             # below, they read the data columns.
-            engine = SharedNeighborEngine(EDGE, memory_budget_mb=chunk * n * 24 / 2**20)
+            engine = SharedNeighborEngine(data, memory_budget_mb=chunk * n * 24 / 2**20)
             assert engine._chunk_rows() == chunk
             assembled = np.empty((n, n))
             for start, stop, rows in engine.iter_distance_rows(attributes):
@@ -108,11 +117,12 @@ class TestStreamingChunkBoundaries:
         # One-point leaves put the duplicate pair (10, 11) in different
         # leaves; the tie at 0.0 and the lattice ties still break by
         # ascending index exactly like the dense argsort.
+        data = self.data
         monkeypatch.setattr(engine_module, "_LEAF_SIZE", 1)
-        leaves = engine_module._leaf_partition(EDGE)
+        leaves = engine_module._leaf_partition(data)
         assert not any({10, 11} <= set(leaf.tolist()) for leaf in leaves)
-        dense = SharedNeighborEngine(EDGE).kneighbors(8)
-        result = _banded_engine().kneighbors(8)
+        dense = SharedNeighborEngine(data).kneighbors(8)
+        result = _banded_engine(data).kneighbors(8)
         assert np.array_equal(result.indices, dense.indices)
         assert np.array_equal(result.distances, dense.distances)
         # the duplicate partner is the nearest neighbour, at exactly 0.0
@@ -121,25 +131,33 @@ class TestStreamingChunkBoundaries:
         assert result.distances[10, 0] == 0.0
 
     def test_adaptive_density_every_chunk_size(self):
+        data = self.data
         subspaces = [None if a is None else Subspace(a) for a in SUBSPACES]
         scorer = AdaptiveDensityScorer(n_neighbors=5)
-        reference = scorer.score_batch(EDGE, subspaces, engine=None)
-        n = EDGE.shape[0]
+        reference = scorer.score_batch(data, subspaces, engine=None)
+        n = data.shape[0]
         for chunk in range(1, n + 1):
             # Bands of `chunk` rows: the engine budgets 24 bytes a cell.
-            engine = SharedNeighborEngine(EDGE, memory_budget_mb=chunk * n * 24 / 2**20)
+            engine = SharedNeighborEngine(data, memory_budget_mb=chunk * n * 24 / 2**20)
             assert engine._chunk_rows() == chunk
-            banded = scorer.score_batch(EDGE, subspaces, engine=engine)
+            banded = scorer.score_batch(data, subspaces, engine=engine)
             for got, expected in zip(banded, reference):
                 assert np.array_equal(got, expected), chunk
 
     def test_pruned_search_stays_inside_budget(self, monkeypatch):
+        data = self.data
         monkeypatch.setattr(engine_module, "_LEAF_SIZE", 3)
-        engine = _banded_engine()
-        dense = SharedNeighborEngine(EDGE).kneighbors(4)
+        engine = _banded_engine(data)
+        dense = SharedNeighborEngine(data).kneighbors(4)
         result = engine.kneighbors(4)
         assert np.array_equal(result.indices, dense.indices)
         assert engine.cache_bytes <= int(BAND_BUDGET_MB * 1024 * 1024)
+
+
+class TestStreamingChunkBoundariesFloat(TestStreamingChunkBoundaries):
+    """The same sweeps on inexact floats, where the summation order shows."""
+
+    data = EDGE_FLOAT
 
 
 #: A budget below one block of any input (one byte): kneighbors then always
