@@ -11,7 +11,11 @@ dimensionality of the subspace (no curse of dimensionality in the slice).
 :meth:`SliceSampler.sample_slice_batch` draws all ``M`` Monte Carlo slices of
 a subspace at once from an explicit generator and evaluates their selection
 masks against the ``int32`` rank columns of the index, one unsigned
-comparison per attribute.  The contrast estimator calls it once per
+comparison per conditioned attribute, in row chunks that fit in cache
+(:func:`~repro.utils.chunks.row_chunks`).  A chunk compares only the
+attributes its slices condition on, so on tall data, where a chunk is one
+slice, the free test attribute costs nothing, and each chunk is counted
+while it is still in cache.  The contrast estimator calls it once per
 candidate subspace, each from the candidate's own generator, and reduces the
 masks of a whole group of candidates together.  It is the only slice recipe
 the library runs; the paper's per-iteration form — one boolean mask per
@@ -24,19 +28,16 @@ slices with the same recipe and must agree with the batch bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Tuple
 
 import numpy as np
 
 from ..exceptions import ParameterError, SubspaceError
 from ..types import Subspace
+from ..utils.chunks import row_chunks
 from .sorted_index import SortedDatabaseIndex
 
 __all__ = ["SliceBatch", "SliceSampler"]
-
-#: Upper bound on the number of cells evaluated at once while building slice
-#: masks: each chunk of rows holds one ``int32`` and one boolean scratch cell
-#: per mask cell, so peak memory stays flat however tall the data.
-_MAX_MASK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -229,8 +230,7 @@ class SliceSampler:
             return np.zeros((n_rows, d - 1), dtype=np.intp)
 
         start_ranks[condition_mask] = draw_starts(n_slices).ravel()
-        selected = self._evaluate_masks(attrs, start_ranks, block)
-        counts = np.count_nonzero(selected, axis=1)
+        selected, counts = self._evaluate_masks(attrs, start_ranks, block)
 
         rounds = 0
         while rounds < max_retries:
@@ -241,8 +241,7 @@ class SliceSampler:
             redraw = np.full((failing.size, d), -1, dtype=np.intp)
             redraw[condition_mask[failing]] = draw_starts(failing.size).ravel()
             start_ranks[failing] = redraw
-            selected[failing] = self._evaluate_masks(attrs, redraw, block)
-            counts[failing] = np.count_nonzero(selected[failing], axis=1)
+            selected[failing], counts[failing] = self._evaluate_masks(attrs, redraw, block)
 
         degenerate = counts < max(2, min_conditional_size)
         counts.setflags(write=False)
@@ -260,39 +259,50 @@ class SliceSampler:
 
     def _evaluate_masks(
         self, attrs: np.ndarray, start_ranks: np.ndarray, block: int
-    ) -> np.ndarray:
-        """Selection masks for a matrix of drawn condition start ranks.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Selection masks and their counts for drawn condition start ranks.
 
         ``start_ranks`` has one row per slice and one column per subspace
         attribute (-1 marking the unconditioned test attribute).  A block
         ``[start, start + block)`` on an attribute selects exactly the objects
         whose rank under that attribute falls inside the interval, i.e. whose
         ``rank - start``, read as an unsigned integer, is below ``block``
-        (a rank below ``start`` wraps to a huge value).  The test attribute
-        gets start 0 and width ``n``, which every rank passes, so the mask of
-        each slice is the conjunction of one such comparison per attribute —
-        evaluated here column by column over a chunk of slices at once.  Rank
-        columns are requested per attribute
+        (a rank below ``start`` wraps to a huge value).  The mask of each
+        slice is the conjunction of one such comparison per conditioned
+        attribute, evaluated column by column over a chunk of slices at once
+        (:func:`~repro.utils.chunks.row_chunks`).  A chunk skips every
+        attribute that none of its slices conditions on; inside a chunk that
+        does compare an attribute, a slice that leaves it free gets start 0
+        and width ``n``, which every rank passes.  Each chunk is counted
+        while it is still in cache.  Rank columns are requested per attribute
         (:meth:`SortedDatabaseIndex.rank_column`), so only the subspace's own
         attributes are ever ranked.
         """
         n_objects = self.index.n_objects
         n_rows = start_ranks.shape[0]
-        unconditioned = start_ranks < 0
-        starts = np.where(unconditioned, 0, start_ranks).astype(np.int32)
-        widths = np.where(unconditioned, n_objects, block).astype(np.uint32)
-        chunk = max(1, min(n_rows, _MAX_MASK_CELLS // max(1, n_objects)))
+        conditioned = start_ranks >= 0
+        starts = np.where(conditioned, start_ranks, 0).astype(np.int32)
+        widths = np.where(conditioned, block, n_objects).astype(np.uint32)
+        chunks = row_chunks(n_rows, n_objects)
         out = np.empty((n_rows, n_objects), dtype=bool)
-        offsets = np.empty((chunk, n_objects), dtype=np.int32)
-        inside = np.empty((chunk, n_objects), dtype=bool)
+        counts = np.empty(n_rows, dtype=np.intp)
+        offsets = np.empty((chunks[0][1], n_objects), dtype=np.int32)
+        inside = np.empty(offsets.shape, dtype=bool)
         columns = [self.index.rank_column(a) for a in attrs]
-        for lo in range(0, n_rows, chunk):
-            hi = min(n_rows, lo + chunk)
+        for lo, hi in chunks:
             selected = out[lo:hi]
-            for j, column in enumerate(columns):
-                offset = np.subtract(column, starts[lo:hi, j, None], out=offsets[: hi - lo])
-                target = selected if j == 0 else inside[: hi - lo]
+            compared = np.flatnonzero(conditioned[lo:hi].any(axis=0))
+            for step, j in enumerate(compared):
+                offset = np.subtract(columns[j], starts[lo:hi, j, None], out=offsets[: hi - lo])
+                target = inside[: hi - lo] if step else selected
                 np.less(offset.view(np.uint32), widths[lo:hi, j, None], out=target)
-                if j:
+                if step:
                     selected &= target
-        return out
+            # Counting one row whole is several times faster than any count
+            # along an axis; of those, a reduce into int32 is the fastest.
+            counts[lo:hi] = (
+                np.count_nonzero(selected)
+                if hi - lo == 1
+                else np.add.reduce(selected, axis=1, dtype=np.int32)
+            )
+        return out, counts

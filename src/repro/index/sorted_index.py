@@ -13,6 +13,11 @@ the index's one rank layout, in memory and out of core alike, stored as
 ``int32`` (an index holds at most ``2**31 - 1`` rows); worker processes
 rebuild an index from published columns without sorting or copying them
 (:meth:`SortedDatabaseIndex.from_rank_columns`).
+
+The attribute values are held once, as one read-only, C-contiguous
+``(d, n)`` matrix (:attr:`SortedDatabaseIndex.columns`): every
+:attr:`AttributeIndex.values` is a row of it, and the contrast search
+gathers its conditional samples from it.
 """
 
 from __future__ import annotations
@@ -109,7 +114,9 @@ class AttributeIndex:
     Parameters
     ----------
     values:
-        One-dimensional array of the attribute values of all objects.
+        One-dimensional array of the attribute values of all objects; a
+        contiguous ``float64`` array (such as a row of
+        :attr:`SortedDatabaseIndex.columns`) is kept as it is, not copied.
     attribute:
         Attribute (column) number, kept for error messages and provenance.
     order:
@@ -175,7 +182,8 @@ class SortedDatabaseIndex:
         is spilled to a per-index :class:`ScratchDirectory` as a memmapped
         ``.npy`` file, so only the columns being read are resident.  Call
         :meth:`close` (out-of-core only) to remove the scratch files.
-        Bit-for-bit: every rank served in either mode is identical.
+        Bit-for-bit: every rank served in either mode is identical.  The
+        value matrix :attr:`columns` is resident in both modes.
 
     Raises
     ------
@@ -196,6 +204,11 @@ class SortedDatabaseIndex:
             if self._storage is not None
             else None
         )
+        # One contiguous row per attribute: the values every attribute index
+        # serves and the source the contrast search gathers samples from.
+        columns = np.ascontiguousarray(self._data.T)
+        columns.setflags(write=False)
+        self._columns = columns
         self._indices: Dict[int, AttributeIndex] = {}
         self._rank_columns: Dict[int, np.ndarray] = {}
 
@@ -229,6 +242,17 @@ class SortedDatabaseIndex:
         return self._data
 
     @property
+    def columns(self) -> np.ndarray:
+        """The data as a read-only, C-contiguous ``(n_dims, n_objects)`` matrix.
+
+        Row ``a`` holds attribute ``a`` in object order; it is the array
+        :attr:`AttributeIndex.values` and :meth:`values` serve (row views, no
+        copies).  Built once with the index, in memory for an out-of-core
+        index too.
+        """
+        return self._columns
+
+    @property
     def n_objects(self) -> int:
         return self._data.shape[0]
 
@@ -244,7 +268,7 @@ class SortedDatabaseIndex:
                 f"attribute {attribute} out of range for {self.n_dims}-dimensional data"
             )
         if attribute not in self._indices:
-            values = self._data[:, attribute]
+            values = self._columns[attribute]
             if self._storage is not None:
                 order = chunked_argsort(values, self._storage.chunk_rows)
                 self._indices[attribute] = AttributeIndex(values, attribute, order=order)
@@ -298,7 +322,7 @@ class SortedDatabaseIndex:
                 )
             order = _invert_rank_column(column, n, attribute)
             index._indices[attribute] = AttributeIndex(
-                index._data[:, attribute], attribute, order=order
+                index._columns[attribute], attribute, order=order
             )
             column = column.astype(np.int32, copy=False)
             if column.flags.writeable:
@@ -353,12 +377,12 @@ class SortedDatabaseIndex:
         return self.rank_column(attribute)
 
     def values(self, attribute: int) -> np.ndarray:
-        """Raw (unsorted) values of an attribute."""
+        """Raw (unsorted) values of an attribute: a row of :attr:`columns`."""
         if attribute < 0 or attribute >= self.n_dims:
             raise SubspaceError(
                 f"attribute {attribute} out of range for {self.n_dims}-dimensional data"
             )
-        return self._data[:, attribute]
+        return self._columns[attribute]
 
     def __contains__(self, attribute: int) -> bool:
         return 0 <= int(attribute) < self.n_dims

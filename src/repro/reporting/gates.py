@@ -348,6 +348,15 @@ register_gate(GateSpec(
     description="50-d contrast search suite wall time (s)",
 ))
 register_gate(GateSpec(
+    name="contrast_tall_sec",
+    suite="contrast",
+    metric="tall.wall_time_sec",
+    direction="max",
+    threshold=1.75,  # slowest of three runs on a shared 2-core x86-64 host (1.519 s) + 15%
+    tolerance=0.15,
+    description="every subspace of a 150,000x6 dataset, serial, in memory, wall time (s)",
+))
+register_gate(GateSpec(
     name="contrast_amortisation_spawn",
     suite="contrast",
     metric="parallel.strategies[start_method=spawn].persistent_vs_per_level",

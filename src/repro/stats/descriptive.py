@@ -11,6 +11,7 @@ from typing import Tuple
 import numpy as np
 
 from ..exceptions import DataError
+from ..utils.chunks import row_chunks
 
 __all__ = [
     "sample_mean",
@@ -79,11 +80,13 @@ def sample_moments_batch(
     size of sample ``i``.  The batched hot-path counterpart of
     :func:`sample_moments`: finiteness validation is skipped (callers pass
     values of an already-validated data matrix).  Samples of equal length are
-    stacked into one C-contiguous ``(k, L)`` matrix — a view when they lie
-    next to each other in ``values`` — and reduced along axis 1.  Each row
-    then goes through the same pairwise ``np.add.reduce`` that ``np.mean`` /
-    ``np.var`` run on the sample alone, so the results are bit-for-bit
-    identical to calling :func:`sample_moments` per sample (the
+    stacked into C-contiguous ``(k, L)`` matrices of whole rows under the
+    cell budget of :func:`~repro.utils.chunks.row_chunks` — views when they
+    lie next to each other in ``values`` — and reduced along axis 1, so the
+    centred squares never take more than one chunk of memory.  Each row goes
+    through the same pairwise ``np.add.reduce`` that ``np.mean`` / ``np.var``
+    run on the sample alone, whichever chunk it falls in, so the results are
+    bit-for-bit identical to calling :func:`sample_moments` per sample (the
     property-based suite asserts this).
     """
     values = np.asarray(values, dtype=float)
@@ -104,17 +107,19 @@ def sample_moments_batch(
     order = np.argsort(sizes, kind="stable")
     bounds = [0, *(np.flatnonzero(np.diff(sizes[order])) + 1).tolist(), sizes.size]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        rows = order[lo:hi]
-        length = int(sizes[rows[0]])
-        first = int(starts[rows[0]])
-        if rows[-1] - rows[0] == rows.size - 1:
-            block = values[first : first + rows.size * length].reshape(rows.size, length)
-        else:
-            block = values[starts[rows, None] + np.arange(length)]
-        mean = np.add.reduce(block, axis=1) / length
-        means[rows] = mean
-        if length > 1:
-            centred = block - mean[:, None]
-            centred *= centred
-            variances[rows] = np.add.reduce(centred, axis=1) / (length - 1)
+        length = int(sizes[order[lo]])
+        adjacent = order[hi - 1] - order[lo] == hi - lo - 1
+        for chunk_lo, chunk_hi in row_chunks(hi - lo, length):
+            rows = order[lo + chunk_lo : lo + chunk_hi]
+            if adjacent:
+                first = int(starts[rows[0]])
+                block = values[first : first + rows.size * length].reshape(rows.size, length)
+            else:
+                block = values[starts[rows, None] + np.arange(length)]
+            mean = np.add.reduce(block, axis=1) / length
+            means[rows] = mean
+            if length > 1:
+                centred = block - mean[:, None]
+                centred *= centred
+                variances[rows] = np.add.reduce(centred, axis=1) / (length - 1)
     return means, variances, sizes

@@ -20,13 +20,17 @@ hits are served, and the misses are evaluated in groups of whole subspaces
 under a fixed cell budget.  Each subspace draws its ``M`` slices from its own
 generator through :meth:`~repro.index.SliceSampler.sample_slice_batch`,
 whose selection masks are evaluated against the ``int32`` rank columns of
-the index.  The group's masks are stacked by conditional sample size and
-gathered with one ``flatnonzero`` and one read of the data; the moments of
-every sample of one size are one matrix reduction, and Welch's ``t``/``df``
+the index.  The group's valid mask rows are ordered by conditional sample
+size and walked in row chunks that fit in cache
+(:func:`~repro.utils.chunks.row_chunks`): each chunk gets one
+``flatnonzero`` and one gather from the index's ``(d, n)`` column matrix
+(:attr:`~repro.index.SortedDatabaseIndex.columns`), so a tall search never
+holds a whole-group copy.  The moments of every sample of one size are one
+matrix reduction, taken in the same row chunks, and Welch's ``t``/``df``
 are one array pass per group, on each attribute's values scaled by a power
 of two.  Welch keeps only the ``t``/``df`` pairs and one p-value call covers
-every group; KS reads the group's masks in the rank domain, and custom
-deviations are called per sample
+every group; KS reads the masks in the rank domain, chunk by chunk, and
+custom deviations are called per sample
 (:func:`~repro.stats.deviation.get_batch_deviation_function`).  The result is
 bit-for-bit what the paper's per-iteration recipe gives — one boolean mask
 per iteration, built condition by condition from the index blocks
@@ -80,6 +84,7 @@ from ..stats.deviation import (
 from ..stats.tdist import student_t_two_tailed_pvalue_batch
 from ..stats.welch import welch_satterthwaite_df_batch, welch_t_statistic_batch
 from ..types import ContrastResult, Subspace
+from ..utils.chunks import row_chunks
 from ..utils.random_state import fresh_entropy, subsample_rng
 from ..utils.validation import check_positive_int
 
@@ -90,7 +95,8 @@ logger = logging.getLogger(__name__)
 #: Cell budget of one evaluation group: whole subspaces join a group until
 #: their ``(M, n)`` slice masks reach it, and a group always holds at least
 #: one subspace.  Budgets from ``2**19`` to ``2**23`` ran equally fast on the
-#: paper's n=1000, d=40 protocol.
+#: paper's n=1000, d=40 protocol.  Within a group every stage works in the
+#: smaller row chunks of :mod:`repro.utils.chunks`.
 _GROUP_CELLS = 1 << 21
 
 
@@ -543,39 +549,45 @@ class ContrastEstimator:
         Welch yields ``(t, df)`` (the caller computes the p-values), every
         other deviation ``(deviations,)``; degenerate iterations are
         excluded, and the rows come back subspace by subspace in iteration
-        order.  The valid mask rows of the group are stacked by conditional
-        sample size (a stable sort), so one ``flatnonzero`` and one gather
-        (:meth:`_gather`) put samples of equal size next to each other, and
-        :func:`~repro.stats.descriptive.sample_moments_batch` reduces each
-        size as one matrix.  Welch moments are taken on each attribute's
-        scaled values (:meth:`_welch_marginal`); KS and custom deviations see
-        the raw values.
+        order.  KS reads the masks in the rank domain
+        (:meth:`_ks_deviations`).  For the others the valid rows are ordered
+        by conditional sample size (a stable sort) and gathered chunk by
+        chunk (:meth:`_gather`), so samples of equal size lie next to each
+        other and :func:`~repro.stats.descriptive.sample_moments_batch`
+        reduces each size as one matrix.  Welch moments are taken on each
+        attribute's scaled values (:meth:`_welch_marginal`); custom
+        deviations see the raw values.
         """
         rows = np.flatnonzero(~np.concatenate([batch.degenerate for batch in batches]))
         counts = np.concatenate([batch.counts for batch in batches])[rows]
+        test_attributes = np.concatenate([batch.test_attributes for batch in batches])[rows]
         welch = self.deviation is welch_deviation
         if counts.size == 0:
             empty = np.empty(0, dtype=float)
             return (empty, empty) if welch else (empty,)
-        by_size = np.argsort(counts, kind="stable")
-        rows, sizes = rows[by_size], counts[by_size]
-        masks = np.concatenate([batch.selected for batch in batches])[rows]
-        test_attributes = np.concatenate([batch.test_attributes for batch in batches])[rows]
+        # A group of one subspace, which every group over tall data is, is
+        # read in place; a larger group is small enough to stack.
+        masks = (
+            batches[0].selected
+            if len(batches) == 1
+            else np.concatenate([batch.selected for batch in batches])
+        )
         if self.deviation is ks_deviation:
-            statistics = (self._ks_deviations(masks, test_attributes, sizes),)
-        elif welch:
+            return (self._ks_deviations(masks, rows, test_attributes, counts),)
+        by_size = np.argsort(counts, kind="stable")
+        rows, sizes, test_attributes = rows[by_size], counts[by_size], test_attributes[by_size]
+        if welch:
             attributes, inverse = np.unique(test_attributes, return_inverse=True)
             marginals = np.array([self._welch_marginal(int(a)) for a in attributes])
             scale, mean_b, var_b = marginals[inverse].T
-            values = self._gather(masks, test_attributes, sizes)
-            values *= np.repeat(scale, sizes)
+            values = self._gather(masks, rows, test_attributes, sizes, scale)
             means, variances, n_a = sample_moments_batch(values, sizes)
             statistics = (
                 welch_t_statistic_batch(means, variances, n_a, mean_b, var_b, self.n_objects),
                 welch_satterthwaite_df_batch(variances, n_a, var_b, self.n_objects),
             )
         else:
-            values = self._gather(masks, test_attributes, sizes)
+            values = self._gather(masks, rows, test_attributes, sizes)
             ends = np.cumsum(sizes)
             deviations = np.empty(sizes.size, dtype=float)
             for attribute in np.unique(test_attributes):
@@ -591,44 +603,71 @@ class ContrastEstimator:
         return tuple(column[unsort] for column in statistics)
 
     def _gather(
-        self, masks: np.ndarray, test_attributes: np.ndarray, counts: np.ndarray
+        self,
+        masks: np.ndarray,
+        rows: np.ndarray,
+        test_attributes: np.ndarray,
+        counts: np.ndarray,
+        scale: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """The selected values of every mask row's test attribute, row by row.
+        """The selected values of each mask row's test attribute, row by row.
 
-        One ``flatnonzero`` over the ``(rows, n)`` masks: position
-        ``r * n + i`` of row ``r`` maps to entry ``i * d + a_r`` of the
-        C-contiguous data matrix, read through a flat view (no copy).
-        ``flatnonzero`` is row-major, so each row's objects come out in
-        ascending index order — the order of masking one iteration's sample,
-        which keeps its sums bit-identical.
+        Walks ``masks[rows]`` in row chunks under the cell budget
+        (:func:`~repro.utils.chunks.row_chunks`), so no whole-group mask copy
+        or position array is ever held.  Each chunk gets one
+        ``flatnonzero``: position ``r * n + i`` of chunk row ``r`` maps to
+        entry ``a_r * n + i`` of the index's column matrix
+        (:attr:`~repro.index.SortedDatabaseIndex.columns`), read through a
+        flat view.  ``flatnonzero`` is row-major, so each row's objects come
+        out in ascending index order — the order of masking one iteration's
+        sample, which keeps its sums bit-identical.  ``scale`` (one power of
+        two per row) multiplies each row's values in place, which is exact.
         """
-        data = self.index.data
-        n, d = data.shape
-        positions = np.flatnonzero(masks)
-        positions *= d
-        positions += np.repeat(test_attributes - np.arange(counts.size) * (n * d), counts)
-        return data.reshape(-1)[positions]
+        n = self.n_objects
+        columns = self.index.columns.reshape(-1)
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        values = np.empty(int(bounds[-1]), dtype=float)
+        for lo, hi in row_chunks(rows.size, n):
+            positions = np.flatnonzero(masks[rows[lo:hi]])
+            offsets = (test_attributes[lo:hi] - np.arange(hi - lo)) * n
+            positions += np.repeat(offsets, counts[lo:hi])
+            chunk = values[bounds[lo] : bounds[hi]]
+            # Every position is in range; "clip" writes straight into ``chunk``
+            # ("raise" would buffer the output).
+            np.take(columns, positions, out=chunk, mode="clip")
+            if scale is not None:
+                chunk *= np.repeat(scale[lo:hi], counts[lo:hi])
+        return values
 
     def _ks_deviations(
-        self, selected: np.ndarray, test_attributes: np.ndarray, counts: np.ndarray
+        self,
+        masks: np.ndarray,
+        rows: np.ndarray,
+        test_attributes: np.ndarray,
+        counts: np.ndarray,
     ) -> np.ndarray:
-        """KS statistics of the valid iterations, in the rank domain.
+        """KS statistics of the mask rows ``rows``, in the rank domain.
 
         The conditional ECDF evaluated at the marginal points is a cumulative
         count of selected objects along the attribute's sorted order (ties
         collapse to the last index of their group), so the whole statistic
-        reduces to one cumsum and one row-max per iteration group — no
-        per-sample sort or search.  Counts are integers, so the quotients are
-        bitwise the same floats the per-sample searchsorted formulation
-        produces.
+        reduces to one cumsum and one row-max per chunk of an attribute's
+        rows (:func:`~repro.utils.chunks.row_chunks`) — no per-sample sort
+        or search.  Counts are integers, so the quotients are bitwise the
+        same floats the per-sample searchsorted formulation produces, and
+        each row's statistic is its own, whatever chunk it falls in.
         """
-        deviations = np.empty(test_attributes.size, dtype=float)
+        n = self.n_objects
+        deviations = np.empty(rows.size, dtype=float)
         for attribute in np.unique(test_attributes):
-            rows = np.flatnonzero(test_attributes == attribute)
+            picked = np.flatnonzero(test_attributes == attribute)
             order, tie_end, ref_cdf = self._marginal_ks_tables(int(attribute))
-            cum = np.cumsum(selected[rows][:, order], axis=1)
-            cdf_rows = cum[:, tie_end] / counts[rows][:, None]
-            deviations[rows] = np.max(np.abs(cdf_rows - ref_cdf), axis=1)
+            for lo, hi in row_chunks(picked.size, n):
+                chunk = picked[lo:hi]
+                cum = np.cumsum(masks[rows[chunk]][:, order], axis=1, dtype=np.int32)
+                cdf_rows = cum[:, tie_end] / counts[chunk][:, None]
+                cdf_rows -= ref_cdf
+                deviations[chunk] = np.max(np.abs(cdf_rows, out=cdf_rows), axis=1)
         return deviations
 
     def contrast_many(self, subspaces: Iterable[Subspace]) -> Dict[Subspace, float]:

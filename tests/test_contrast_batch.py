@@ -24,6 +24,7 @@ from repro.subspaces import HiCS
 from repro.subspaces import contrast as contrast_module
 from repro.subspaces.contrast import ContrastCache, ContrastEstimator
 from repro.types import ContrastResult, Subspace
+from repro.utils import chunks as chunks_module
 
 
 def _shadowing_welch(conditional, marginal):
@@ -138,6 +139,13 @@ def mixed_data():
     )
 
 
+@pytest.fixture()
+def tiny_data():
+    """Twelve rows: small enough that slices get redrawn and stay degenerate."""
+    rng = np.random.default_rng(3)
+    return rng.uniform(size=(12, 4))
+
+
 class TestGoldenEquivalence:
     @pytest.mark.parametrize("deviation", ["welch", "ks", "cvm", "mean-shift"])
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.35])
@@ -200,6 +208,39 @@ class TestGoldenEquivalence:
         reference = make_estimator(mixed_data, deviation=deviation)
         for subspace in subspaces:
             assert_identical(level[subspace], oracle_contrast(reference, subspace))
+
+    @pytest.mark.parametrize("deviation", ["welch", "ks", "mean-shift"])
+    @pytest.mark.parametrize("chunk", ["one row", "three rows", "default"])
+    def test_row_chunks_change_no_bit(
+        self, mixed_data, tiny_data, deviation, chunk, monkeypatch
+    ):
+        """The masks, the gather, the moments and KS walk their rows in
+        chunks under one cell budget.  One row per chunk is the tall case:
+        the test attribute's compare is skipped and every stage goes row by
+        row.  Three mask rows per chunk mix rows that do and do not condition
+        on an attribute, gather several test attributes at once and split
+        equal-length moment blocks across chunks.  The default holds a whole
+        subspace.  Every level keeps its oracle bits, redrawn and degenerate
+        rows included."""
+        cases = [
+            (make_estimator(mixed_data, deviation=deviation), [
+                *(Subspace(p) for p in combinations(range(6), 2)),
+                Subspace((0, 1, 2)), Subspace((1, 3, 5)), Subspace((0, 1, 2, 3)),
+            ]),
+            (ContrastEstimator(
+                tiny_data, n_iterations=30, alpha=0.05, min_conditional_size=9,
+                max_retries=1, random_state=4, cache=False, deviation=deviation,
+            ), [Subspace((0, 1)), Subspace((0, 1, 2, 3)), Subspace((1, 2))]),
+        ]
+        for estimator, subspaces in cases:
+            cells = {"one row": 1, "three rows": 3 * estimator.n_objects}.get(chunk)
+            if cells is not None:
+                monkeypatch.setattr(chunks_module, "_CHUNK_CELLS", cells)
+            level = estimator.contrast_many_detailed(subspaces)
+            monkeypatch.undo()
+            for subspace in subspaces:
+                assert_identical(level[subspace], oracle_contrast(estimator, subspace))
+        assert level[Subspace((0, 1, 2, 3))].n_degenerate > 0
 
     def test_all_degenerate_subspace_inside_a_level(self):
         """A subspace with no valid iteration scores 0.0 inside a level too
@@ -288,11 +329,6 @@ class TestDegenerateRetryFallback:
     behaviour: such iterations are *excluded* from the mean, counted in
     ``n_degenerate``, and all of it is deterministic under a seed.
     """
-
-    @pytest.fixture()
-    def tiny_data(self):
-        rng = np.random.default_rng(3)
-        return rng.uniform(size=(12, 4))
 
     def test_degenerate_iterations_are_excluded_not_zeroed(self, tiny_data):
         estimator = ContrastEstimator(

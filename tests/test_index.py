@@ -119,6 +119,33 @@ class TestSortedDatabaseIndex:
         assert rebuilt.rank_column(0).dtype == np.int32
         assert np.array_equal(rebuilt.rank_column(0), columns[0])
 
+    def test_attribute_values_are_rows_of_one_column_matrix(self, correlated_2d, tmp_path):
+        """In memory, out of core over a memmapped matrix, and rebuilt from
+        rank columns as a worker does, every attribute's values are a row
+        view of one read-only, C-contiguous ``(d, n)`` matrix: the index
+        holds the data once, as the gather's source, beside its sorted
+        values."""
+        np.save(tmp_path / "data.npy", correlated_2d)
+        mapped = np.load(tmp_path / "data.npy", mmap_mode="r")
+        built = SortedDatabaseIndex(correlated_2d).build_all()
+        out_of_core = SortedDatabaseIndex(mapped, storage="memmap(chunk_rows=64)").build_all()
+        rebuilt = SortedDatabaseIndex.from_rank_columns(
+            correlated_2d, {a: built.rank_column(a) for a in range(built.n_dims)}
+        )
+        try:
+            for index in (built, out_of_core, rebuilt):
+                columns = index.columns
+                assert columns.shape == (3, 500) and columns.dtype == np.float64
+                assert columns.flags.c_contiguous and not columns.flags.writeable
+                assert np.array_equal(columns, correlated_2d.T)
+                for attribute in range(index.n_dims):
+                    values = index.attribute_index(attribute).values
+                    assert np.shares_memory(values, columns)
+                    assert not values.flags.owndata
+                    assert np.shares_memory(index.values(attribute), columns)
+        finally:
+            out_of_core.close()
+
     def test_more_rows_than_int32_ranks_rejected(self, monkeypatch):
         monkeypatch.setattr(sorted_index_module, "_MAX_ROWS", 10)
         SortedDatabaseIndex(np.zeros((10, 2)))

@@ -50,6 +50,7 @@ from repro.stats.welch import (
 )
 from repro.subspaces import ContrastEstimator, HiCS
 from repro.types import Subspace
+from repro.utils import chunks as chunks_module
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -136,15 +137,27 @@ class TestWelchBatchProperties:
         exponent=st.integers(min_value=-8, max_value=8),
         zeros=st.sampled_from(["none", "negative", "positive", "signed"]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
+        chunk_cells=st.sampled_from([1, 7, 20_000, 1 << 18]),
     )
-    @example(lengths=[3, 5, 3, 3, 5, 8192, 8192, 1], exponent=0, zeros="negative", seed=0)
+    @example(lengths=[3, 5, 3, 3, 5, 8192, 8192, 1], exponent=0, zeros="negative", seed=0,
+             chunk_cells=1 << 18)
+    @example(lengths=[3, 3, 3, 3, 3, 5, 5], exponent=0, zeros="none", seed=1, chunk_cells=7)
+    @example(lengths=[3, 5, 3, 3, 5, 3, 3], exponent=0, zeros="none", seed=2, chunk_cells=7)
     @settings(max_examples=40, deadline=None)
-    def test_sample_moments_batch_bit_equal(self, lengths, exponent, zeros, seed):
+    def test_sample_moments_batch_bit_equal(self, lengths, exponent, zeros, seed, chunk_cells):
         """Samples stored back to back and reduced by length keep the bits of
         ``sample_moments`` on each sample alone: equal lengths next to each
         other (a reshaped view) or apart (a gathered matrix), lengths across
-        numpy's 8192-element buffer, magnitudes 1e-8 to 1e8 and signed zeros.
+        numpy's 8192-element buffer, magnitudes 1e-8 to 1e8 and signed zeros,
+        and an equal-length block reduced whole or split across row chunks
+        (``chunk_cells`` 7 puts two rows of length 3 in a chunk, 1 one row).
         """
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chunks_module, "_CHUNK_CELLS", chunk_cells)
+            self._check_moments_batch(lengths, exponent, zeros, seed)
+
+    @staticmethod
+    def _check_moments_batch(lengths, exponent, zeros, seed):
         rng = np.random.default_rng(seed)
         samples = [rng.normal(size=n) * 10.0 ** (exponent + rng.uniform(-0.5, 0.5))
                    for n in lengths]
