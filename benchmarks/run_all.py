@@ -133,6 +133,9 @@ SEARCH_PARAMS = dict(
 TALL_SUITE = _suite_dataset("tall_150k", 150_000, 6, 2)
 TALL_ITERATIONS = 50
 
+#: Runs per strategy of the parallel target, each strategy keeping its best.
+PARALLEL_REPEATS = 5
+
 
 def run_suite(spec: DatasetSpec) -> Dict[str, object]:
     dataset = build_dataset(spec)
@@ -157,14 +160,14 @@ def run_suite(spec: DatasetSpec) -> Dict[str, object]:
     }
 
 
-def run_tall_suite(spec: DatasetSpec = TALL_SUITE) -> Dict[str, object]:
+def run_tall_suite() -> Dict[str, object]:
     """Wall time of every subspace of each size, best of three per size.
 
     One contrast level per subspace size over all of the dataset's
     attributes (57 subspaces at d=6), on one estimator whose index is built
     before timing and whose cache is off, so every repetition evaluates.
     """
-    dataset = build_dataset(spec)
+    dataset = build_dataset(TALL_SUITE)
     estimator = ContrastEstimator(
         dataset.data, n_iterations=TALL_ITERATIONS, random_state=0, cache=False
     )
@@ -178,7 +181,7 @@ def run_tall_suite(spec: DatasetSpec = TALL_SUITE) -> Dict[str, object]:
             "wall_time_sec": round(wall_time, 4),
         })
     return {
-        "suite": spec.label,
+        "suite": TALL_SUITE.label,
         "n_objects": dataset.n_objects,
         "n_dims": dataset.n_dims,
         "n_iterations": TALL_ITERATIONS,
@@ -217,7 +220,7 @@ class _PerLevelPoolBackend(ProcessBackend):
             self.close()
 
 
-def run_parallel_target(n_jobs: int = 2, repeats: int = 5) -> Dict[str, object]:
+def run_parallel_target(n_jobs: int = 2) -> Dict[str, object]:
     """The persistent-pool target on the 50-d acceptance workload.
 
     Measures the full HiCS search under (a) serial execution, (b) a
@@ -227,7 +230,8 @@ def run_parallel_target(n_jobs: int = 2, repeats: int = 5) -> Dict[str, object]:
     startup cost it amortises only grows with worker count and level count).
     Each search takes about 0.3 s, so a burst on a shared host can swing one
     timing by half: the two pool strategies run interleaved, in alternating
-    order, and each keeps its best of ``repeats``.
+    order, and every strategy, serial included, keeps its best of
+    :data:`PARALLEL_REPEATS`.
     """
     dataset = build_dataset(SUITES[2])  # fig5_50d
 
@@ -240,7 +244,7 @@ def run_parallel_target(n_jobs: int = 2, repeats: int = 5) -> Dict[str, object]:
         into["result"] = [(s.subspace.attributes, s.score) for s in scored]
 
     serial: Dict[str, object] = {}
-    for _ in range(2):  # best-of-two absorbs wall-clock noise
+    for _ in range(PARALLEL_REPEATS):
         search("serial", serial)
     strategies = []
     available = multiprocessing.get_all_start_methods()
@@ -253,7 +257,7 @@ def run_parallel_target(n_jobs: int = 2, repeats: int = 5) -> Dict[str, object]:
         per_level: Dict[str, object] = {}
         runs = [(persistent_backend, persistent), (per_level_backend, per_level)]
         try:
-            for repeat in range(repeats):
+            for repeat in range(PARALLEL_REPEATS):
                 for backend, into in runs if repeat % 2 == 0 else runs[::-1]:
                     search(backend, into)
         finally:

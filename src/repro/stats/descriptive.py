@@ -81,9 +81,9 @@ def sample_moments_batch(
     :func:`sample_moments`: finiteness validation is skipped (callers pass
     values of an already-validated data matrix).  Samples of equal length are
     stacked into C-contiguous ``(k, L)`` matrices of whole rows under the
-    cell budget of :func:`~repro.utils.chunks.row_chunks` — views when they
-    lie next to each other in ``values`` — and reduced along axis 1, so the
-    centred squares never take more than one chunk of memory.  Each row goes
+    cell budget of :func:`~repro.utils.chunks.row_chunks`, counted in bytes —
+    views when they lie next to each other in ``values`` — and reduced along
+    axis 1, so a chunk and its centred squares stay in cache.  Each row goes
     through the same pairwise ``np.add.reduce`` that ``np.mean`` / ``np.var``
     run on the sample alone, whichever chunk it falls in, so the results are
     bit-for-bit identical to calling :func:`sample_moments` per sample (the
@@ -109,7 +109,7 @@ def sample_moments_batch(
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         length = int(sizes[order[lo]])
         adjacent = order[hi - 1] - order[lo] == hi - lo - 1
-        for chunk_lo, chunk_hi in row_chunks(hi - lo, length):
+        for chunk_lo, chunk_hi in row_chunks(hi - lo, length * values.itemsize):
             rows = order[lo + chunk_lo : lo + chunk_hi]
             if adjacent:
                 first = int(starts[rows[0]])

@@ -98,13 +98,15 @@ def oracle_contrast(estimator, subspace):
     """Algorithm 1 one iteration at a time: the reference for the estimator.
 
     Draws its own slices (:func:`oracle_slices`) and runs one scalar
-    two-sample test per valid iteration on the masked conditional sample.
+    two-sample test per valid iteration on the masked conditional sample,
+    taken from the data matrix itself rather than from the index's column
+    matrix that the estimator gathers from.
     """
     test_attributes, masks, degenerate = oracle_slices(estimator, subspace)
     deviations = []
     for attribute, selected, skip in zip(test_attributes, masks, degenerate):
         if not skip:
-            values = estimator.index.values(attribute)
+            values = np.ascontiguousarray(estimator.index.data[:, attribute])
             deviations.append(float(estimator.deviation(values[selected], values)))
     return ContrastResult(
         subspace=subspace,
