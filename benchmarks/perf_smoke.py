@@ -9,8 +9,9 @@ checks, runnable separately or together:
   fixture), gated on absolute wall time.  Its bit-for-bit equality with the
   per-iteration recipe is a tier-1 test (``tests/test_contrast_batch.py``).
 * ``scoring`` — the shared-neighborhood scoring engine vs the per-subspace
-  path: joint multi-subspace ranking must not regress, and independent
-  (streaming) scoring must beat the per-object reference by at least 3x.
+  path: joint multi-subspace ranking must not regress, independent
+  (streaming) scoring must beat the per-object reference by at least 3x,
+  and the ``tracemalloc`` peak of one shared rank stays under its bound.
 * ``parallel`` — the BENCH_parallel gate: a persistent-pool process backend
   must beat serial execution on the fig05-style 50-d search workload (and
   match it bit for bit): the registered bar on hosts with 4+ cores, a softer
@@ -37,6 +38,7 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
@@ -59,6 +61,20 @@ def best_of(repeats: int, fn) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def traced_peak_mb(fn) -> float:
+    """Peak of the memory ``tracemalloc`` traces (MiB) during one call of ``fn``.
+
+    NumPy reports its array buffers to ``tracemalloc``; tracing slows Python
+    allocations, so the call is never a timed one.
+    """
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def _evaluate(
@@ -127,9 +143,14 @@ def scoring_smoke() -> Tuple[int, Dict[str, object]]:
     joint_speedup = timings["per-subspace"] / timings["shared"]
     joint_identical = np.array_equal(scores["shared"], scores["per-subspace"])
     joint_timings = dict(timings)
+    # What one shared rank allocates at its peak, from a separate, untimed run.
+    rank_peak_mb = traced_peak_mb(
+        lambda: SubspaceOutlierRanker(LOFScorer(min_pts=10)).rank(dataset.data, subspaces)
+    )
     print(
         f"scoring joint: shared {timings['shared']:.3f}s  "
-        f"per-subspace {timings['per-subspace']:.3f}s  speedup {joint_speedup:.2f}x"
+        f"per-subspace {timings['per-subspace']:.3f}s  speedup {joint_speedup:.2f}x  "
+        f"shared traced peak {rank_peak_mb:.2f} MB"
     )
 
     # Independent streaming: identical scores, >= 3x (typically far more).
@@ -166,6 +187,7 @@ def scoring_smoke() -> Tuple[int, Dict[str, object]]:
         "joint_wall_time_per_subspace_sec": round(joint_timings["per-subspace"], 4),
         "joint_speedup": round(joint_speedup, 4),
         "joint_identical": joint_identical,
+        "rank_traced_peak_mb": round(rank_peak_mb, 3),
         "independent_wall_time_shared_sec": round(timings["shared"], 4),
         "independent_wall_time_per_subspace_sec": round(timings["per-subspace"], 4),
         "independent_speedup": round(independent_speedup, 4),

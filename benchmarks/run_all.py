@@ -55,6 +55,7 @@ import multiprocessing
 import os
 import sys
 import time
+import tracemalloc
 from functools import partial
 from itertools import combinations
 from typing import Dict, List
@@ -93,6 +94,21 @@ def _best_of(repeats: int, fn):
         value = fn()
         best = min(best, time.perf_counter() - start)
     return best, value
+
+
+def _traced_peak_mb(fn) -> float:
+    """Peak of the memory ``tracemalloc`` traces (MiB) during one call of ``fn``.
+
+    NumPy reports its array buffers to ``tracemalloc``, so this is the peak
+    of what the call allocates on top of what is already alive.  Tracing
+    slows Python allocations, so the call is never a timed one.
+    """
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def _suite_dataset(name: str, n_objects: int, n_dims: int, n_relevant: int) -> DatasetSpec:
@@ -469,6 +485,13 @@ def run_scoring_benchmark(out: str, min_speedup: float) -> int:
         "no_regression",
         get_gate("scoring_rank_speedup").threshold,
     )
+    # What one shared rank allocates at its peak, from a separate, untimed run.
+    rank_peak_mb = _traced_peak_mb(
+        lambda: SubspaceOutlierRanker(LOFScorer(min_pts=w["min_pts"])).rank(
+            dataset.data, subspaces
+        )
+    )
+    print(f"  rank_multisubspace: traced peak {rank_peak_mb:.2f} MB")
 
     # Joint streaming: score incoming batches against the fitted subspaces.
     shared_pipe, reference_pipe = pipeline("shared"), pipeline("per-subspace")
@@ -514,6 +537,7 @@ def run_scoring_benchmark(out: str, min_speedup: float) -> int:
         "workload": {**SCORING_WORKLOAD, "n_subspaces_found": len(subspaces)},
         **environment_manifest(),
         "suites": suites,
+        "rank_traced_peak_mb": round(rank_peak_mb, 2),
         "acceptance": {
             "required_speedup_independent": min_speedup,
             "measured_speedup_independent": next(

@@ -136,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--memory-budget-mb",
             type=float,
             default=256.0,
-            help="cache budget of the shared scoring engine in MiB (default 256)",
+            help="memory budget of the shared scoring engine's fused kNN pass in "
+            "MiB; past it the exact pruned search runs (default 256)",
         )
 
     rank = subparsers.add_parser("rank", help="rank the objects of a dataset")

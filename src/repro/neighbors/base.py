@@ -118,7 +118,7 @@ def create_knn_searcher(
     while a :class:`~repro.neighbors.engine.SharedNeighborEngine` at its
     default budget would take its fused dense pass, and the engine's pruned
     search past that: a one-shot query below the budget gains nothing from
-    the engine's block cache.  ``"brute"`` is always the dense reference.
+    the engine.  ``"brute"`` is always the dense reference.
     """
     from .brute import BruteForceKNN
     from .engine import SharedEngineKNN

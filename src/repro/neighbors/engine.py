@@ -1,19 +1,19 @@
 """The shared-neighborhood scoring engine: one distance pass for all subspaces.
 
 Scoring every object in *each* high-contrast subspace is the dominant cost of
-the pipeline once the contrast search is vectorised: the selected subspaces
-heavily share dimensions, yet the per-subspace path rebuilds its own
-``O(n^2 * |S|)`` distance matrix from scratch for every subspace.  The
-:class:`SharedNeighborEngine` pays the expensive pass once instead.  Across
-calls it holds exactly two things, both charged against its memory budget:
-
-* an LRU of read-only per-dimension squared-difference blocks
-  ``(x_id - x_jd)^2``, each computed once per dataset; a subspace's
-  distances are assembled by adding its blocks left to right in the
-  caller's attribute order,
-* one ``n x n`` buffer that the fused kNN pass assembles into, so the top-k
-  partition (``argpartition`` with the library-wide stable index tie-break,
-  :func:`~repro.neighbors.topk.top_k_smallest`) runs on warm pages.
+the pipeline once the contrast search is vectorised.  The
+:class:`SharedNeighborEngine` answers every subspace of one data matrix
+through one object: it assembles a subspace's squared distances straight
+from the data columns, in cache-sized row bands
+(:func:`~repro.utils.chunks.row_chunks`), adding the attributes' terms
+``(x_id - x_jd)^2`` left to right in the caller's attribute order.  LOF and
+the other density scores need only each object's k nearest neighbours, so
+nothing per attribute or per subspace outlives a call.  Across calls the
+engine holds at most one ``n x n`` buffer that the fused kNN pass assembles
+into before its top-k selection
+(:func:`~repro.neighbors.topk.top_k_smallest`, with the library-wide stable
+index tie-break); it is allocated once, so a rank over many subspaces does
+not fault in a fresh ``n x n`` matrix per subspace.
 
 When the dense pass over ``n x n`` distances does not fit the budget,
 :meth:`~SharedNeighborEngine.kneighbors` stops doing ``O(n^2)`` work: an
@@ -22,21 +22,17 @@ exact branch-and-bound search over a k-d partition of the subspace's points
 queries only against the leaves its float lower bounds cannot rule out, so
 peak memory per block is ``O(leaf * n)``, not ``O(chunk * n)``.
 :meth:`~SharedNeighborEngine.iter_distance_rows` yields budget-sized row
-bands, read from the cached blocks while an ``n x n`` block fits the budget
-and straight from the data columns otherwise.  An asymmetric
-query-vs-reference mode scores new points against the fitted reference
-without Python-level per-object loops.
+bands assembled the same way.  An asymmetric query-vs-reference mode scores
+new points against the fitted reference without Python-level per-object
+loops.
 
 Thread safety
 -------------
-Reads mutate the engine: an assembly may insert or evict a block, and the
-fused kNN pass writes the assembly buffer.  One internal lock guards the
-blocks and the buffer, so a warm engine shared by concurrent scoring threads
-(the serving path) returns exactly the scores a serial caller would see —
-pinned bit for bit by ``tests/test_shared_engine.py``.  Cached blocks are
-read-only, so an in-place write into one raises instead of corrupting later
-results.  The pruned search and the asymmetric ``query_*`` methods touch
-neither and run without the lock.  Coarse locking is deliberate: the serving
+The fused kNN pass writes the assembly buffer; one internal lock guards it,
+so a warm engine shared by concurrent scoring threads (the serving path)
+returns exactly the scores a serial caller would see — pinned bit for bit by
+``tests/test_shared_engine.py``.  Every other method allocates what it
+writes and runs without the lock.  Coarse locking is deliberate: the serving
 layer funnels scoring through a single-writer executor anyway, so the lock is
 a correctness backstop for direct library use, not a throughput path.
 
@@ -51,12 +47,12 @@ per-subspace path — the equivalence the golden suite in
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import DataError, ParameterError
+from ..utils.chunks import row_chunks
 from ..utils.validation import check_data_matrix, check_positive_int
 from .base import KNNResult, NearestNeighborSearcher
 from .distance import squared_difference_block
@@ -77,7 +73,7 @@ __all__ = [
 #: halved the time of a 2- and a 3-attribute subspace.
 _LEAF_SIZE = 64
 
-#: Default cache budget (MiB) of an engine, including the ones scorers build.
+#: Default memory budget (MiB) of an engine, including the ones scorers build.
 DEFAULT_MEMORY_BUDGET_MB = 256.0
 
 #: Canonical engine-mode names accepted everywhere an engine switch appears
@@ -87,7 +83,7 @@ ENGINE_MODES = ("shared", "per-subspace")
 
 #: Retired engine names and the mode that now computes the same scores.
 #: ``streaming`` was a row-blocked variant of ``shared``; the shared engine
-#: leaves dense blocks by itself when an ``n x n`` block exceeds the budget.
+#: assembles row bands and leaves the fused pass by itself past its budget.
 LEGACY_ENGINE_MODES = {"streaming": "shared"}
 
 
@@ -109,7 +105,7 @@ def normalise_engine_mode(value: object) -> str:
 
 
 def check_memory_budget_mb(value: object) -> float:
-    """Validate a scoring-engine cache budget in MiB: a finite positive number."""
+    """Validate a scoring-engine memory budget in MiB: a finite positive number."""
     try:
         budget = float(value)
     except (TypeError, ValueError) as exc:
@@ -274,15 +270,13 @@ class SharedNeighborEngine:
         Data matrix of shape ``(n_objects, n_dims)``.  The engine keeps a
         reference and never mutates it.
     memory_budget_mb:
-        Upper bound (in MiB) on what the engine holds across calls: the
-        cached per-dimension blocks plus the fused pass's assembly buffer.
-        Least-recently-used blocks are evicted to make room for a new block
-        or for the buffer.  Once the fused top-k pass over ``n`` rows would
-        exceed the budget, :meth:`kneighbors` switches to an exact pruned
-        search over leaves of a few dozen points, whose blocks are
-        ``O(leaf * n)`` at most; once an ``n x n`` block exceeds it,
-        :meth:`iter_distance_rows` assembles its bands straight from the data
-        columns — the same floats either way.
+        Upper bound (in MiB) on the ``n x n`` work of the fused kNN pass: its
+        assembly buffer, the square root and the top-k selection's scratch,
+        counted as 24 bytes a cell (:meth:`_chunk_rows`).  Within it,
+        :meth:`kneighbors` takes the fused pass and keeps its buffer across
+        calls; past it, an exact pruned search over leaves of a few dozen
+        points, whose blocks are ``O(leaf * n)`` at most.  It also sizes the
+        bands :meth:`iter_distance_rows` yields.  The same floats either way.
     """
 
     def __init__(
@@ -291,12 +285,9 @@ class SharedNeighborEngine:
         self._data = check_data_matrix(data, name="data", min_objects=2)
         self.memory_budget_mb = check_memory_budget_mb(memory_budget_mb)
         self._budget_bytes = int(self.memory_budget_mb * 1024 * 1024)
-        # Attribute -> its read-only squared-difference block, least recently
-        # used first.
-        self._blocks: OrderedDict[int, np.ndarray] = OrderedDict()
         # The fused kNN pass's n x n assembly buffer, allocated on first use.
         self._buffer: Optional[np.ndarray] = None
-        # Guards the blocks and the buffer (see the module docstring).
+        # Guards the buffer (see the module docstring).
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------- basics
@@ -330,35 +321,8 @@ class SharedNeighborEngine:
 
     @property
     def cache_bytes(self) -> int:
-        """Bytes held against the budget: the cached blocks plus the buffer.
-
-        Every holding is one ``n x n`` float matrix.
-        """
-        held = len(self._blocks) + (self._buffer is not None)
-        return held * self.n_objects**2 * 8
-
-    def _evict(self, incoming_nbytes: int) -> None:
-        """Drop least-recently-used blocks until ``incoming_nbytes`` more fit."""
-        while self._blocks and self.cache_bytes + incoming_nbytes > self._budget_bytes:
-            self._blocks.popitem(last=False)
-
-    def _block(self, attribute: int) -> np.ndarray:
-        """The cached, read-only squared-difference block of one dimension.
-
-        Called only while an ``n x n`` block fits the budget, and the buffer
-        exists only while three do, so a new block always fits once the
-        least-recently-used ones are evicted.  They are evicted before it is
-        computed, so a new block never sits beside a full cache.
-        """
-        block = self._blocks.get(attribute)
-        if block is not None:
-            self._blocks.move_to_end(attribute)
-            return block
-        self._evict(self.n_objects**2 * 8)
-        block = squared_difference_block(self._data[:, attribute])
-        block.flags.writeable = False
-        self._blocks[attribute] = block
-        return block
+        """Bytes held across calls: the fused pass's ``n x n`` buffer, or 0."""
+        return 0 if self._buffer is None else self._buffer.nbytes
 
     def _assemble(
         self,
@@ -369,28 +333,28 @@ class SharedNeighborEngine:
     ) -> np.ndarray:
         """Squared distances of rows ``[start, stop)`` to every object.
 
-        The per-dimension terms are added left to right in ``attrs`` order,
-        the accumulation of ``pairwise_distances``, so the floats are the
-        same whichever source the terms come from: the cached blocks while an
-        ``n x n`` block fits the budget, the data columns otherwise (peak
-        memory ``O((stop - start) * n)``).  Writes into ``out`` when given.
-        The caller holds the lock.
+        The rows are walked in cache-sized bands (:func:`row_chunks`, a row
+        of ``n`` float64 cells counting its bytes).  In each band every
+        attribute's term ``(x_i - x_j)^2`` is computed from a contiguous copy
+        of its column and added left to right in ``attrs`` order: the floats
+        of :func:`squared_difference_block` summed as ``pairwise_distances``
+        sums them.  The first term is written straight into the band, the
+        others into one reused scratch band.  Writes into ``out`` when given.
         """
         n = self.n_objects
-        from_blocks = n * n * 8 <= self._budget_bytes
         if out is None:
             out = np.empty((stop - start, n))
-        for position, attribute in enumerate(attrs):
-            if from_blocks:
-                term = self._block(attribute)[start:stop]
-            else:
-                term = squared_difference_block(
-                    self._data[start:stop, attribute], self._data[:, attribute]
-                )
-            if position == 0:
-                np.copyto(out, term)
-            else:
-                np.add(out, term, out=out)
+        columns = [np.ascontiguousarray(self._data[:, a]) for a in attrs]
+        bands = row_chunks(stop - start, 8 * n)
+        scratch = np.empty((bands[0][1] - bands[0][0], n))
+        for lo, hi in bands:
+            band, term = out[lo:hi], scratch[: hi - lo]
+            for position, column in enumerate(columns):
+                target = term if position else band
+                np.subtract(column[start + lo : start + hi, None], column, out=target)
+                np.multiply(target, target, out=target)
+                if position:
+                    np.add(band, term, out=band)
         return out
 
     # ------------------------------------------------------------ queries
@@ -400,9 +364,7 @@ class SharedNeighborEngine:
 
         Returns a fresh array the caller may mutate.
         """
-        attrs = self._attributes(attributes)
-        with self._lock:
-            distances = self._assemble(attrs, 0, self.n_objects)
+        distances = self._assemble(self._attributes(attributes), 0, self.n_objects)
         np.sqrt(distances, out=distances)
         np.fill_diagonal(distances, 0.0)
         return distances
@@ -424,9 +386,7 @@ class SharedNeighborEngine:
         buffer = np.empty((chunk, n))
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
-            rows = buffer[: stop - start]
-            with self._lock:
-                self._assemble(attrs, start, stop, out=rows)
+            rows = self._assemble(attrs, start, stop, out=buffer[: stop - start])
             np.sqrt(rows, out=rows)
             band = np.arange(start, stop)
             rows[band - start, band] = 0.0
@@ -469,7 +429,6 @@ class SharedNeighborEngine:
             return KNNResult(indices=indices, distances=distances)
         with self._lock:
             if self._buffer is None:
-                self._evict(n * n * 8)
                 self._buffer = np.empty((n, n))
             rows = self._assemble(attrs, 0, n, out=self._buffer)
             np.sqrt(rows, out=rows)
@@ -531,8 +490,8 @@ class SharedEngineKNN(NearestNeighborSearcher):
 
     What ``create_knn_searcher(..., algorithm="auto")`` returns once the
     engine's fused dense pass no longer fits its budget, so a scorer without
-    an engine of its own still gets the pruned search.  An existing engine may
-    be passed to share its block cache across searchers.
+    an engine of its own still gets the pruned search.  The adapter always
+    builds its engine over ``data``.
     """
 
     def __init__(
@@ -540,22 +499,12 @@ class SharedEngineKNN(NearestNeighborSearcher):
         data: np.ndarray,
         attributes: Optional[Sequence[int]] = None,
         *,
-        engine: Optional[SharedNeighborEngine] = None,
         memory_budget_mb: float = DEFAULT_MEMORY_BUDGET_MB,
     ):
-        if engine is None:
-            engine = SharedNeighborEngine(data, memory_budget_mb=memory_budget_mb)
-        else:
-            shaped = np.asarray(data, dtype=float)
-            if shaped.shape != engine.data.shape:
-                raise DataError(
-                    f"engine was built over data of shape {engine.data.shape}, "
-                    f"got {shaped.shape}"
-                )
-        self.engine = engine
+        self.engine = SharedNeighborEngine(data, memory_budget_mb=memory_budget_mb)
         self._attributes = None if attributes is None else tuple(int(a) for a in attributes)
         # Fail fast on bad attribute selections, like the other backends.
-        engine._attributes(self._attributes)
+        self.engine._attributes(self._attributes)
 
     @property
     def n_objects(self) -> int:

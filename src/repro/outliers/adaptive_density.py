@@ -158,7 +158,7 @@ class AdaptiveDensityScorer(OutlierScorer):
         full-sorts every row.  Here one pass over
         :meth:`~repro.neighbors.engine.SharedNeighborEngine.iter_distance_rows`
         computes both the kernel-density row sums and the per-row top-k, so
-        no ``n x n`` matrix is alive beyond the engine's own block cache.
+        no ``n x n`` matrix is alive, only one band of rows at a time.
         The scores are identical: the kernel is elementwise, the density is a
         per-row sum over the same full-width floats, and the band-local top-k
         sees complete rows.
@@ -200,7 +200,7 @@ class AdaptiveDensityScorer(OutlierScorer):
         """Independent scoring on per-query combined matrices assembled once.
 
         The reference-to-reference distance matrix of each subspace is
-        assembled a single time from the shared blocks; every query only adds
+        assembled a single time by the shared engine; every query only adds
         its own asymmetric distance row, instead of recomputing the full
         ``(n+1) x (n+1)`` matrix (twice) and full-sorting all rows per object.
         """

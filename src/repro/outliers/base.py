@@ -9,8 +9,8 @@ function could be used" — so the ranking engine in
 Since the shared-neighborhood refactor the interface is a *batch* protocol:
 :meth:`score_batch` scores one data matrix in many subspaces at once and may
 consume a :class:`~repro.neighbors.engine.SharedNeighborEngine`, which
-computes per-dimension distance blocks once and shares them across all
-subspaces.  The single-subspace :meth:`score` remains the per-subspace
+answers every subspace of one data matrix from its columns with one reused
+assembly buffer.  The single-subspace :meth:`score` remains the per-subspace
 reference implementation; engine-based overrides are bit-for-bit equivalent
 to it (see ``tests/test_shared_engine.py``).
 """
@@ -92,9 +92,8 @@ class OutlierScorer:
         """Score one data matrix in several subspaces with shared work.
 
         ``engine``, when given, is a :class:`SharedNeighborEngine` built over
-        ``data``; scorers whose neighbourhood queries can be answered from the
-        shared per-dimension distance blocks override this method to consume
-        it.  The base implementation is the **per-subspace reference path**:
+        ``data``; scorers whose neighbourhood queries the engine can answer
+        override this method to consume it.  The base implementation is the **per-subspace reference path**:
         one independent :meth:`score` pass per subspace, ignoring the engine.
 
         Returns one score vector of shape ``(n_objects,)`` per subspace.
@@ -145,13 +144,15 @@ class OutlierScorer:
     def _shared_reference_engine(self, memory_budget_mb: float) -> SharedNeighborEngine:
         """Engine over the fitted reference data, cached across scoring calls.
 
-        The per-dimension blocks it holds are paid once per fit, not once per
-        batch; the reference neighbour lists that make ``independent=True``
+        It holds no per-attribute state: served points get their distance
+        rows straight from the reference columns (its asymmetric query mode),
+        and the reference neighbour lists that make ``independent=True``
         scoring of a request stream cheap live in what a scorer prepares from
-        it (LOF's local-update plan, :meth:`_reference_preparation`).
+        it (LOF's local-update plan, :meth:`_reference_preparation`), whose
+        kNN pass leaves the engine's one ``n x n`` assembly buffer behind.
         Construction is double-checked under a module lock so concurrent
-        scoring threads share one engine; the engine itself serialises its
-        cache-mutating queries (see
+        scoring threads share one engine; the engine itself serialises the
+        queries that write its buffer (see
         :class:`~repro.neighbors.engine.SharedNeighborEngine`).
         """
 
@@ -192,8 +193,8 @@ class OutlierScorer:
     def close(self) -> None:
         """Release the warm reference engine and its preparation; the scorer stays fitted.
 
-        The engine holds up to its memory budget of distance blocks and its
-        assembly buffer, and the preparation (LOF's local-update plan) holds
+        The engine holds its ``n x n`` assembly buffer, and the preparation
+        (LOF's local-update plan) holds
         the reference neighbour lists, a few ``n x k`` arrays per served
         subspace — state a long-lived host must be able to drop
         deterministically when it retires a model (serving hot reload)
@@ -237,8 +238,8 @@ class OutlierScorer:
         Builds the concatenation of reference and new objects **once** and
         evaluates :meth:`score_batch` on it, returning only the scores of the
         new rows.  With ``engine="shared"`` a
-        :class:`SharedNeighborEngine` over the combined matrix shares the
-        per-dimension distance blocks across all subspaces; with
+        :class:`SharedNeighborEngine` over the combined matrix answers all
+        subspaces; with
         ``engine="per-subspace"`` (or ``None``) every subspace recomputes its
         own distances — both produce identical scores, bit for bit.
 

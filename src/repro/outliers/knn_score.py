@@ -101,7 +101,7 @@ class KNNDistanceScorer(OutlierScorer):
         *,
         engine: Optional[SharedNeighborEngine] = None,
     ) -> List[np.ndarray]:
-        """All subspaces answered from the engine's shared distance blocks."""
+        """All subspaces answered by the shared engine's kNN."""
         data = check_data_matrix(data, name="data", min_objects=2)
         if engine is None:
             return super().score_batch(data, subspaces, engine=engine)

@@ -44,16 +44,18 @@ class SubspaceOutlierRanker:
         paper keeps only the best 100 subspaces of every search method "to
         enforce a concise subspace selection".
     engine:
-        ``"shared"`` (default) computes per-dimension distance blocks once
-        through a :class:`~repro.neighbors.engine.SharedNeighborEngine` and
-        shares them across all subspaces; datasets whose ``n x n`` pass
+        ``"shared"`` (default) scores all subspaces through one
+        :class:`~repro.neighbors.engine.SharedNeighborEngine`, which
+        assembles each subspace's distances from the data columns in row
+        bands into one reused buffer; datasets whose ``n x n`` pass
         exceeds ``memory_budget_mb`` are scored through an exact pruned kNN
         search (row bands for full distance rows).
         ``"per-subspace"`` is the reference path that rebuilds every
         subspace's distances from scratch.  Both produce identical scores,
         bit for bit.
     memory_budget_mb:
-        Cache budget of the shared engine (ignored for ``"per-subspace"``).
+        Memory budget of the shared engine's fused kNN pass in MiB; past it
+        the engine takes the pruned search (ignored for ``"per-subspace"``).
     """
 
     def __init__(

@@ -416,9 +416,9 @@ class SingleWriterExecutor:
     """One dedicated worker thread executing submitted calls in FIFO order.
 
     A long-lived host (``repro-hics serve``) funnels every warm scoring pass
-    through one of these, so all cache mutation of a model's
-    :class:`~repro.neighbors.engine.SharedNeighborEngine` — its LRU of
-    dimension blocks and its assembly buffer — happens on a single thread
+    through one of these, so every write to a model's
+    :class:`~repro.neighbors.engine.SharedNeighborEngine` — its assembly
+    buffer — happens on a single thread
     while the asyncio front end stays free to accept requests.  The
     engine's own internal lock remains the correctness backstop; the single
     writer removes even lock contention from the hot path and makes request

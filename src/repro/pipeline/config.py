@@ -90,7 +90,8 @@ class PipelineConfig:
         bit-for-bit-identical reference path.  Like ``backend``, purely a
         throughput knob.
     memory_budget_mb:
-        Cache budget of the shared scoring engine in MiB.
+        Memory budget of the shared scoring engine's fused kNN pass in MiB;
+        past it the engine takes the exact pruned search.
     storage:
         Index storage spec string forwarded to components that accept it
         (``None`` → in-memory, ``"memmap(chunk_rows=65536)"`` → out-of-core

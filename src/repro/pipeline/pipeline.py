@@ -64,10 +64,10 @@ class SubspaceOutlierPipeline:
     max_subspaces:
         Number of best subspaces actually used for the ranking (paper: 100).
     engine:
-        Scoring engine: ``"shared"`` (default) computes per-dimension distance
-        blocks once per dataset through a
-        :class:`~repro.neighbors.engine.SharedNeighborEngine` and shares them
-        across all fitted subspaces; once an ``n x n`` pass exceeds
+        Scoring engine: ``"shared"`` (default) scores all fitted subspaces
+        through one :class:`~repro.neighbors.engine.SharedNeighborEngine`,
+        which assembles each subspace's distances from the data columns in
+        row bands into one reused buffer; once an ``n x n`` pass exceeds
         ``memory_budget_mb`` it switches to an exact pruned kNN search (row
         bands for full distance rows); ``"per-subspace"`` is
         the reference path that recomputes every subspace's distances from
@@ -75,8 +75,9 @@ class SubspaceOutlierPipeline:
         purely a throughput/memory knob.  The retired name ``"streaming"``
         is read as ``"shared"``.
     memory_budget_mb:
-        Cache budget of the shared engine in MiB (its per-dimension blocks
-        and its fused pass's assembly buffer); ignored by
+        Memory budget of the shared engine's fused kNN pass in MiB (its
+        ``n x n`` assembly buffer, square root and top-k scratch at 24 bytes
+        a cell); past it the engine takes the pruned search.  Ignored by
         ``"per-subspace"``.
     backend:
         Execution-backend spec (see :mod:`repro.parallel`), e.g.
@@ -217,7 +218,7 @@ class SubspaceOutlierPipeline:
         neighbourhoods — a burst of near-duplicate anomalies in one batch can
         mask itself.  With ``independent=True`` every object is scored on its
         own against the reference only (immune to that masking).  Under the
-        ``"shared"`` engine both modes run on shared distance blocks.  The
+        ``"shared"`` engine both modes run on one shared engine.  The
         independent mode reads the query's distance rows from the engine's
         asymmetric query mode; LOF then scores each query from the few
         reference rows its insertion changes, with state prepared once per
@@ -465,8 +466,8 @@ class SubspaceOutlierPipeline:
         Drops the caches and pools the components accumulate across calls —
         the searcher's shared contrast cache and any execution backend it
         owns, and the scorer's warm reference
-        :class:`~repro.neighbors.engine.SharedNeighborEngine` (up to
-        ``memory_budget_mb`` of distance blocks and its assembly buffer) and
+        :class:`~repro.neighbors.engine.SharedNeighborEngine` (its ``n x n``
+        assembly buffer) and
         what the scorer prepared from it (LOF's local-update plan).  One-shot
         hosts (the CLI sub-commands) and long-lived hosts swapping models
         (``repro-hics serve`` hot reload) call this instead of relying on

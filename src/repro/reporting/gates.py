@@ -413,6 +413,15 @@ register_gate(GateSpec(
     description="shared engine speedup on independent streaming (the serving path)",
 ))
 register_gate(GateSpec(
+    name="scoring_rank_traced_peak_mb",
+    suite="scoring",
+    metric="rank_traced_peak_mb",
+    direction="max",
+    threshold=8.49,  # largest of three runs (7.38 MB, each run alike) + 15%
+    tolerance=0.15,
+    description="tracemalloc peak of one shared multi-subspace rank (MiB)",
+))
+register_gate(GateSpec(
     name="scoring_engines_identical",
     suite="scoring",
     metric="acceptance.all_engines_identical",
@@ -536,6 +545,15 @@ register_gate(GateSpec(
     threshold=3.0,
     tolerance=0.25,
     description="shared engine independent-streaming smoke speedup",
+))
+register_gate(GateSpec(
+    name="smoke_scoring_rank_traced_peak_mb",
+    suite="perf-smoke-scoring",
+    metric="rank_traced_peak_mb",
+    direction="max",
+    threshold=2.47,  # largest of three runs (2.14 MB, each run alike) + 15%
+    tolerance=0.15,
+    description="smoke fixture: tracemalloc peak of one shared rank (MiB)",
 ))
 register_gate(GateSpec(
     name="smoke_scoring_identical",

@@ -66,8 +66,8 @@ class ModelVersion:
         """Build the scorer's reference state before the version goes live.
 
         Scoring one reference row pays, on the reloading thread, for the
-        shared reference engine (per-dimension blocks, assembly buffer)
-        and for what the scorer prepares from it — for LOF, the local-update
+        shared reference engine (its assembly buffer) and for what the
+        scorer prepares from it — for LOF, the local-update
         plan of every served subspace (reference kNN lists, mean
         reach-distances, reverse kNN lists).  The first real request after a
         hot swap then computes no reference kNN at all.

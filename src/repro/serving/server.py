@@ -7,8 +7,8 @@ Request flow::
     client <--JSON score---- handler task <--(score, batch size)--
 
 One :class:`~repro.parallel.SingleWriterExecutor` thread runs every scoring
-pass, so the warm engine's block LRU and assembly buffer are mutated on one
-thread by construction (the engine's internal lock stays as the backstop for
+pass, so the warm engine's assembly buffer is written on one thread by
+construction (the engine's internal lock stays as the backstop for
 library embedders that share an engine across threads directly).  The asyncio
 loop only parses requests, queues rows and serialises responses, so accepting
 traffic never blocks on NumPy work.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from repro.neighbors import (
     subspace_pairwise_distances,
     top_k_smallest,
 )
+from repro.neighbors import topk as topk_module
 from repro.neighbors.base import check_knn_algorithm
 from repro.types import Subspace
 
@@ -134,6 +137,44 @@ class TestTopKSmallest:
         idx, val = top_k_smallest(matrix, k)
         assert np.array_equal(idx, ref_idx)
         assert np.array_equal(val, ref_val)
+
+    @given(
+        st.integers(min_value=0, max_value=2**16),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=40),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_property_bound_route_matches_stable_argsort(
+        self, seed, k, n_rows, extra, wide, inf_row, whole_row
+    ):
+        """Blocks at least four groups of ``4k`` columns wide take the bound
+        route: lattice rows put ties on the bound and on the k-th value,
+        rows of distinct values leave few entries at or below it, an
+        all-``inf`` row takes the partition route beside finite rows, a few
+        ``inf`` columns fall inside groups and the uncovered tail, and a
+        2000-column block is a served point's shape.  ``k = n_cols`` returns
+        whole rows in order."""
+        rng = np.random.default_rng(seed)
+        n_cols = 2000 if wide else 16 * k + extra
+        levels = rng.integers(2, 7)
+        matrix = rng.integers(0, levels, size=(n_rows, n_cols)) * 0.1
+        distinct = rng.random(n_rows) < 0.5
+        matrix[distinct] = rng.random((int(distinct.sum()), n_cols))
+        matrix[:, rng.choice(n_cols, size=rng.integers(0, 4), replace=False)] = np.inf
+        if inf_row:
+            matrix[rng.integers(0, n_rows)] = np.inf
+        k = n_cols if whole_row else k
+        ref_idx, ref_val = self._reference(matrix, k)
+        with mock.patch.object(topk_module, "_bounded_top_k", wraps=topk_module._bounded_top_k) as bounded:
+            idx, val = top_k_smallest(matrix, k)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(val, ref_val)
+        finite_rows = not inf_row or n_rows > 1
+        assert bounded.called == (finite_rows and not whole_row)
 
     def test_all_equal_rows_pick_lowest_indices(self):
         matrix = np.zeros((3, 7))
@@ -297,10 +338,11 @@ class TestSharedNeighborEngine:
             )
 
     @pytest.mark.parametrize("blocks", [0.5, 1.5, 2.5, 5.5])
-    def test_holdings_are_read_only_blocks_plus_one_buffer(self, blocks):
-        # Budgets of a fraction of an n x n block (bands from the columns,
-        # pruned kNN), one or two blocks (bands from blocks, pruned kNN) and
-        # five (the fused kNN pass with its buffer, and LRU eviction).
+    def test_holdings_are_one_buffer_within_budget(self, blocks):
+        # Budgets of a fraction of an n x n matrix, one or two (bands and the
+        # pruned kNN) and five (the fused kNN pass with its buffer).  Across
+        # calls the engine holds the buffer or nothing: no per-attribute
+        # state, whatever the call mix.
         data = _tie_heavy_data(seed=5)[:, [0, 1, 2, 3, 4, 0, 2, 4]]
         data[:, 5:] += np.arange(3)
         n = data.shape[0]
@@ -325,16 +367,11 @@ class TestSharedNeighborEngine:
                     got = engine.distance_matrix(attrs)
                 want = pairwise_distances(data, attributes=attrs)
                 assert np.array_equal(got, want), (query, attrs)
-            held = list(engine._blocks.values())
-            if engine._buffer is not None:
-                held.append(engine._buffer)
-            assert engine.cache_bytes == sum(array.nbytes for array in held)
+            assert engine.fused_pass_fits() == (blocks > 3)
+            assert engine.cache_bytes == (n * n * 8 if blocks > 3 else 0)
             assert engine.cache_bytes <= budget
-            assert (engine._buffer is not None) == engine.fused_pass_fits() == (blocks > 3)
-            for block in engine._blocks.values():
-                with pytest.raises(ValueError):
-                    block += 1.0
-        assert bool(engine._blocks) == (blocks >= 1)
+            held = [v for v in vars(engine).values() if isinstance(v, np.ndarray)]
+            assert len(held) == 1 + (blocks > 3)  # the data, and the buffer
 
     def test_validation(self):
         data = np.random.default_rng(0).normal(size=(10, 3))
@@ -352,15 +389,20 @@ class TestSharedNeighborEngine:
 
     def test_shared_engine_knn_adapter(self):
         data = _tie_heavy_data(seed=6)
-        engine = SharedNeighborEngine(data)
-        adapter = SharedEngineKNN(data, (0, 2), engine=engine)
+        adapter = SharedEngineKNN(data, (0, 2))
         brute = BruteForceKNN(data, (0, 2)).kneighbors(4)
         result = adapter.kneighbors(4)
         assert adapter.n_objects == data.shape[0]
+        assert np.array_equal(adapter.engine.data, data)
         assert np.array_equal(result.indices, brute.indices)
         assert np.array_equal(result.distances, brute.distances)
+        # The adapter builds its own engine: no engine over other data of
+        # the same shape can be handed in.
+        other = SharedNeighborEngine(data[::-1].copy())
+        with pytest.raises(TypeError):
+            SharedEngineKNN(data, (0, 2), engine=other)
         with pytest.raises(DataError):
-            SharedEngineKNN(data[:5], engine=engine)  # shape mismatch
+            SharedEngineKNN(data, (0, 9))
 
 
 class TestSharedEngineKNN:

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for the batched statistics and the index.
 
-Six families of invariants:
+Seven families of invariants:
 
 * the array-level Welch-t / KS implementations are bit-for-bit equal to their
   scalar counterparts on arbitrary sample pairs, and the moments of samples
@@ -14,7 +14,8 @@ Six families of invariants:
   and permuting the rows permutes the LOF scores,
 * a common power-of-two scale of the data leaves every LOF score
   bit-identical, on the dense, fused and pruned kNN paths,
-* a power-of-two scale per column leaves the Welch search bit-identical.
+* a power-of-two scale per column leaves the Welch search bit-identical,
+* a strictly increasing map per column leaves the KS search bit-identical.
 """
 
 from __future__ import annotations
@@ -446,3 +447,60 @@ class TestWelchPowerOfTwoScaleInvariance:
         reference = self.search(data)
         assert self.search(np.ldexp(data, exponent)) == reference
         assert self.search(np.ldexp(data, np.array(per_column))) == reference
+
+
+#: Strictly increasing maps of the real line, applied per column.
+MONOTONE_TRANSFORMS = {
+    "exp": np.exp,
+    "cubic": lambda x: x**3 + x,
+    "arctan": np.arctan,
+    "affine": lambda x: 2.5 * x + 7.0,
+}
+
+
+class TestKSMonotoneTransformInvariance:
+    """A strictly increasing map of a column keeps its order and its ties,
+    and slices and the KS statistic read nothing else: slices are rank
+    intervals, and KS counts selected objects along each attribute's sorted
+    order, with ties collapsed to their group's last index.  So a KS search
+    and every deviation of its contrasts keep their bits.  In floats such a
+    map can merge or reorder nearby values (``arctan`` saturates at large
+    magnitudes, rounding merges close neighbours); the test ``assume``s the
+    drawn floats kept each column's order and ties.
+    """
+
+    SUBSPACES = [Subspace((0, 1)), Subspace((2, 3)), Subspace((0, 2, 3)), Subspace(range(4))]
+
+    @classmethod
+    def search(cls, data):
+        searcher = HiCS(n_iterations=20, deviation="ks", random_state=0)
+        found = searcher.search(data)
+        level = ContrastEstimator(
+            data, n_iterations=20, deviation="ks", random_state=0, cache=False
+        ).contrast_many_detailed(cls.SUBSPACES)
+        return (
+            [(s.subspace.attributes, s.score) for s in found],
+            sorted((s.attributes, c) for s, c in searcher.evaluated_subspaces_.items()),
+            [(level[s].contrast, list(level[s].deviations)) for s in cls.SUBSPACES],
+        )
+
+    @given(
+        transforms=st.lists(
+            st.sampled_from(sorted(MONOTONE_TRANSFORMS)), min_size=4, max_size=4
+        ),
+        ties=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_ks_search_keeps_its_bits(self, transforms, ties, seed):
+        data = np.random.default_rng(seed).normal(size=(300, 4))
+        if ties:
+            data = np.round(data, 1)
+        transformed = np.column_stack(
+            [MONOTONE_TRANSFORMS[name](column) for name, column in zip(transforms, data.T)]
+        )
+        for before, after in zip(data.T, transformed.T):
+            order = np.argsort(before, kind="stable")
+            assume(np.array_equal(order, np.argsort(after, kind="stable")))
+            assume(np.array_equal(np.diff(before[order]) == 0, np.diff(after[order]) == 0))
+        assert self.search(transformed) == self.search(data)

@@ -38,6 +38,7 @@ from repro.neighbors import engine as engine_module
 from repro.pipeline import PipelineConfig
 from repro.subspaces.contrast import ContrastEstimator
 from repro.types import Subspace
+from repro.utils import chunks as chunks_module
 from repro.utils.random_state import subsample_rng
 
 # --------------------------------------------------------------------- data
@@ -102,16 +103,15 @@ class TestStreamingChunkBoundaries:
         n = data.shape[0]
         dense = pairwise_distances(data, attributes=attributes)
         for chunk in range(1, n + 1):
-            # Bands of `chunk` rows: the engine budgets 24 bytes a cell.  From
-            # 8 rows up an n x n block fits, and bands read cached blocks;
-            # below, they read the data columns.
+            # Bands of `chunk` rows: the engine budgets 24 bytes a cell.  Bands
+            # are assembled from the data columns and hold nothing afterwards.
             engine = SharedNeighborEngine(data, memory_budget_mb=chunk * n * 24 / 2**20)
             assert engine._chunk_rows() == chunk
             assembled = np.empty((n, n))
             for start, stop, rows in engine.iter_distance_rows(attributes):
                 assembled[start:stop] = rows
             assert np.array_equal(assembled, dense), chunk
-            assert (engine.cache_bytes > 0) == (chunk >= 8), chunk
+            assert engine.cache_bytes == 0, chunk
 
     def test_duplicates_and_ties_straddle_a_leaf_edge(self, monkeypatch):
         # One-point leaves put the duplicate pair (10, 11) in different
@@ -158,6 +158,39 @@ class TestStreamingChunkBoundariesFloat(TestStreamingChunkBoundaries):
     """The same sweeps on inexact floats, where the summation order shows."""
 
     data = EDGE_FLOAT
+
+
+@pytest.mark.parametrize("chunk", ["one row", "three rows", "default"])
+def test_assembly_bands_change_no_bit(chunk, monkeypatch):
+    """The engine assembles squared distances in row bands under the shared
+    chunk budget (:mod:`repro.utils.chunks`), adding each attribute's term
+    left to right.  One-row bands, three-row bands that split duplicates and
+    the default (one band for all of EDGE) give the bits of the
+    ``pairwise_distances`` reference and its stable argsort, on inexact
+    floats where the summation order shows."""
+    data = EDGE_FLOAT
+    n = data.shape[0]
+    cells = {"one row": 1, "three rows": 3 * 8 * n}.get(chunk)
+    if cells is not None:
+        monkeypatch.setattr(chunks_module, "_CHUNK_CELLS", cells)
+    for attributes in SUBSPACES + [(4, 0, 2, 1)]:
+        dense = pairwise_distances(data, attributes=attributes)
+        engine = SharedNeighborEngine(data)
+        assert engine.fused_pass_fits()
+        assert np.array_equal(engine.distance_matrix(attributes), dense)
+        for rows_per_band in (1, 4, n):
+            engine = SharedNeighborEngine(data, memory_budget_mb=rows_per_band * n * 24 / 2**20)
+            assembled = np.vstack([rows.copy() for *_, rows in engine.iter_distance_rows(attributes)])
+            assert np.array_equal(assembled, dense), rows_per_band
+        engine = SharedNeighborEngine(data)
+        for exclude_self in (True, False):
+            reference = dense.copy()
+            if exclude_self:
+                np.fill_diagonal(reference, np.inf)
+            order = np.argsort(reference, axis=1, kind="stable")[:, :6]
+            got = engine.kneighbors(6, attributes, exclude_self=exclude_self)
+            assert np.array_equal(got.indices, order)
+            assert np.array_equal(got.distances, np.take_along_axis(reference, order, axis=1))
 
 
 #: A budget below one block of any input (one byte): kneighbors then always
