@@ -128,16 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
             default="shared",
             choices=["shared", "per-subspace"],
             help="scoring engine: 'shared' (default) computes one distance pass "
-            "for all fitted subspaces, and an exact pruned kNN search when an "
-            "n x n pass exceeds --memory-budget-mb; 'per-subspace' is the "
-            "bit-for-bit identical reference path",
-        )
-        sub.add_argument(
-            "--memory-budget-mb",
-            type=float,
-            default=256.0,
-            help="memory budget of the shared scoring engine's fused kNN pass in "
-            "MiB; past it the exact pruned search runs (default 256)",
+            "for all fitted subspaces, and an exact pruned kNN search on tall "
+            "data; 'per-subspace' is the bit-for-bit identical reference path",
         )
 
     rank = subparsers.add_parser("rank", help="rank the objects of a dataset")
@@ -488,7 +480,6 @@ def _resolve_method_pipeline(args: argparse.Namespace):
         random_state=args.seed,
         backend=args.backend,
         scoring_engine=args.scoring_engine,
-        memory_budget_mb=args.memory_budget_mb,
         storage=getattr(args, "storage", None),
         scratch_dir=getattr(args, "scratch_dir", None),
     )
@@ -537,7 +528,6 @@ def _command_score(args: argparse.Namespace) -> int:
         # fitted model, so the scoring host may pick a different one than the
         # machine that ran fit.
         pipeline.engine = pipeline.ranker.engine = args.scoring_engine
-        pipeline.memory_budget_mb = pipeline.ranker.memory_budget_mb = args.memory_budget_mb
         result = pipeline.rank(dataset, independent=args.independent)
     print(
         f"model: {args.model}   method: {result.method}   "
@@ -552,11 +542,7 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     from .serving import ModelRegistry, ScoringServer
 
-    registry = ModelRegistry(
-        args.model,
-        scoring_engine=args.scoring_engine,
-        memory_budget_mb=args.memory_budget_mb,
-    )
+    registry = ModelRegistry(args.model, scoring_engine=args.scoring_engine)
     server = ScoringServer(
         registry,
         host=args.host,
@@ -616,7 +602,6 @@ def _command_compare(args: argparse.Namespace) -> int:
         random_state=args.seed,
         backend=args.backend,
         scoring_engine=args.scoring_engine,
-        memory_budget_mb=args.memory_budget_mb,
         storage=args.storage,
         scratch_dir=args.scratch_dir,
     )

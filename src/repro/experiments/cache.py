@@ -36,7 +36,6 @@ CACHE_SCHEMA_VERSION = 1
 _THROUGHPUT_FIELDS = (
     "backend",
     "scoring_engine",
-    "memory_budget_mb",
     "storage",
     "scratch_dir",
 )

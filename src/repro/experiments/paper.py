@@ -365,7 +365,7 @@ def _fig06_dataset(n, *, n_dims) -> DatasetSpec:
 #: their quadratic reference implementations but are capped at 4000 objects
 #: (``max_objects`` produces the paper-style "-" entry beyond that), the
 #: streaming configuration — seeded-subsample Monte Carlo contrast plus exact
-#: LOF, whose kNN runs the engine's pruned search past its memory budget —
+#: LOF, whose kNN runs the engine's pruned search on tall data —
 #: covers every size up to the 100k-row point, and the memmap configuration
 #: — the same search over an out-of-core index (chunked argsort-merge rank
 #: columns spilled to scratch) — extends the curve to the 1M-row point while

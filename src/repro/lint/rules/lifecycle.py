@@ -3,7 +3,7 @@
 ``ContrastEstimator``, the execution backends and the shared-memory plane
 own persistent worker pools and ``/dev/shm`` segments; pipelines and their
 factories own components that accumulate pool handles, contrast caches and
-warm reference engines (each with its ``n x n`` assembly buffer).  A
+warm reference state (LOF's local-update plans).  A
 construction site that never closes them leaks processes, shared memory or
 cache pages for the rest of the run.  ``RPR501`` accepts any of the idioms
 the codebase uses — ``with``, storing on ``self``, returning to the caller,

@@ -3,8 +3,8 @@
 Density-based outlier scores such as LOF are defined over k-nearest-neighbour
 queries.  This package provides distance metrics (including subspace-restricted
 metrics as required by the subspace extension of LOF), the shared neighbour
-engine — one exact kNN path, dense below its memory budget and a pruned leaf
-search past it — and the dense brute-force searcher it is tested against, all
+engine — one exact kNN path, dense on short data and a pruned leaf search
+on tall data — and the dense brute-force searcher it is tested against, all
 implemented from scratch on top of NumPy.
 """
 

@@ -115,16 +115,14 @@ def create_knn_searcher(
     """Factory choosing a kNN searcher; both choices are exact and bit-identical.
 
     ``"auto"`` (the default) is the dense :class:`~repro.neighbors.brute.BruteForceKNN`
-    while a :class:`~repro.neighbors.engine.SharedNeighborEngine` at its
-    default budget would take its fused dense pass, and the engine's pruned
-    search past that: a one-shot query below the budget gains nothing from
-    the engine.  ``"brute"`` is always the dense reference.
+    up to the height at which a :class:`~repro.neighbors.engine.SharedNeighborEngine`
+    still takes its dense pass, and the engine's pruned search past it: a
+    one-shot query on shorter data gains nothing from the engine.
+    ``"brute"`` is always the dense reference.
     """
+    from . import engine
     from .brute import BruteForceKNN
-    from .engine import SharedEngineKNN
 
-    if check_knn_algorithm(algorithm) == "auto":
-        searcher = SharedEngineKNN(data, attributes)
-        if not searcher.engine.fused_pass_fits():
-            return searcher
+    if check_knn_algorithm(algorithm) == "auto" and len(data) > engine._DENSE_MAX_ROWS:
+        return engine.SharedEngineKNN(data, attributes)
     return BruteForceKNN(data, attributes)

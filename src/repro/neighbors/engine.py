@@ -7,34 +7,20 @@ through one object: it assembles a subspace's squared distances straight
 from the data columns, in cache-sized row bands
 (:func:`~repro.utils.chunks.row_chunks`), adding the attributes' terms
 ``(x_id - x_jd)^2`` left to right in the caller's attribute order.  LOF and
-the other density scores need only each object's k nearest neighbours, so
-nothing per attribute or per subspace outlives a call.  Across calls the
-engine holds at most one ``n x n`` buffer that the fused kNN pass assembles
-into before its top-k selection
-(:func:`~repro.neighbors.topk.top_k_smallest`, with the library-wide stable
-index tie-break); it is allocated once, so a rank over many subspaces does
-not fault in a fresh ``n x n`` matrix per subspace.
+the other density scores need only each object's k nearest neighbours, and
+each row's k nearest depend on that row alone, so the dense kNN pass selects
+them band by band (:func:`~repro.neighbors.topk.top_k_smallest`, with the
+library-wide stable index tie-break).  Nothing outlives a call: the engine
+holds its data and no other state, so concurrent callers need no lock.
 
-When the dense pass over ``n x n`` distances does not fit the budget,
-:meth:`~SharedNeighborEngine.kneighbors` stops doing ``O(n^2)`` work: an
-exact branch-and-bound search over a k-d partition of the subspace's points
-(Friedman, Bentley & Finkel, ACM TOMS 1977) scores each leaf of a few dozen
-queries only against the leaves its float lower bounds cannot rule out, so
-peak memory per block is ``O(leaf * n)``, not ``O(chunk * n)``.
-:meth:`~SharedNeighborEngine.iter_distance_rows` yields budget-sized row
-bands assembled the same way.  An asymmetric query-vs-reference mode scores
-new points against the fitted reference without Python-level per-object
-loops.
-
-Thread safety
--------------
-The fused kNN pass writes the assembly buffer; one internal lock guards it,
-so a warm engine shared by concurrent scoring threads (the serving path)
-returns exactly the scores a serial caller would see — pinned bit for bit by
-``tests/test_shared_engine.py``.  Every other method allocates what it
-writes and runs without the lock.  Coarse locking is deliberate: the serving
-layer funnels scoring through a single-writer executor anyway, so the lock is
-a correctness backstop for direct library use, not a throughput path.
+Past :data:`_DENSE_MAX_ROWS` rows, :meth:`~SharedNeighborEngine.kneighbors`
+stops doing ``O(n^2)`` work: an exact branch-and-bound search over a k-d
+partition of the subspace's points (Friedman, Bentley & Finkel, ACM TOMS
+1977) scores each leaf of a few dozen queries only against the leaves its
+float lower bounds cannot rule out, so peak memory per block is
+``O(leaf * n)``.  :meth:`~SharedNeighborEngine.iter_distance_rows` yields the
+row bands themselves.  An asymmetric query-vs-reference mode scores new
+points against the fitted reference without Python-level per-object loops.
 
 Because the per-subspace reference path (:func:`~repro.neighbors.distance.pairwise_distances`)
 accumulates the very same :func:`~repro.neighbors.distance.squared_difference_block`
@@ -46,8 +32,7 @@ per-subspace path — the equivalence the golden suite in
 
 from __future__ import annotations
 
-import threading
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,10 +44,8 @@ from .distance import squared_difference_block
 from .topk import merge_top_k, top_k_smallest
 
 __all__ = [
-    "DEFAULT_MEMORY_BUDGET_MB",
     "SharedNeighborEngine",
     "SharedEngineKNN",
-    "check_memory_budget_mb",
     "normalise_engine_mode",
 ]
 
@@ -73,8 +56,11 @@ __all__ = [
 #: halved the time of a 2- and a 3-attribute subspace.
 _LEAF_SIZE = 64
 
-#: Default memory budget (MiB) of an engine, including the ones scorers build.
-DEFAULT_MEMORY_BUDGET_MB = 256.0
+#: Most rows for which :meth:`SharedNeighborEngine.kneighbors` scores every
+#: pair; taller data takes the pruned search.  3344 is the tallest matrix
+#: whose dense pass fitted the engine's former 256 MiB budget at 24 bytes a
+#: cell, so the crossover is where it was.
+_DENSE_MAX_ROWS = 3344
 
 #: Canonical engine-mode names accepted everywhere an engine switch appears
 #: (pipeline, ranker, config, spec grammar, CLI).  ``per-subspace`` is the
@@ -83,7 +69,7 @@ ENGINE_MODES = ("shared", "per-subspace")
 
 #: Retired engine names and the mode that now computes the same scores.
 #: ``streaming`` was a row-blocked variant of ``shared``; the shared engine
-#: assembles row bands and leaves the fused pass by itself past its budget.
+#: assembles row bands and leaves the dense pass by itself on tall data.
 LEGACY_ENGINE_MODES = {"streaming": "shared"}
 
 
@@ -102,17 +88,6 @@ def normalise_engine_mode(value: object) -> str:
             f"unknown scoring engine {value!r}; expected one of {ENGINE_MODES}"
         )
     return key
-
-
-def check_memory_budget_mb(value: object) -> float:
-    """Validate a scoring-engine memory budget in MiB: a finite positive number."""
-    try:
-        budget = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"memory_budget_mb must be a number, got {value!r}") from exc
-    if not np.isfinite(budget) or budget <= 0:
-        raise ParameterError(f"memory_budget_mb must be positive, got {value}")
-    return budget
 
 
 def _leaf_partition(points: np.ndarray) -> List[np.ndarray]:
@@ -268,27 +243,11 @@ class SharedNeighborEngine:
     ----------
     data:
         Data matrix of shape ``(n_objects, n_dims)``.  The engine keeps a
-        reference and never mutates it.
-    memory_budget_mb:
-        Upper bound (in MiB) on the ``n x n`` work of the fused kNN pass: its
-        assembly buffer, the square root and the top-k selection's scratch,
-        counted as 24 bytes a cell (:meth:`_chunk_rows`).  Within it,
-        :meth:`kneighbors` takes the fused pass and keeps its buffer across
-        calls; past it, an exact pruned search over leaves of a few dozen
-        points, whose blocks are ``O(leaf * n)`` at most.  It also sizes the
-        bands :meth:`iter_distance_rows` yields.  The same floats either way.
+        reference and never mutates it; it holds nothing else between calls.
     """
 
-    def __init__(
-        self, data: np.ndarray, *, memory_budget_mb: float = DEFAULT_MEMORY_BUDGET_MB
-    ):
+    def __init__(self, data: np.ndarray):
         self._data = check_data_matrix(data, name="data", min_objects=2)
-        self.memory_budget_mb = check_memory_budget_mb(memory_budget_mb)
-        self._budget_bytes = int(self.memory_budget_mb * 1024 * 1024)
-        # The fused kNN pass's n x n assembly buffer, allocated on first use.
-        self._buffer: Optional[np.ndarray] = None
-        # Guards the buffer (see the module docstring).
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------- basics
 
@@ -305,6 +264,11 @@ class SharedNeighborEngine:
         """The underlying data matrix (do not mutate)."""
         return self._data
 
+    @property
+    def cache_bytes(self) -> int:
+        """Bytes held across calls: always 0, every call allocates its own."""
+        return 0
+
     def _attributes(self, attributes: Optional[Iterable[int]]) -> Tuple[int, ...]:
         if attributes is None:
             return tuple(range(self.n_dims))
@@ -317,45 +281,40 @@ class SharedNeighborEngine:
             )
         return attrs
 
-    # ------------------------------------------------------------- holdings
-
-    @property
-    def cache_bytes(self) -> int:
-        """Bytes held across calls: the fused pass's ``n x n`` buffer, or 0."""
-        return 0 if self._buffer is None else self._buffer.nbytes
-
-    def _assemble(
-        self,
-        attrs: Tuple[int, ...],
-        start: int,
-        stop: int,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Squared distances of rows ``[start, stop)`` to every object.
+    def _bands(
+        self, attrs: Tuple[int, ...], own: float, out: Optional[np.ndarray] = None
+    ) -> Iterator[Tuple[int, int, np.ndarray]]:
+        """Yield ``(start, stop, rows)``: distances of rows ``[start, stop)`` to every object.
 
         The rows are walked in cache-sized bands (:func:`row_chunks`, a row
         of ``n`` float64 cells counting its bytes).  In each band every
         attribute's term ``(x_i - x_j)^2`` is computed from a contiguous copy
-        of its column and added left to right in ``attrs`` order: the floats
-        of :func:`squared_difference_block` summed as ``pairwise_distances``
-        sums them.  The first term is written straight into the band, the
-        others into one reused scratch band.  Writes into ``out`` when given.
+        of its column, made once per call, and added left to right in
+        ``attrs`` order: the floats of :func:`squared_difference_block`
+        summed as ``pairwise_distances`` sums them.  The band is then
+        square-rooted and each row's distance to itself set to ``own``.
+        Bands are views of ``out`` when given; otherwise one band buffer is
+        reused, so a consumer must finish with a band before advancing.
         """
         n = self.n_objects
-        if out is None:
-            out = np.empty((stop - start, n))
-        columns = [np.ascontiguousarray(self._data[:, a]) for a in attrs]
-        bands = row_chunks(stop - start, 8 * n)
-        scratch = np.empty((bands[0][1] - bands[0][0], n))
-        for lo, hi in bands:
-            band, term = out[lo:hi], scratch[: hi - lo]
+        columns = np.ascontiguousarray(self._data[:, list(attrs)].T)
+        bands = row_chunks(n, 8 * n)
+        height = bands[0][1] - bands[0][0]
+        scratch = np.empty((height, n))
+        reused = np.empty((height, n)) if out is None else None
+        for start, stop in bands:
+            band = reused[: stop - start] if out is None else out[start:stop]
+            term = scratch[: stop - start]
             for position, column in enumerate(columns):
                 target = term if position else band
-                np.subtract(column[start + lo : start + hi, None], column, out=target)
+                np.subtract(column[start:stop, None], column, out=target)
                 np.multiply(target, target, out=target)
                 if position:
                     np.add(band, term, out=band)
-        return out
+            np.sqrt(band, out=band)
+            rows = np.arange(start, stop)
+            band[rows - start, rows] = own
+            yield start, stop, band
 
     # ------------------------------------------------------------ queries
 
@@ -364,9 +323,9 @@ class SharedNeighborEngine:
 
         Returns a fresh array the caller may mutate.
         """
-        distances = self._assemble(self._attributes(attributes), 0, self.n_objects)
-        np.sqrt(distances, out=distances)
-        np.fill_diagonal(distances, 0.0)
+        distances = np.empty((self.n_objects, self.n_objects))
+        for _ in self._bands(self._attributes(attributes), 0.0, out=distances):
+            pass
         return distances
 
     def iter_distance_rows(self, attributes: Optional[Iterable[int]] = None):
@@ -374,33 +333,12 @@ class SharedNeighborEngine:
 
         ``rows`` has shape ``(stop - start, n_objects)`` and holds exactly the
         floats of ``distance_matrix(attributes)[start:stop]``, including the
-        exact ``0.0`` diagonal — but only one band is alive at a time, and
-        bands are sized so the transient buffers stay within the budget
-        (:meth:`_chunk_rows`).  The yielded band is reused internally:
-        consumers must finish with (or copy) a band before advancing the
-        iterator.
+        exact ``0.0`` diagonal — but only one cache-sized band
+        (:func:`row_chunks`) is alive at a time.  The yielded band is reused
+        internally: consumers must finish with (or copy) a band before
+        advancing the iterator.
         """
-        attrs = self._attributes(attributes)
-        chunk = self._chunk_rows()
-        n = self.n_objects
-        buffer = np.empty((chunk, n))
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            rows = self._assemble(attrs, start, stop, out=buffer[: stop - start])
-            np.sqrt(rows, out=rows)
-            band = np.arange(start, stop)
-            rows[band - start, band] = 0.0
-            yield start, stop, rows
-
-    def _chunk_rows(self) -> int:
-        """Rows per band so transient buffers stay within the budget."""
-        n = self.n_objects
-        per_row = n * 8 * 3  # squared chunk + sqrt + comparison scratch
-        return int(max(1, min(n, self._budget_bytes // max(per_row, 1) or 1)))
-
-    def fused_pass_fits(self) -> bool:
-        """Whether :meth:`kneighbors` takes the fused dense pass, not the pruned search."""
-        return self._chunk_rows() >= self.n_objects
+        return self._bands(self._attributes(attributes), 0.0)
 
     def kneighbors(
         self,
@@ -413,6 +351,9 @@ class SharedNeighborEngine:
 
         Identical (indices and distances) to
         ``BruteForceKNN(data, attributes).kneighbors(k, exclude_self=...)``.
+        Up to :data:`_DENSE_MAX_ROWS` rows, each distance band is reduced to
+        its rows' top-k as soon as it is assembled; past it, the pruned
+        search (:func:`_pruned_kneighbors`) answers.
         """
         k = check_positive_int(k, name="k")
         attrs = self._attributes(attributes)
@@ -422,18 +363,16 @@ class SharedNeighborEngine:
             raise ParameterError(
                 f"k={k} is too large for {n} objects (max {max_k} with exclude_self={exclude_self})"
             )
-        if not self.fused_pass_fits():
+        if n > _DENSE_MAX_ROWS:
             indices, distances = _pruned_kneighbors(
                 self._data[:, list(attrs)], k, exclude_self
             )
             return KNNResult(indices=indices, distances=distances)
-        with self._lock:
-            if self._buffer is None:
-                self._buffer = np.empty((n, n))
-            rows = self._assemble(attrs, 0, n, out=self._buffer)
-            np.sqrt(rows, out=rows)
-            rows[np.arange(n), np.arange(n)] = np.inf if exclude_self else 0.0
-            indices, distances = top_k_smallest(rows, k)
+        indices = np.empty((n, k), dtype=np.intp)
+        distances = np.empty((n, k))
+        own = np.inf if exclude_self else 0.0
+        for start, stop, rows in self._bands(attrs, own):
+            indices[start:stop], distances[start:stop] = top_k_smallest(rows, k)
         return KNNResult(indices=indices, distances=distances)
 
     def query_squared_distances(
@@ -488,20 +427,14 @@ class SharedNeighborEngine:
 class SharedEngineKNN(NearestNeighborSearcher):
     """:class:`NearestNeighborSearcher` adapter over a :class:`SharedNeighborEngine`.
 
-    What ``create_knn_searcher(..., algorithm="auto")`` returns once the
-    engine's fused dense pass no longer fits its budget, so a scorer without
-    an engine of its own still gets the pruned search.  The adapter always
-    builds its engine over ``data``.
+    What ``create_knn_searcher(..., algorithm="auto")`` returns for data
+    taller than :data:`_DENSE_MAX_ROWS`, so a scorer without an engine of
+    its own still gets the pruned search.  The adapter always builds its
+    engine over ``data``.
     """
 
-    def __init__(
-        self,
-        data: np.ndarray,
-        attributes: Optional[Sequence[int]] = None,
-        *,
-        memory_budget_mb: float = DEFAULT_MEMORY_BUDGET_MB,
-    ):
-        self.engine = SharedNeighborEngine(data, memory_budget_mb=memory_budget_mb)
+    def __init__(self, data: np.ndarray, attributes: Optional[Sequence[int]] = None):
+        self.engine = SharedNeighborEngine(data)
         self._attributes = None if attributes is None else tuple(int(a) for a in attributes)
         # Fail fast on bad attribute selections, like the other backends.
         self.engine._attributes(self._attributes)

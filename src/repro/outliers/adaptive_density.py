@@ -32,7 +32,7 @@ from ..neighbors.engine import SharedNeighborEngine
 from ..neighbors.topk import top_k_smallest
 from ..types import Subspace
 from ..utils.validation import check_data_matrix, check_positive_int
-from .base import DEFAULT_MEMORY_BUDGET_MB, OutlierScorer
+from .base import OutlierScorer
 
 __all__ = ["AdaptiveDensityScorer", "adaptive_kernel_density"]
 
@@ -195,7 +195,6 @@ class AdaptiveDensityScorer(OutlierScorer):
         subspaces: List[Optional[Subspace]],
         *,
         engine: Optional[str] = None,
-        memory_budget_mb: float = DEFAULT_MEMORY_BUDGET_MB,
     ) -> List[np.ndarray]:
         """Independent scoring on per-query combined matrices assembled once.
 
@@ -207,10 +206,8 @@ class AdaptiveDensityScorer(OutlierScorer):
         data = self._check_reference(data)
         mode = self._resolve_engine_mode(engine)
         if mode != "shared":
-            return super().score_samples_independent(
-                data, subspaces, engine=engine, memory_budget_mb=memory_budget_mb
-            )
-        shared = self._shared_reference_engine(memory_budget_mb)
+            return super().score_samples_independent(data, subspaces, engine=engine)
+        shared = self._shared_reference_engine()
         n = self.reference_data_.shape[0]
         n_queries = data.shape[0]
         k = min(self.n_neighbors, n)  # the combined dataset has n + 1 objects

@@ -9,10 +9,10 @@ function could be used" — so the ranking engine in
 Since the shared-neighborhood refactor the interface is a *batch* protocol:
 :meth:`score_batch` scores one data matrix in many subspaces at once and may
 consume a :class:`~repro.neighbors.engine.SharedNeighborEngine`, which
-answers every subspace of one data matrix from its columns with one reused
-assembly buffer.  The single-subspace :meth:`score` remains the per-subspace
-reference implementation; engine-based overrides are bit-for-bit equivalent
-to it (see ``tests/test_shared_engine.py``).
+answers every subspace of one data matrix from its columns and keeps
+nothing between calls.  The single-subspace :meth:`score` remains the
+per-subspace reference implementation; engine-based overrides are
+bit-for-bit equivalent to it (see ``tests/test_shared_engine.py``).
 """
 
 from __future__ import annotations
@@ -23,11 +23,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..exceptions import DataError, NotFittedError
-from ..neighbors.engine import (
-    DEFAULT_MEMORY_BUDGET_MB,
-    SharedNeighborEngine,
-    normalise_engine_mode,
-)
+from ..neighbors.engine import SharedNeighborEngine, normalise_engine_mode
 from ..types import Subspace
 from ..utils.validation import check_data_matrix
 
@@ -37,8 +33,8 @@ __all__ = ["OutlierScorer"]
 #: preparations, so that concurrent first scoring calls (a burst of requests
 #: hitting a freshly loaded model) agree on one of each instead of racing to
 #: install two.  A module-level lock keeps scorer instances free of
-#: unpicklable state; construction is rare (once per fit/budget), so
-#: contention is nil.
+#: unpicklable state; construction is rare (once per fit), so contention is
+#: nil.
 _REFERENCE_ENGINE_LOCK = threading.Lock()
 
 
@@ -104,11 +100,13 @@ class OutlierScorer:
 
     @staticmethod
     def _check_engine(engine: Optional[SharedNeighborEngine], data: np.ndarray) -> None:
-        if engine is not None and engine.n_objects != data.shape[0]:
-            raise DataError(
-                f"engine was built over {engine.n_objects} objects but the data "
-                f"has {data.shape[0]}"
-            )
+        """Reject an engine built over anything but ``data``: it would answer for its own."""
+        if engine is None or engine.data is data or np.array_equal(engine.data, data):
+            return
+        raise DataError(
+            f"engine was built over other data ({engine.n_objects} objects) than "
+            f"the data it is asked to score ({data.shape[0]} objects)"
+        )
 
     @staticmethod
     def _subspace_attributes(
@@ -141,32 +139,24 @@ class OutlierScorer:
             )
         return data
 
-    def _shared_reference_engine(self, memory_budget_mb: float) -> SharedNeighborEngine:
+    def _shared_reference_engine(self) -> SharedNeighborEngine:
         """Engine over the fitted reference data, cached across scoring calls.
 
-        It holds no per-attribute state: served points get their distance
-        rows straight from the reference columns (its asymmetric query mode),
-        and the reference neighbour lists that make ``independent=True``
-        scoring of a request stream cheap live in what a scorer prepares from
-        it (LOF's local-update plan, :meth:`_reference_preparation`), whose
-        kNN pass leaves the engine's one ``n x n`` assembly buffer behind.
-        Construction is double-checked under a module lock so concurrent
-        scoring threads share one engine; the engine itself serialises the
-        queries that write its buffer (see
-        :class:`~repro.neighbors.engine.SharedNeighborEngine`).
+        The engine holds nothing but the reference data: served points get
+        their distance rows straight from the reference columns (its
+        asymmetric query mode), and the reference neighbour lists that make
+        ``independent=True`` scoring of a request stream cheap live in what a
+        scorer prepares from it (LOF's local-update plan,
+        :meth:`_reference_preparation`).  Construction is double-checked
+        under a module lock so concurrent scoring threads share one engine,
+        and with it one preparation.
         """
-
-        def _stale(candidate: Optional[SharedNeighborEngine]) -> bool:
-            return candidate is None or candidate.memory_budget_mb != memory_budget_mb
-
         engine = getattr(self, "_reference_engine_", None)
-        if _stale(engine):
+        if engine is None:
             with _REFERENCE_ENGINE_LOCK:
                 engine = getattr(self, "_reference_engine_", None)
-                if _stale(engine):
-                    engine = SharedNeighborEngine(
-                        self.reference_data_, memory_budget_mb=memory_budget_mb
-                    )
+                if engine is None:
+                    engine = SharedNeighborEngine(self.reference_data_)
                     self._reference_engine_ = engine
         return engine
 
@@ -178,8 +168,8 @@ class OutlierScorer:
         subspaces).  It is built under the same double-checked module lock
         as the engine, so concurrent first calls build it once, and it is
         never mutated after.  It belongs to ``engine``: a rebuilt engine
-        (refit, a budget change) or another ``key`` builds it anew, and
-        :meth:`close` drops it.
+        (after a refit) or another ``key`` builds it anew, and :meth:`close`
+        drops it.
         """
         held = getattr(self, "_reference_preparation_", None)
         if held is None or held[0] is not engine or held[1] != key:
@@ -193,12 +183,11 @@ class OutlierScorer:
     def close(self) -> None:
         """Release the warm reference engine and its preparation; the scorer stays fitted.
 
-        The engine holds its ``n x n`` assembly buffer, and the preparation
-        (LOF's local-update plan) holds
-        the reference neighbour lists, a few ``n x k`` arrays per served
-        subspace — state a long-lived host must be able to drop
-        deterministically when it retires a model (serving hot reload)
-        rather than waiting for garbage collection.
+        The preparation (LOF's local-update plan) holds the reference
+        neighbour lists, a few ``n x k`` arrays per served subspace — state
+        a long-lived host must be able to drop deterministically when it
+        retires a model (serving hot reload) rather than waiting for garbage
+        collection.
         Idempotent; the next ``independent=True`` scoring call rebuilds both
         and produces bit-identical scores.
         """
@@ -231,7 +220,6 @@ class OutlierScorer:
         subspaces: List[Optional[Subspace]],
         *,
         engine: Optional[str] = None,
-        memory_budget_mb: float = DEFAULT_MEMORY_BUDGET_MB,
     ) -> List[np.ndarray]:
         """Score *new* objects in several subspaces with one reference pass.
 
@@ -256,11 +244,7 @@ class OutlierScorer:
         data = self._check_reference(data)
         mode = self._resolve_engine_mode(engine)
         combined = np.vstack([self.reference_data_, data])
-        shared = (
-            SharedNeighborEngine(combined, memory_budget_mb=memory_budget_mb)
-            if mode == "shared"
-            else None
-        )
+        shared = SharedNeighborEngine(combined) if mode == "shared" else None
         n_reference = self.reference_data_.shape[0]
         return [
             scores[n_reference:]
@@ -273,7 +257,6 @@ class OutlierScorer:
         subspaces: List[Optional[Subspace]],
         *,
         engine: Optional[str] = None,
-        memory_budget_mb: float = DEFAULT_MEMORY_BUDGET_MB,
     ) -> List[np.ndarray]:
         """Score every new object *on its own* against the reference.
 

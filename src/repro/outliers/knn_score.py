@@ -18,7 +18,7 @@ from ..neighbors.base import check_knn_algorithm, create_knn_searcher
 from ..neighbors.engine import SharedNeighborEngine
 from ..types import Subspace
 from ..utils.validation import check_data_matrix, check_positive_int
-from .base import DEFAULT_MEMORY_BUDGET_MB, OutlierScorer
+from .base import OutlierScorer
 
 __all__ = ["knn_distance_score", "KNNDistanceScorer"]
 
@@ -120,7 +120,6 @@ class KNNDistanceScorer(OutlierScorer):
         subspaces: List[Optional[Subspace]],
         *,
         engine: Optional[str] = None,
-        memory_budget_mb: float = DEFAULT_MEMORY_BUDGET_MB,
     ) -> List[np.ndarray]:
         """Independent scoring via the engine's asymmetric query mode.
 
@@ -130,10 +129,8 @@ class KNNDistanceScorer(OutlierScorer):
         """
         data = self._check_reference(data)
         if self._resolve_engine_mode(engine) != "shared":
-            return super().score_samples_independent(
-                data, subspaces, engine=engine, memory_budget_mb=memory_budget_mb
-            )
-        shared = self._shared_reference_engine(memory_budget_mb)
+            return super().score_samples_independent(data, subspaces, engine=engine)
+        shared = self._shared_reference_engine()
         effective_k = min(self.k, self.reference_data_.shape[0])
         results = []
         for subspace in subspaces:

@@ -25,9 +25,14 @@ from ..neighbors.engine import SharedNeighborEngine
 from ..neighbors.topk import top_k_smallest
 from ..types import Subspace
 from ..utils.validation import check_data_matrix, check_positive_int
-from .base import DEFAULT_MEMORY_BUDGET_MB, OutlierScorer
+from .base import OutlierScorer
 
 __all__ = ["LOFScorer", "local_outlier_factor"]
+
+#: Bytes of one block of independently scored queries: their stacked distance
+#: rows, per-group tables and top-k scratch, at 48 bytes a reference object
+#: and subspace per query.
+_QUERY_BLOCK_BYTES = 256 * 2**20
 
 
 def _mean_reach(neighbour_kth: np.ndarray, distances: np.ndarray) -> np.ndarray:
@@ -323,7 +328,6 @@ class LOFScorer(OutlierScorer):
         subspaces: List[Optional[Subspace]],
         *,
         engine: Optional[str] = None,
-        memory_budget_mb: float = DEFAULT_MEMORY_BUDGET_MB,
     ) -> List[np.ndarray]:
         """Independent scoring by a local update of the reference LOF.
 
@@ -345,12 +349,10 @@ class LOFScorer(OutlierScorer):
         # The local update needs the full MinPts neighbourhood among the
         # references alone; tiny references fall back to the reference loop.
         if mode != "shared" or self.min_pts > n_reference - 1:
-            return super().score_samples_independent(
-                data, subspaces, engine=engine, memory_budget_mb=memory_budget_mb
-            )
+            return super().score_samples_independent(data, subspaces, engine=engine)
         if not subspaces:
             return []
-        shared = self._shared_reference_engine(memory_budget_mb)
+        shared = self._shared_reference_engine()
         attributes = [self._subspace_attributes(data, s) for s in subspaces]
         plan = self._reference_preparation(
             shared,
@@ -358,10 +360,10 @@ class LOFScorer(OutlierScorer):
             lambda built_on: _LocalUpdatePlan(built_on, attributes, self.min_pts),
         )
         # Queries in blocks whose stacked distance rows, per-group tables and
-        # top-k scratch stay within the memory budget; every query is scored
+        # top-k scratch stay within _QUERY_BLOCK_BYTES; every query is scored
         # on its own, so the blocking changes no bit.
         per_query = 6 * 8 * len(subspaces) * n_reference
-        step = max(1, int(shared.memory_budget_mb * 2**20) // per_query)
+        step = max(1, _QUERY_BLOCK_BYTES // per_query)
         scores = np.concatenate(
             [
                 _independent_lof(plan, shared, data[start : start + step])

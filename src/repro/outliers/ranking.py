@@ -14,16 +14,12 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ..exceptions import ParameterError
-from ..neighbors.engine import (
-    SharedNeighborEngine,
-    check_memory_budget_mb,
-    normalise_engine_mode,
-)
+from ..neighbors.engine import SharedNeighborEngine, normalise_engine_mode
 from ..types import RankingResult, Subspace
 from ..utils.timing import Stopwatch
 from ..utils.validation import check_data_matrix
 from .aggregation import aggregate_scores
-from .base import DEFAULT_MEMORY_BUDGET_MB, OutlierScorer
+from .base import OutlierScorer
 from .lof import LOFScorer
 
 __all__ = ["SubspaceOutlierRanker"]
@@ -47,15 +43,11 @@ class SubspaceOutlierRanker:
         ``"shared"`` (default) scores all subspaces through one
         :class:`~repro.neighbors.engine.SharedNeighborEngine`, which
         assembles each subspace's distances from the data columns in row
-        bands into one reused buffer; datasets whose ``n x n`` pass
-        exceeds ``memory_budget_mb`` are scored through an exact pruned kNN
-        search (row bands for full distance rows).
+        bands and selects each band's neighbours as it goes; tall datasets
+        are scored through an exact pruned kNN search.
         ``"per-subspace"`` is the reference path that rebuilds every
         subspace's distances from scratch.  Both produce identical scores,
         bit for bit.
-    memory_budget_mb:
-        Memory budget of the shared engine's fused kNN pass in MiB; past it
-        the engine takes the pruned search (ignored for ``"per-subspace"``).
     """
 
     def __init__(
@@ -65,7 +57,6 @@ class SubspaceOutlierRanker:
         aggregation: Union[str, callable] = "average",
         max_subspaces: int = 100,
         engine: str = "shared",
-        memory_budget_mb: float = DEFAULT_MEMORY_BUDGET_MB,
     ):
         self.scorer = scorer if scorer is not None else LOFScorer()
         if not isinstance(self.scorer, OutlierScorer):
@@ -75,7 +66,6 @@ class SubspaceOutlierRanker:
             raise ParameterError(f"max_subspaces must be >= 1, got {max_subspaces}")
         self.max_subspaces = int(max_subspaces)
         self.engine = normalise_engine_mode(engine)
-        self.memory_budget_mb = check_memory_budget_mb(memory_budget_mb)
 
     def rank(
         self,
@@ -103,11 +93,7 @@ class SubspaceOutlierRanker:
                     method=f"{self.scorer.name} (full space)",
                     metadata={"runtime_sec": stopwatch.total(), "n_subspaces": 0},
                 )
-            shared = (
-                SharedNeighborEngine(data, memory_budget_mb=self.memory_budget_mb)
-                if self.engine == "shared"
-                else None
-            )
+            shared = SharedNeighborEngine(data) if self.engine == "shared" else None
             per_subspace = self.scorer.score_batch(data, selected, engine=shared)
             combined = aggregate_scores(per_subspace, self.aggregation)
         return RankingResult(

@@ -416,13 +416,12 @@ class SingleWriterExecutor:
     """One dedicated worker thread executing submitted calls in FIFO order.
 
     A long-lived host (``repro-hics serve``) funnels every warm scoring pass
-    through one of these, so every write to a model's
-    :class:`~repro.neighbors.engine.SharedNeighborEngine` — its assembly
-    buffer — happens on a single thread
-    while the asyncio front end stays free to accept requests.  The
-    engine's own internal lock remains the correctness backstop; the single
-    writer removes even lock contention from the hot path and makes request
-    ordering deterministic.
+    through one of these, so scoring runs on a single thread while the
+    asyncio front end stays free to accept requests.  The scorers are safe
+    to share across threads anyway (a
+    :class:`~repro.neighbors.engine.SharedNeighborEngine` keeps nothing
+    between calls); the single writer keeps concurrent passes from
+    competing for the cores and makes request ordering deterministic.
 
     Unlike the :class:`ExecutionBackend` family this is not a fan-out
     primitive: it exists to *serialise* work, one call at a time, and hand

@@ -89,9 +89,6 @@ class PipelineConfig:
         distance pass across all fitted subspaces, ``"per-subspace"`` is the
         bit-for-bit-identical reference path.  Like ``backend``, purely a
         throughput knob.
-    memory_budget_mb:
-        Memory budget of the shared scoring engine's fused kNN pass in MiB;
-        past it the engine takes the exact pruned search.
     storage:
         Index storage spec string forwarded to components that accept it
         (``None`` → in-memory, ``"memmap(chunk_rows=65536)"`` → out-of-core
@@ -115,7 +112,6 @@ class PipelineConfig:
     random_state: Optional[int] = 0
     backend: Optional[str] = None
     scoring_engine: str = "shared"
-    memory_budget_mb: float = 256.0
     storage: Optional[str] = None
     scratch_dir: Optional[str] = None
     extra: Dict[str, object] = field(default_factory=dict)
@@ -134,8 +130,8 @@ class PipelineConfig:
         Use it to tag results with the exact configuration that produced
         them.  (The experiment artifact cache keys cells by a *reduced* form
         of the config instead — it deliberately ignores the throughput knobs
-        ``backend``/``scoring_engine``/``memory_budget_mb``, which cannot
-        change results; see :mod:`repro.experiments.cache`.)
+        ``backend``/``scoring_engine``/``storage``/``scratch_dir``, which
+        cannot change results; see :mod:`repro.experiments.cache`.)
         """
         payload = json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":"), default=repr
@@ -147,15 +143,17 @@ class PipelineConfig:
         """Rebuild a config from :meth:`to_dict` output; rejects unknown keys.
 
         A retired ``n_jobs`` entry is folded into ``backend``
-        (:func:`~repro.parallel.fold_n_jobs`); a retired ``n_shards`` entry
-        (row shards, which never changed a result) is dropped.
+        (:func:`~repro.parallel.fold_n_jobs`); retired ``n_shards`` (row
+        shards) and ``memory_budget_mb`` (the scoring engine's former buffer
+        budget) entries, which never changed a result, are dropped.
         """
         if not isinstance(payload, dict):
             raise ParameterError(
                 f"config payload must be a mapping, got {type(payload).__name__}"
             )
         payload = fold_n_jobs(payload)
-        payload.pop("n_shards", None)
+        for retired in ("n_shards", "memory_budget_mb"):
+            payload.pop(retired, None)
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -295,6 +293,5 @@ def make_method_pipeline(
         spec,
         max_subspaces=config.max_subspaces,
         engine=config.scoring_engine,
-        memory_budget_mb=config.memory_budget_mb,
         backend=config.backend,
     )

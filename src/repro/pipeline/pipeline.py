@@ -31,7 +31,7 @@ import numpy as np
 from ..dataset.dataset import Dataset
 from ..exceptions import DataError, NotFittedError, ParameterError, SubspaceError
 from ..outliers.aggregation import aggregate_scores
-from ..outliers.base import DEFAULT_MEMORY_BUDGET_MB, OutlierScorer
+from ..outliers.base import OutlierScorer
 from ..outliers.lof import LOFScorer
 from ..outliers.ranking import SubspaceOutlierRanker
 from ..parallel import ExecutionBackend, check_backend_spec
@@ -67,18 +67,12 @@ class SubspaceOutlierPipeline:
         Scoring engine: ``"shared"`` (default) scores all fitted subspaces
         through one :class:`~repro.neighbors.engine.SharedNeighborEngine`,
         which assembles each subspace's distances from the data columns in
-        row bands into one reused buffer; once an ``n x n`` pass exceeds
-        ``memory_budget_mb`` it switches to an exact pruned kNN search (row
-        bands for full distance rows); ``"per-subspace"`` is
-        the reference path that recomputes every subspace's distances from
+        row bands and selects each band's neighbours as it goes, and takes
+        an exact pruned kNN search on tall data; ``"per-subspace"`` is the
+        reference path that recomputes every subspace's distances from
         scratch.  Both produce identical scores, bit for bit — the switch is
         purely a throughput/memory knob.  The retired name ``"streaming"``
         is read as ``"shared"``.
-    memory_budget_mb:
-        Memory budget of the shared engine's fused kNN pass in MiB (its
-        ``n x n`` assembly buffer, square root and top-k scratch at 24 bytes
-        a cell); past it the engine takes the pruned search.  Ignored by
-        ``"per-subspace"``.
     backend:
         Execution-backend spec (see :mod:`repro.parallel`), e.g.
         ``"process(n_jobs=4)"``.  ``None`` (default) leaves each component's
@@ -114,7 +108,6 @@ class SubspaceOutlierPipeline:
         aggregation: str = "average",
         max_subspaces: int = 100,
         engine: str = "shared",
-        memory_budget_mb: float = DEFAULT_MEMORY_BUDGET_MB,
         backend: Optional[str] = None,
     ):
         self.searcher = searcher if searcher is not None else HiCS()
@@ -127,10 +120,8 @@ class SubspaceOutlierPipeline:
             aggregation=aggregation,
             max_subspaces=max_subspaces,
             engine=engine,
-            memory_budget_mb=memory_budget_mb,
         )
         self.engine = self.ranker.engine
-        self.memory_budget_mb = self.ranker.memory_budget_mb
         # Populated by fit() / fit_rank().
         self.scored_subspaces_: List[ScoredSubspace] = []
         self.reference_data_: Optional[np.ndarray] = None
@@ -260,12 +251,7 @@ class SubspaceOutlierPipeline:
         )
         if not accepts_engine:
             return method(matrix, selected)
-        return method(
-            matrix,
-            selected,
-            engine=self.engine,
-            memory_budget_mb=self.memory_budget_mb,
-        )
+        return method(matrix, selected, engine=self.engine)
 
     def rank(
         self, data: Union[np.ndarray, Dataset], *, independent: bool = False
@@ -344,7 +330,6 @@ class SubspaceOutlierPipeline:
             "aggregation": aggregation,
             "max_subspaces": self.ranker.max_subspaces,
             "engine": self.engine,
-            "memory_budget_mb": self.memory_budget_mb,
             "backend": backend,
         }
 
@@ -369,15 +354,6 @@ class SubspaceOutlierPipeline:
                 f"invalid max_subspaces in pipeline payload: "
                 f"{payload.get('max_subspaces')!r}"
             ) from exc
-        try:
-            memory_budget_mb = float(
-                payload.get("memory_budget_mb", DEFAULT_MEMORY_BUDGET_MB)
-            )
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(
-                f"invalid memory_budget_mb in pipeline payload: "
-                f"{payload.get('memory_budget_mb')!r}"
-            ) from exc
         return cls(
             searcher=component_from_dict(payload["searcher"], "searcher"),
             scorer=component_from_dict(payload["scorer"], "scorer"),
@@ -388,9 +364,11 @@ class SubspaceOutlierPipeline:
             # scores are identical either way — and a retired engine name
             # maps to its survivor (normalise_engine_mode).  Likewise,
             # payloads written before the execution-backend subsystem
-            # default to backend=None (serial), the historical behaviour.
+            # default to backend=None (serial), the historical behaviour.  A
+            # retired ``memory_budget_mb`` entry (the size limit of the
+            # engine's former n x n buffer) is dropped: it never changed a
+            # score.
             engine=payload.get("engine", "shared"),
-            memory_budget_mb=memory_budget_mb,
             backend=payload.get("backend"),
         )
 
@@ -466,9 +444,8 @@ class SubspaceOutlierPipeline:
         Drops the caches and pools the components accumulate across calls —
         the searcher's shared contrast cache and any execution backend it
         owns, and the scorer's warm reference
-        :class:`~repro.neighbors.engine.SharedNeighborEngine` (its ``n x n``
-        assembly buffer) and
-        what the scorer prepared from it (LOF's local-update plan).  One-shot
+        :class:`~repro.neighbors.engine.SharedNeighborEngine` and what the
+        scorer prepared from it (LOF's local-update plan).  One-shot
         hosts (the CLI sub-commands) and long-lived hosts swapping models
         (``repro-hics serve`` hot reload) call this instead of relying on
         interpreter teardown.  Idempotent; a later scoring call simply rebuilds

@@ -385,8 +385,7 @@ def parse_component_spec(text: str) -> ComponentSpec:
 
 #: Spec-grammar names selecting the scoring engine (4th, optional segment),
 #: including the ``per_subspace`` spelling and retired names that map to a
-#: survivor.  ``shared`` may carry a cache budget:
-#: ``shared(memory_budget_mb=64)``.
+#: survivor.
 _ENGINE_NAMES = ENGINE_MODES + ("per_subspace",) + tuple(LEGACY_ENGINE_MODES)
 
 
@@ -407,13 +406,15 @@ def _extract_engine_spec(parts: list) -> Tuple[list, Optional[ComponentSpec]]:
             raise ParameterError(
                 f"duplicate scoring engine in spec: {engine.render()!r} and {part!r}"
             )
+        # The retired ``memory_budget_mb`` sized the engine's former n x n
+        # buffer and never changed a score: it is accepted and dropped.
         unknown = sorted(set(component.params) - {"memory_budget_mb"})
         if unknown:
             raise ParameterError(
                 f"unknown engine parameter(s) {unknown} in spec segment {part!r}; "
-                f"only 'memory_budget_mb' is accepted"
+                f"an engine segment takes no parameters"
             )
-        engine = component
+        engine = ComponentSpec(component.name)
     return remaining, engine
 
 
@@ -422,13 +423,14 @@ def parse_spec(text: str) -> PipelineSpec:
 
     Grammar: ``searcher[(params)] [+ scorer[(params)] [+ aggregation]]
     [+ engine]``, e.g. ``"hics(alpha=0.1)+lof(min_pts=10)"`` or
-    ``"hics+lof+average+shared(memory_budget_mb=64)"``.  The scorer defaults
+    ``"hics+lof+average+per-subspace"``.  The scorer defaults
     to LOF and the aggregation to ``"average"`` when omitted; a two-part spec
     whose second segment is a bare aggregation name rather than a scorer
     (``"hics+max"``) is accepted as searcher + aggregation.  The engine
     segment (``shared`` or ``per-subspace``) selects the scoring engine and
     may appear after any other segment; the retired ``streaming`` segment
-    is still accepted and selects ``shared``.
+    is still accepted and selects ``shared``, and so is a retired engine
+    parameter, which is dropped.
     """
     if not isinstance(text, str) or not text.strip():
         raise ParameterError("pipeline spec must be a non-empty string")
@@ -481,7 +483,6 @@ def make_pipeline_from_spec(
     aggregation: Optional[str] = None,
     max_subspaces: int = 100,
     engine: Optional[str] = None,
-    memory_budget_mb: Optional[float] = None,
     backend: Optional[str] = None,
 ):
     """Build a ready pipeline from a spec string (or parsed spec).
@@ -492,9 +493,8 @@ def make_pipeline_from_spec(
     reducers) are constructed with the scorer and returned directly.
 
     An aggregation or scoring engine named in the spec wins over the
-    ``aggregation`` / ``engine`` / ``memory_budget_mb`` keywords.
+    ``aggregation`` / ``engine`` keywords.
     """
-    from .outliers.base import DEFAULT_MEMORY_BUDGET_MB
     from .pipeline.pipeline import SubspaceOutlierPipeline
     from .subspaces.base import SubspaceSearcher
 
@@ -507,10 +507,6 @@ def make_pipeline_from_spec(
     )
     if parsed.engine is not None:
         engine = parsed.engine.name
-        if "memory_budget_mb" in parsed.engine.params:
-            # spec params are parsed literals (object); the engine grammar only
-            # admits numbers here, so the float() both narrows and validates.
-            memory_budget_mb = float(parsed.engine.params["memory_budget_mb"])  # type: ignore[arg-type]
     if not issubclass(searcher_cls, SubspaceSearcher):
         if parsed.aggregation is not None:
             raise ParameterError(
@@ -532,9 +528,6 @@ def make_pipeline_from_spec(
         aggregation=parsed.aggregation or aggregation or "average",
         max_subspaces=max_subspaces,
         engine=engine if engine is not None else "shared",
-        memory_budget_mb=(
-            memory_budget_mb if memory_budget_mb is not None else DEFAULT_MEMORY_BUDGET_MB
-        ),
         backend=backend,
     )
 

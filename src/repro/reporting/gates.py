@@ -417,7 +417,7 @@ register_gate(GateSpec(
     suite="scoring",
     metric="rank_traced_peak_mb",
     direction="max",
-    threshold=8.49,  # largest of three runs (7.38 MB, each run alike) + 15%
+    threshold=1.75,  # largest of three runs (1.52 MB, each run alike) + 15%
     tolerance=0.15,
     description="tracemalloc peak of one shared multi-subspace rank (MiB)",
 ))
@@ -551,7 +551,7 @@ register_gate(GateSpec(
     suite="perf-smoke-scoring",
     metric="rank_traced_peak_mb",
     direction="max",
-    threshold=2.47,  # largest of three runs (2.14 MB, each run alike) + 15%
+    threshold=1.04,  # largest of three runs (0.904 MB, each run alike) + 15%
     tolerance=0.15,
     description="smoke fixture: tracemalloc peak of one shared rank (MiB)",
 ))

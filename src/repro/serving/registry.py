@@ -66,8 +66,8 @@ class ModelVersion:
         """Build the scorer's reference state before the version goes live.
 
         Scoring one reference row pays, on the reloading thread, for the
-        shared reference engine (its assembly buffer) and for what the
-        scorer prepares from it — for LOF, the local-update
+        shared reference engine and for what the scorer prepares from it —
+        for LOF, the local-update
         plan of every served subspace (reference kNN lists, mean
         reach-distances, reverse kNN lists).  The first real request after a
         hot swap then computes no reference kNN at all.
@@ -93,10 +93,10 @@ class ModelRegistry:
     ----------
     path:
         A fitted model file or a directory of versioned ``*.npz`` models.
-    scoring_engine / memory_budget_mb:
-        Serve-time overrides applied to every loaded pipeline (``None``
-        keeps what the model file persisted) — the engine is a throughput
-        knob of the host, not part of the fitted model.
+    scoring_engine:
+        Serve-time override applied to every loaded pipeline (``None`` keeps
+        what the model file persisted) — the engine is a throughput knob of
+        the host, not part of the fitted model.
     history:
         How many retired version descriptions to keep for ``GET /models``.
     """
@@ -106,12 +106,10 @@ class ModelRegistry:
         path: str,
         *,
         scoring_engine: Optional[str] = None,
-        memory_budget_mb: Optional[float] = None,
         history: int = 8,
     ):
         self.path = path
         self.scoring_engine = scoring_engine
-        self.memory_budget_mb = memory_budget_mb
         self._lock = threading.Lock()
         self._current: Optional[ModelVersion] = None
         self._retired: Deque[Dict[str, object]] = deque(maxlen=history)
@@ -165,9 +163,6 @@ class ModelRegistry:
             pipeline = SubspaceOutlierPipeline.load(target)
             if self.scoring_engine is not None:
                 pipeline.engine = pipeline.ranker.engine = self.scoring_engine
-            if self.memory_budget_mb is not None:
-                pipeline.memory_budget_mb = float(self.memory_budget_mb)
-                pipeline.ranker.memory_budget_mb = float(self.memory_budget_mb)
             model = ModelVersion(version, target, ident, pipeline)
             if warm:
                 model.warm()

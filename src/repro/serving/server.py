@@ -7,11 +7,9 @@ Request flow::
     client <--JSON score---- handler task <--(score, batch size)--
 
 One :class:`~repro.parallel.SingleWriterExecutor` thread runs every scoring
-pass, so the warm engine's assembly buffer is written on one thread by
-construction (the engine's internal lock stays as the backstop for
-library embedders that share an engine across threads directly).  The asyncio
-loop only parses requests, queues rows and serialises responses, so accepting
-traffic never blocks on NumPy work.
+pass, so passes never compete for the cores and requests are scored in
+arrival order.  The asyncio loop only parses requests, queues rows and
+serialises responses, so accepting traffic never blocks on NumPy work.
 
 Endpoints
 ---------

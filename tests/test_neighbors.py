@@ -21,9 +21,11 @@ from repro.neighbors import (
     subspace_pairwise_distances,
     top_k_smallest,
 )
+from repro.neighbors import engine as engine_module
 from repro.neighbors import topk as topk_module
 from repro.neighbors.base import check_knn_algorithm
 from repro.types import Subspace
+from repro.utils import chunks as chunks_module
 
 
 def _tie_heavy_data(seed: int = 0) -> np.ndarray:
@@ -299,26 +301,18 @@ class TestSharedNeighborEngine:
         first[0, 1] = -1.0
         assert engine.distance_matrix((0, 1))[0, 1] != -1.0
 
-    def test_tiny_memory_budget_stays_exact(self):
-        # A budget below one n x n block disables caching; the chunked path
-        # must produce identical neighbours anyway.
+    def test_pruned_route_stays_exact(self, monkeypatch):
+        # With the dense route's height limit below n the engine answers with
+        # the pruned search; it must produce identical neighbours anyway.
         data = _tie_heavy_data(seed=3)
-        roomy = SharedNeighborEngine(data, memory_budget_mb=64.0)
-        tiny = SharedNeighborEngine(data, memory_budget_mb=0.001)
-        assert tiny.cache_bytes == 0
-        for attrs in (None, (0, 2, 3)):
-            a = roomy.kneighbors(6, attrs)
-            b = tiny.kneighbors(6, attrs)
+        dense = {attrs: SharedNeighborEngine(data).kneighbors(6, attrs)
+                 for attrs in (None, (0, 2, 3))}
+        monkeypatch.setattr(engine_module, "_DENSE_MAX_ROWS", data.shape[0] - 1)
+        pruned = SharedNeighborEngine(data)
+        for attrs, a in dense.items():
+            b = pruned.kneighbors(6, attrs)
             assert np.array_equal(a.indices, b.indices)
             assert np.array_equal(a.distances, b.distances)
-
-    def test_cache_respects_budget(self):
-        data = np.random.default_rng(1).normal(size=(40, 10))
-        budget_mb = 0.05  # room for ~4 blocks of 40*40*8 bytes
-        engine = SharedNeighborEngine(data, memory_budget_mb=budget_mb)
-        for attrs in ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (0, 2), (1, 3)):
-            engine.distance_matrix(attrs)
-        assert engine.cache_bytes <= budget_mb * 1024 * 1024
 
     def test_asymmetric_query_mode_matches_combined_matrix(self):
         data = _tie_heavy_data(seed=4)
@@ -337,17 +331,21 @@ class TestSharedNeighborEngine:
                 knn.distances, np.take_along_axis(expected_rows, order, axis=1)
             )
 
-    @pytest.mark.parametrize("blocks", [0.5, 1.5, 2.5, 5.5])
-    def test_holdings_are_one_buffer_within_budget(self, blocks):
-        # Budgets of a fraction of an n x n matrix, one or two (bands and the
-        # pruned kNN) and five (the fused kNN pass with its buffer).  Across
-        # calls the engine holds the buffer or nothing: no per-attribute
-        # state, whatever the call mix.
+    @pytest.mark.parametrize("band_rows", [1, 7, None], ids=["1-row", "7-rows", "default"])
+    @pytest.mark.parametrize("route", ["dense", "pruned"])
+    def test_holds_nothing_between_calls(self, route, band_rows, monkeypatch):
+        # Bands of one row, of seven and the default (all 62 rows in one),
+        # under the dense kNN route and the pruned search.  Across calls the
+        # engine holds its data and nothing else: no buffer, no
+        # per-attribute state, whatever the call mix.
         data = _tie_heavy_data(seed=5)[:, [0, 1, 2, 3, 4, 0, 2, 4]]
         data[:, 5:] += np.arange(3)
         n = data.shape[0]
-        budget = int(blocks * n * n * 8)
-        engine = SharedNeighborEngine(data, memory_budget_mb=budget / 2**20)
+        if band_rows is not None:
+            monkeypatch.setattr(chunks_module, "_CHUNK_CELLS", band_rows * 8 * n)
+        if route == "pruned":
+            monkeypatch.setattr(engine_module, "_DENSE_MAX_ROWS", n - 1)
+        engine = SharedNeighborEngine(data)
         calls = [
             ("kneighbors", (0, 1)), ("distance_matrix", (1, 2, 3)),
             ("rows", (3, 4, 5, 6)), ("kneighbors", (0, 1)), ("kneighbors", (6, 0)),
@@ -367,16 +365,11 @@ class TestSharedNeighborEngine:
                     got = engine.distance_matrix(attrs)
                 want = pairwise_distances(data, attributes=attrs)
                 assert np.array_equal(got, want), (query, attrs)
-            assert engine.fused_pass_fits() == (blocks > 3)
-            assert engine.cache_bytes == (n * n * 8 if blocks > 3 else 0)
-            assert engine.cache_bytes <= budget
-            held = [v for v in vars(engine).values() if isinstance(v, np.ndarray)]
-            assert len(held) == 1 + (blocks > 3)  # the data, and the buffer
+            assert engine.cache_bytes == 0
+            assert vars(engine) == {"_data": engine.data}
 
     def test_validation(self):
         data = np.random.default_rng(0).normal(size=(10, 3))
-        with pytest.raises(ParameterError):
-            SharedNeighborEngine(data, memory_budget_mb=0.0)
         engine = SharedNeighborEngine(data)
         with pytest.raises(ParameterError):
             engine.kneighbors(10)  # k > n - 1 with exclude_self
@@ -406,24 +399,30 @@ class TestSharedNeighborEngine:
 
 
 class TestSharedEngineKNN:
-    """The searcher ``create_knn_searcher("auto")`` returns past the budget."""
+    """The searcher ``create_knn_searcher("auto")`` returns on tall data."""
 
-    # A budget of one byte makes the engine answer with the pruned search.
-    TINY_BUDGET_MB = 2**-20
+    @pytest.fixture(autouse=True)
+    def pruned(self, monkeypatch):
+        # Every height counts as tall: the engine answers with the pruned search.
+        monkeypatch.setattr(engine_module, "_DENSE_MAX_ROWS", 0)
 
     def test_pruned_search_matches_brute_force(self):
         data = _tie_heavy_data(seed=5)
-        searcher = SharedEngineKNN(data, memory_budget_mb=self.TINY_BUDGET_MB)
-        assert not searcher.engine.fused_pass_fits()
-        for k in (1, 4, 9):
-            result = searcher.kneighbors(k)
-            brute = BruteForceKNN(data).kneighbors(k)
-            assert np.array_equal(result.indices, brute.indices)
-            assert np.array_equal(result.distances, brute.distances)
+        searcher = SharedEngineKNN(data)
+        spy = mock.patch.object(
+            engine_module, "_pruned_kneighbors", wraps=engine_module._pruned_kneighbors
+        )
+        with spy as pruned:
+            for k in (1, 4, 9):
+                result = searcher.kneighbors(k)
+                brute = BruteForceKNN(data).kneighbors(k)
+                assert np.array_equal(result.indices, brute.indices)
+                assert np.array_equal(result.distances, brute.distances)
+        assert pruned.call_count == 3
 
     def test_subspace_projection(self):
         data = np.random.default_rng(3).uniform(size=(100, 5))
-        projected = SharedEngineKNN(data, [1, 3], memory_budget_mb=self.TINY_BUDGET_MB)
+        projected = SharedEngineKNN(data, [1, 3])
         result = projected.kneighbors(3)
         brute = BruteForceKNN(data, [1, 3]).kneighbors(3)
         assert np.array_equal(result.indices, brute.indices)
@@ -433,7 +432,7 @@ class TestSharedEngineKNN:
     def test_duplicate_points_handled(self):
         # 200 copies of one point: several leaves, every bound is zero.
         data = np.ones((200, 2))
-        result = SharedEngineKNN(data, memory_budget_mb=self.TINY_BUDGET_MB).kneighbors(3)
+        result = SharedEngineKNN(data).kneighbors(3)
         assert np.array_equal(result.distances, np.zeros((200, 3)))
         assert not np.any(result.indices == np.arange(200)[:, None])
         # Brute-force order on ties: the lowest other indices.
@@ -442,7 +441,7 @@ class TestSharedEngineKNN:
 
     def test_include_self(self):
         data = _tie_heavy_data(seed=8)
-        searcher = SharedEngineKNN(data, (0, 4), memory_budget_mb=self.TINY_BUDGET_MB)
+        searcher = SharedEngineKNN(data, (0, 4))
         result = searcher.kneighbors(5, exclude_self=False)
         brute = BruteForceKNN(data, (0, 4)).kneighbors(5, exclude_self=False)
         assert np.array_equal(result.indices, brute.indices)
@@ -461,26 +460,32 @@ class TestSharedEngineKNN:
 
 
 class TestFactory:
-    # At the default 256 MiB budget the engine's fused pass (24 * n^2 bytes
-    # of scratch) fits up to n = 3344 rows.
-    LAST_FUSED = 3344
+    # The engine's dense kNN pass covers up to n = 3344 rows, the height at
+    # which it stopped fitting the engine's former 256 MiB budget.
+    LAST_DENSE = 3344
 
     def test_auto_prefers_brute_for_small_data(self):
         searcher = create_knn_searcher(np.zeros((100, 3)))
         assert isinstance(searcher, BruteForceKNN)
 
-    def test_auto_follows_the_engine_budget(self):
+    def test_auto_follows_the_engine_route(self):
         rng = np.random.default_rng(0)
-        below = rng.normal(size=(self.LAST_FUSED, 2))
-        past = rng.normal(size=(self.LAST_FUSED + 1, 2))
-        assert SharedNeighborEngine(below).fused_pass_fits()
-        assert not SharedNeighborEngine(past).fused_pass_fits()
+        below = rng.normal(size=(self.LAST_DENSE, 2))
+        past = rng.normal(size=(self.LAST_DENSE + 1, 2))
+        spy = mock.patch.object(
+            engine_module, "_pruned_kneighbors", wraps=engine_module._pruned_kneighbors
+        )
+        with spy as pruned:
+            SharedNeighborEngine(below).kneighbors(3, (0,))
+            assert not pruned.called
+            SharedNeighborEngine(past).kneighbors(3, (0,))
+            assert pruned.call_count == 1
         assert isinstance(create_knn_searcher(below), BruteForceKNN)
         assert isinstance(create_knn_searcher(past, (1,)), SharedEngineKNN)
         assert isinstance(create_knn_searcher(past, algorithm="brute"), BruteForceKNN)
 
-    def test_auto_past_the_budget_matches_brute(self):
-        rows = self.LAST_FUSED + 1
+    def test_auto_on_tall_data_matches_brute(self):
+        rows = self.LAST_DENSE + 1
         data = np.resize(_tie_heavy_data(seed=7), (rows, 5))  # repeats: ties
         data[::7] += np.random.default_rng(7).normal(size=data[::7].shape)
         auto = create_knn_searcher(data, (1, 3)).kneighbors(5)

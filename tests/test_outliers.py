@@ -19,7 +19,6 @@ from repro.outliers import (
     local_outlier_factor,
     maximum_aggregation,
 )
-from repro.pipeline import SubspaceOutlierPipeline
 from repro.registry import make_pipeline_from_spec
 from repro.types import Subspace
 
@@ -89,9 +88,9 @@ class TestLocalOutlierFactor:
         with pytest.raises(DataError):
             local_outlier_factor(np.zeros((1, 2)), min_pts=1)
 
-    def test_brute_and_auto_agree_past_the_engine_budget(self):
-        # 3345 rows is one past what the engine's fused pass fits at the
-        # default budget, so "auto" answers with the pruned search.
+    def test_brute_and_auto_agree_on_tall_data(self):
+        # 3345 rows is one past the engine's dense kNN route, so "auto"
+        # answers with the pruned search.
         data = np.random.default_rng(3).uniform(size=(3345, 3))
         assert isinstance(create_knn_searcher(data), SharedEngineKNN)
         brute = local_outlier_factor(data, 8, algorithm="brute")
@@ -301,10 +300,3 @@ class TestSubspaceOutlierRanker:
             SubspaceOutlierRanker(scorer="LOF")
         with pytest.raises(ParameterError):
             SubspaceOutlierRanker(LOFScorer(), max_subspaces=0)
-
-    @pytest.mark.parametrize("budget", [-1, 0, float("nan"), float("inf"), "lots"])
-    def test_invalid_memory_budget_rejected_at_construction(self, budget):
-        with pytest.raises(ParameterError, match="memory_budget_mb"):
-            SubspaceOutlierRanker(LOFScorer(), memory_budget_mb=budget)
-        with pytest.raises(ParameterError, match="memory_budget_mb"):
-            SubspaceOutlierPipeline(memory_budget_mb=budget)

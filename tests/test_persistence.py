@@ -14,7 +14,7 @@ from repro.dataset import generate_synthetic_dataset
 from repro.exceptions import DataError, NotFittedError, ParameterError
 from repro.outliers import KNNDistanceScorer, LOFScorer, local_outlier_factor
 from repro.pipeline import PipelineConfig, SubspaceOutlierPipeline, make_method_pipeline
-from repro.registry import component_from_dict, component_to_dict, make_searcher
+from repro.registry import component_from_dict, component_to_dict, make_searcher, parse_spec
 from repro.subspaces import HiCS
 from repro.types import ScoredSubspace, Subspace
 
@@ -445,7 +445,8 @@ class TestRetiredNamesKeepLoading:
 
     ``streaming`` was a row-blocked scoring engine identical to ``shared``;
     HiCS's ``engine=scalar`` was a per-iteration contrast engine identical to
-    the batch one.  Model files, payloads, spec strings and configs written
+    the batch one; ``memory_budget_mb`` sized the shared engine's former
+    ``n x n`` buffer.  Model files, payloads, spec strings and configs written
     with them load and reproduce the survivor's scores exactly.
     """
 
@@ -461,17 +462,21 @@ class TestRetiredNamesKeepLoading:
         pipeline = SubspaceOutlierPipeline(_fast_hics(), LOFScorer(min_pts=8)).fit(data)
         path = str(tmp_path / "model.npz")
         pipeline.save(path)
-        # Rewrite the header the way files were saved before the removal:
-        # the scoring engine named, HiCS carrying its engine parameter.
+        # Rewrite the header the way files were saved before the removals:
+        # the scoring engine named, HiCS carrying its engine parameter, the
+        # engine's memory budget recorded.
         with np.load(path) as archive:
             header = json.loads(str(archive["header"][()]))
             reference = archive["reference_data"]
+        assert "memory_budget_mb" not in header["pipeline"]
         header["pipeline"]["engine"] = "streaming"
         header["pipeline"]["searcher"]["params"]["engine"] = "batch"
+        header["pipeline"]["memory_budget_mb"] = 64.0
         np.savez(path, header=np.array(json.dumps(header)), reference_data=reference)
 
         loaded = SubspaceOutlierPipeline.load(path)
         assert loaded.engine == loaded.ranker.engine == "shared"
+        assert "memory_budget_mb" not in loaded.to_dict()
         query = data[:12] + 0.01
         for independent in (False, True):
             assert np.array_equal(
@@ -486,9 +491,14 @@ class TestRetiredNamesKeepLoading:
         assert searcher.search(data) == _fast_hics().search(data)
 
     def test_spec_with_scalar_contrast_and_streaming_engine(self, data):
-        legacy = make_method_pipeline("hics(engine=scalar)+lof+streaming(memory_budget_mb=512)")
-        survivor = make_method_pipeline("hics+lof+shared(memory_budget_mb=512)")
-        assert (legacy.engine, legacy.memory_budget_mb) == ("shared", 512.0)
+        text = "hics(engine=scalar)+lof+streaming(memory_budget_mb=512)"
+        spec = parse_spec(text)
+        assert spec.render() == "hics(engine='scalar')+lof+streaming"
+        assert parse_spec(spec.render()) == spec
+        legacy = make_method_pipeline(text)
+        survivor = make_method_pipeline("hics+lof")
+        assert legacy.engine == "shared"
+        assert legacy.to_dict() == survivor.to_dict()
         assert np.array_equal(legacy.fit_rank(data).scores, survivor.fit_rank(data).scores)
 
     def test_pipeline_config_streaming_engine(self, data):
@@ -499,6 +509,15 @@ class TestRetiredNamesKeepLoading:
         survivor = make_method_pipeline("HiCS", config("shared"))
         assert legacy.engine == "shared"
         assert np.array_equal(legacy.fit_rank(data).scores, survivor.fit_rank(data).scores)
+
+    def test_pipeline_config_dict_with_memory_budget(self, data):
+        survivor = PipelineConfig(hics_iterations=10, hics_cutoff=20)
+        legacy = PipelineConfig.from_dict({**survivor.to_dict(), "memory_budget_mb": 64.0})
+        assert legacy == survivor
+        assert np.array_equal(
+            make_method_pipeline("HiCS", legacy).fit_rank(data).scores,
+            make_method_pipeline("HiCS", survivor).fit_rank(data).scores,
+        )
 
 
 class TestRetiredNJobs:

@@ -27,6 +27,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from repro.exceptions import DataError
 from repro.index import SliceSampler, SortedDatabaseIndex
 from repro.neighbors import SharedNeighborEngine
+from repro.neighbors import engine as engine_module
 from repro.neighbors.distance import pairwise_distances
 from repro.outliers import LOFScorer, SubspaceOutlierRanker
 from repro.stats.descriptive import sample_moments, sample_moments_batch
@@ -339,19 +340,18 @@ class TestRowPermutationInvariance:
                 assert abs(a.contrast - b.contrast) <= tolerance
                 assert np.allclose(a.deviations, b.deviations, rtol=0.0, atol=tolerance)
 
-    @pytest.mark.parametrize(
-        "memory_budget_mb", [256.0, 2**-20], ids=["fused", "pruned-search"]
-    )
+    @pytest.mark.parametrize("route", ["fused", "pruned-search"])
     @given(
         n_objects=st.integers(min_value=12, max_value=300),
         n_dims=st.integers(min_value=2, max_value=5),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
     @settings(max_examples=15, deadline=None)
-    def test_lof_scores_follow_the_rows(self, memory_budget_mb, n_objects, n_dims, seed):
+    def test_lof_scores_follow_the_rows(self, route, n_objects, n_dims, seed):
         # Without distance ties a neighbour list is ordered by distance alone,
         # so it and every sum over it are the same under any row order.  A
-        # budget of one byte makes the engine answer with the pruned search.
+        # dense route for no height makes the engine answer with the pruned
+        # search.
         rng = np.random.default_rng(seed)
         data = rng.normal(size=(n_objects, n_dims))
         subspaces = [Subspace((a, b)) for a in range(n_dims) for b in range(a + 1, n_dims)]
@@ -363,13 +363,13 @@ class TestRowPermutationInvariance:
         permutation = rng.permutation(n_objects)
 
         def scores(matrix):
-            ranker = SubspaceOutlierRanker(
-                LOFScorer(min_pts=10), max_subspaces=len(subspaces),
-                memory_budget_mb=memory_budget_mb,
-            )
+            ranker = SubspaceOutlierRanker(LOFScorer(min_pts=10), max_subspaces=len(subspaces))
             return ranker.rank(matrix, subspaces).scores
 
-        assert np.array_equal(scores(data[permutation]), scores(data)[permutation])
+        with pytest.MonkeyPatch.context() as patch:
+            if route == "pruned-search":
+                patch.setattr(engine_module, "_DENSE_MAX_ROWS", 0)
+            assert np.array_equal(scores(data[permutation]), scores(data)[permutation])
 
 
 class TestPowerOfTwoScaleInvariance:
@@ -405,10 +405,13 @@ class TestPowerOfTwoScaleInvariance:
         def scores(matrix):
             if path == "brute":
                 return LOFScorer(min_pts=10, algorithm="brute").score_batch(matrix, subspaces)
-            # A budget of one byte makes the engine answer with the pruned search.
-            budget = 256.0 if path == "fused" else 2**-20
-            engine = SharedNeighborEngine(matrix, memory_budget_mb=budget)
-            return LOFScorer(min_pts=10).score_batch(matrix, subspaces, engine=engine)
+            # A dense route for no height makes the engine answer with the
+            # pruned search.
+            with pytest.MonkeyPatch.context() as patch:
+                if path == "pruned-search":
+                    patch.setattr(engine_module, "_DENSE_MAX_ROWS", 0)
+                engine = SharedNeighborEngine(matrix)
+                return LOFScorer(min_pts=10).score_batch(matrix, subspaces, engine=engine)
 
         for scaled, unscaled in zip(scores(data * 2.0**exponent), scores(data)):
             assert np.array_equal(scaled, unscaled)

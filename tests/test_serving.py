@@ -34,7 +34,6 @@ def _fast_pipeline() -> SubspaceOutlierPipeline:
             n_iterations=10, candidate_cutoff=30, max_output_subspaces=10, random_state=0
         ),
         scorer=LOFScorer(min_pts=8),
-        memory_budget_mb=64.0,
     )
 
 
@@ -79,7 +78,7 @@ def _request(port, method, path, payload=None):
 
 class TestEndpoints:
     def test_healthz_metrics_models_and_scoring(self, reference_dataset, model_file, offline_scores):
-        registry = ModelRegistry(model_file, memory_budget_mb=64.0)
+        registry = ModelRegistry(model_file)
         with serve_in_thread(registry) as server:
             port = server.port
             status, health = _request(port, "GET", "/healthz")
@@ -113,7 +112,7 @@ class TestEndpoints:
             assert models["current"]["n_dims"] == reference_dataset.n_dims
 
     def test_malformed_requests_get_4xx_not_tracebacks(self, model_file, reference_dataset):
-        registry = ModelRegistry(model_file, memory_budget_mb=64.0)
+        registry = ModelRegistry(model_file)
         n_dims = reference_dataset.n_dims
         with serve_in_thread(registry) as server:
             port = server.port
@@ -157,7 +156,7 @@ class TestEndpoints:
                 connection.close()
 
     def test_oversized_body_rejected_with_413(self, model_file):
-        registry = ModelRegistry(model_file, memory_budget_mb=64.0)
+        registry = ModelRegistry(model_file)
         with serve_in_thread(registry, max_body_bytes=1024) as server:
             connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
             try:
@@ -168,7 +167,7 @@ class TestEndpoints:
                 connection.close()
 
     def test_empty_batch_is_a_valid_noop(self, model_file):
-        registry = ModelRegistry(model_file, memory_budget_mb=64.0)
+        registry = ModelRegistry(model_file)
         with serve_in_thread(registry) as server:
             status, out = _request(server.port, "POST", "/score/batch", {"points": []})
             assert status == 200
@@ -180,7 +179,7 @@ class TestConcurrentScoring:
         self, reference_dataset, model_file, offline_scores
     ):
         """N threads × single-point requests == serial offline scoring."""
-        registry = ModelRegistry(model_file, memory_budget_mb=64.0)
+        registry = ModelRegistry(model_file)
         rows = reference_dataset.data[:40]
         with serve_in_thread(registry, max_batch_size=16) as server:
             port = server.port
@@ -205,7 +204,7 @@ class TestConcurrentScoring:
     ):
         """Under concurrency some requests must share one scoring pass, and
         the batched scores still match the serial references exactly."""
-        registry = ModelRegistry(model_file, memory_budget_mb=64.0)
+        registry = ModelRegistry(model_file)
         rows = reference_dataset.data[:40]
         with serve_in_thread(registry, max_batch_size=64) as server:
             port = server.port
@@ -248,7 +247,7 @@ class TestHotReload:
         registry_dir = tmp_path / "registry"
         registry_dir.mkdir()
         self._save_model(reference_dataset, registry_dir / "v0001.npz")
-        registry = ModelRegistry(str(registry_dir), memory_budget_mb=64.0)
+        registry = ModelRegistry(str(registry_dir))
         rows = reference_dataset.data[:8]
 
         stop = threading.Event()
@@ -298,7 +297,7 @@ class TestHotReload:
             assert metrics["reloads_total"] == 1
 
     def test_reload_is_noop_when_file_unchanged(self, model_file):
-        registry = ModelRegistry(model_file, memory_budget_mb=64.0)
+        registry = ModelRegistry(model_file)
         with serve_in_thread(registry) as server:
             status, out = _request(server.port, "POST", "/admin/reload")
             assert status == 200
@@ -312,7 +311,7 @@ class TestHotReload:
     ):
         path = tmp_path / "watched.npz"
         self._save_model(reference_dataset, path)
-        registry = ModelRegistry(str(path), memory_budget_mb=64.0)
+        registry = ModelRegistry(str(path))
         with serve_in_thread(registry, watch_interval=0.05) as server:
             port = server.port
             _status, health = _request(port, "GET", "/healthz")
@@ -331,7 +330,7 @@ class TestHotReload:
     def test_failed_reload_keeps_serving_old_model(self, reference_dataset, tmp_path):
         path = tmp_path / "fragile.npz"
         self._save_model(reference_dataset, path)
-        registry = ModelRegistry(str(path), memory_budget_mb=64.0)
+        registry = ModelRegistry(str(path))
         with serve_in_thread(registry) as server:
             port = server.port
             path.write_bytes(b"this is not an npz archive")
@@ -370,12 +369,9 @@ class TestModelRegistry:
             ModelRegistry(str(tmp_path / "missing.npz"))
 
     def test_engine_override_applied_to_loaded_pipeline(self, model_file):
-        with ModelRegistry(
-            model_file, scoring_engine="per-subspace", memory_budget_mb=32.0
-        ) as registry:
+        with ModelRegistry(model_file, scoring_engine="per-subspace") as registry:
             pipeline = registry.current.pipeline
-            assert pipeline.engine == "per-subspace"
-            assert pipeline.memory_budget_mb == 32.0
+            assert pipeline.engine == pipeline.ranker.engine == "per-subspace"
 
     def test_load_without_warm_defers_engine_build(self, model_file):
         with ModelRegistry(model_file) as registry:

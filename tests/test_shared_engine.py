@@ -29,11 +29,13 @@ from repro import (
     generate_synthetic_dataset,
     make_pipeline_from_spec,
 )
-from repro.exceptions import ParameterError
+from repro.exceptions import DataError, ParameterError
 from repro.neighbors import SharedNeighborEngine
+from repro.neighbors import engine as engine_module
 from repro.outliers import lof as lof_module
 from repro.outliers.base import OutlierScorer
 from repro.types import Subspace
+from repro.utils import chunks as chunks_module
 
 # --------------------------------------------------------------------- data
 
@@ -117,11 +119,15 @@ class TestScorerGoldenEquivalence:
         for got, expected in zip(shared, reference):
             assert np.array_equal(got, expected)
 
-    def test_tiny_memory_budget_bit_for_bit(self, dataset, name, factory):
-        # A budget too small to cache a single block forces the chunked
-        # assembly path; results must not change by a single bit.
+    def test_pruned_search_and_one_row_bands_bit_for_bit(
+        self, dataset, name, factory, monkeypatch
+    ):
+        # One-row distance bands and the pruned kNN search, forced on short
+        # data; results must not change by a single bit.
         data = GOLDEN[dataset]
-        engine = SharedNeighborEngine(data, memory_budget_mb=0.001)
+        monkeypatch.setattr(chunks_module, "_CHUNK_CELLS", 1)
+        monkeypatch.setattr(engine_module, "_DENSE_MAX_ROWS", 0)
+        engine = SharedNeighborEngine(data)
         shared = factory().score_batch(data, SUBSPACES[:3], engine=engine)
         reference = factory().score_batch(data, SUBSPACES[:3], engine=None)
         for got, expected in zip(shared, reference):
@@ -154,6 +160,24 @@ class TestScorerEdgeCases:
         b = ORCAScorer(k=5, random_state=3).score_batch(data, SUBSPACES[:2])
         for got, expected in zip(a, b):
             assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize(
+        "factory",
+        [lambda: LOFScorer(min_pts=5), lambda: KNNDistanceScorer(k=5),
+         lambda: AdaptiveDensityScorer(n_neighbors=5)],
+        ids=["lof", "knn", "adaptive"],
+    )
+    def test_engine_over_other_data_of_the_same_height_rejected(self, factory):
+        # An engine answers for the data it was built over; handed other data
+        # of the same shape, it would score that data with the wrong points.
+        rng = np.random.default_rng(0)
+        data, other = rng.normal(size=(50, 3)), rng.normal(size=(50, 3))
+        subspaces = [Subspace((0, 1))]
+        with pytest.raises(DataError, match="other data"):
+            factory().score_batch(data, subspaces, engine=SharedNeighborEngine(other))
+        # An engine over an equal copy of the data answers for it.
+        copied = factory().score_batch(data, subspaces, engine=SharedNeighborEngine(data.copy()))
+        assert np.array_equal(copied[0], factory().score_batch(data, subspaces)[0])
 
     def test_unknown_engine_mode_rejected(self):
         scorer = LOFScorer().fit(GOLDEN["random"])
@@ -507,21 +531,20 @@ class TestPipelineGoldenEquivalence:
             reference.score_samples(queries, independent=True),
         )
 
-    def test_memory_budget_does_not_change_scores(self):
+    def test_pruned_route_and_small_blocks_do_not_change_scores(self, monkeypatch):
+        # One-row distance bands, the pruned kNN search and independent
+        # queries scored one per block, against the defaults.
         dataset, shared, _ = _fitted_pipelines(lambda: LOFScorer(min_pts=8))
-        constrained = SubspaceOutlierPipeline(
-            HiCS(n_iterations=8, candidate_cutoff=25, max_output_subspaces=8, random_state=0),
-            LOFScorer(min_pts=8),
-            engine="shared",
-            memory_budget_mb=0.001,
-        )
-        a = shared.fit_rank(dataset).scores
-        b = constrained.fit_rank(dataset).scores
-        assert np.array_equal(a, b)
+        _, constrained, _ = _fitted_pipelines(lambda: LOFScorer(min_pts=8))
         queries = _queries(dataset.data)
+        a = shared.fit_rank(dataset).scores
+        independent = shared.score_samples(queries, independent=True)
+        monkeypatch.setattr(chunks_module, "_CHUNK_CELLS", 1)
+        monkeypatch.setattr(engine_module, "_DENSE_MAX_ROWS", 0)
+        monkeypatch.setattr(lof_module, "_QUERY_BLOCK_BYTES", 1)
+        assert np.array_equal(a, constrained.fit_rank(dataset).scores)
         assert np.array_equal(
-            shared.score_samples(queries, independent=True),
-            constrained.score_samples(queries, independent=True),
+            independent, constrained.score_samples(queries, independent=True)
         )
 
     def test_streaming_reuses_reference_engine(self):
@@ -537,8 +560,6 @@ class TestPipelineGoldenEquivalence:
     def test_engine_parameter_validation(self):
         with pytest.raises(ParameterError):
             SubspaceOutlierPipeline(engine="warp")
-        with pytest.raises(ParameterError):
-            SubspaceOutlierPipeline(memory_budget_mb=0.0)
 
 
 class TestPersistenceAndSpecs:
@@ -563,13 +584,11 @@ class TestPersistenceAndSpecs:
         payload = SubspaceOutlierPipeline().to_dict()
         assert payload["engine"] == "shared"
         del payload["engine"]
-        del payload["memory_budget_mb"]
         assert SubspaceOutlierPipeline.from_dict(payload).engine == "shared"
 
     def test_spec_grammar_engine_segment(self):
-        pipeline = make_pipeline_from_spec("hics+lof+average+shared(memory_budget_mb=32)")
+        pipeline = make_pipeline_from_spec("hics+lof+average+shared")
         assert pipeline.engine == "shared"
-        assert pipeline.memory_budget_mb == 32
         pipeline = make_pipeline_from_spec("hics+per-subspace")
         assert pipeline.engine == "per-subspace"
         pipeline = make_pipeline_from_spec("hics+lof+per_subspace")
@@ -578,9 +597,26 @@ class TestPersistenceAndSpecs:
     def test_spec_engine_round_trips_through_render(self):
         from repro import parse_spec
 
-        spec = parse_spec("hics(alpha=0.2)+knn(k=5)+max+shared(memory_budget_mb=64)")
+        spec = parse_spec("hics(alpha=0.2)+knn(k=5)+max+shared")
         assert spec.engine is not None
         assert parse_spec(spec.render()) == spec
+
+    def test_spec_with_retired_memory_budget(self):
+        # The engine's retired budget is accepted and dropped: the spec
+        # renders and round-trips without it, and scores as if it never
+        # carried one.
+        from repro import parse_spec
+
+        spec = parse_spec("hics+lof+shared(memory_budget_mb=64)")
+        assert spec == parse_spec("hics+lof+shared")
+        assert spec.render() == "hics+lof+shared"
+        assert parse_spec(spec.render()) == spec
+        fast = "hics(n_iterations=8, candidate_cutoff=25, random_state=0)+lof(min_pts=8)"
+        legacy = make_pipeline_from_spec(fast + "+shared(memory_budget_mb=64)")
+        survivor = make_pipeline_from_spec(fast)
+        assert not hasattr(legacy, "memory_budget_mb")
+        data = GOLDEN["duplicates"]
+        assert np.array_equal(legacy.fit_rank(data).scores, survivor.fit_rank(data).scores)
 
     def test_spec_rejects_bad_engine_usage(self):
         with pytest.raises(ParameterError):
@@ -707,23 +743,6 @@ class TestLocalUpdatePlanLifetime:
         builds.clear()
         assert np.array_equal(pipeline.score_samples(queries, independent=True), first)
         assert builds == self._once_per_subspace(pipeline)
-
-    def test_memory_budget_change_rebuilds_the_plan(self, builds):
-        data = GOLDEN["duplicates"]
-        queries = _queries(data)
-        scorer = LOFScorer(min_pts=7).fit(data)
-        first = scorer.score_samples_independent(queries, SUBSPACES, engine="shared")
-        builds.clear()
-        again = scorer.score_samples_independent(queries, SUBSPACES, engine="shared")
-        assert not builds  # warm: served from the cached plan
-        tight = scorer.score_samples_independent(
-            queries, SUBSPACES, engine="shared", memory_budget_mb=0.001
-        )
-        assert builds == collections.Counter(
-            None if s is None else s.attributes for s in SUBSPACES
-        )
-        for a, b, c in zip(first, again, tight):
-            assert np.array_equal(a, b) and np.array_equal(a, c)
 
     def test_plan_is_read_only(self):
         data = GOLDEN["random"]

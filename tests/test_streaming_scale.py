@@ -2,9 +2,9 @@
 
 Two families of guarantees:
 
-* **Chunked exactness** — the paths the shared engine takes once its dense
-  pass exceeds the memory budget (row bands for distance rows, the pruned
-  leaf search for ``kneighbors``) reproduce the dense computation: every
+* **Chunked exactness** — the paths of the shared engine (row bands for
+  distance rows and the dense kNN pass, the pruned leaf search for
+  ``kneighbors`` on tall data) reproduce the dense computation: every
   test asserts ``np.array_equal`` (no tolerances) against the dense
   reference, for *every* band height and leaf size from 1 to ``n``, on data
   with duplicate rows and exact distance ties straddling band and leaf
@@ -71,16 +71,14 @@ SUBSPACES = [None, (0, 2), (3, 1, 4)]
 # ----------------------------------------------------- chunked exactness
 
 
-#: A budget below one n x n block of EDGE (23 * 23 * 8 bytes): the engine
-#: then answers kneighbors with the pruned leaf search and assembles
-#: distance rows in bands instead of cached blocks.
-BAND_BUDGET_MB = 0.001
+def _force_pruned(monkeypatch):
+    """Make ``kneighbors`` answer every input with the pruned leaf search."""
+    monkeypatch.setattr(engine_module, "_DENSE_MAX_ROWS", 0)
 
 
-def _banded_engine(data):
-    engine = SharedNeighborEngine(data, memory_budget_mb=BAND_BUDGET_MB)
-    assert not engine.fused_pass_fits()
-    return engine
+def _force_band_rows(monkeypatch, rows, n):
+    """Make the engine assemble distances in bands of ``rows`` rows of ``n`` cells."""
+    monkeypatch.setattr(chunks_module, "_CHUNK_CELLS", rows * 8 * n)
 
 
 class TestStreamingChunkBoundaries:
@@ -91,25 +89,29 @@ class TestStreamingChunkBoundaries:
         data = self.data
         n = data.shape[0]
         dense = BruteForceKNN(data, attributes).kneighbors(5)
+        _force_pruned(monkeypatch)
         for leaf in range(1, n + 1):
             monkeypatch.setattr(engine_module, "_LEAF_SIZE", leaf)
-            result = _banded_engine(data).kneighbors(5, attributes)
+            result = SharedNeighborEngine(data).kneighbors(5, attributes)
             assert np.array_equal(result.indices, dense.indices), leaf
             assert np.array_equal(result.distances, dense.distances), leaf
 
     @pytest.mark.parametrize("attributes", SUBSPACES)
-    def test_iter_distance_rows_every_chunk_size(self, attributes):
+    def test_iter_distance_rows_every_chunk_size(self, attributes, monkeypatch):
         data = self.data
         n = data.shape[0]
         dense = pairwise_distances(data, attributes=attributes)
         for chunk in range(1, n + 1):
-            # Bands of `chunk` rows: the engine budgets 24 bytes a cell.  Bands
-            # are assembled from the data columns and hold nothing afterwards.
-            engine = SharedNeighborEngine(data, memory_budget_mb=chunk * n * 24 / 2**20)
-            assert engine._chunk_rows() == chunk
+            # Bands of `chunk` rows, assembled from the data columns; the
+            # engine holds nothing afterwards.
+            _force_band_rows(monkeypatch, chunk, n)
+            engine = SharedNeighborEngine(data)
             assembled = np.empty((n, n))
+            heights = []
             for start, stop, rows in engine.iter_distance_rows(attributes):
                 assembled[start:stop] = rows
+                heights.append(stop - start)
+            assert heights[:-1] == [chunk] * (len(heights) - 1) and heights[-1] <= chunk, chunk
             assert np.array_equal(assembled, dense), chunk
             assert engine.cache_bytes == 0, chunk
 
@@ -122,7 +124,8 @@ class TestStreamingChunkBoundaries:
         leaves = engine_module._leaf_partition(data)
         assert not any({10, 11} <= set(leaf.tolist()) for leaf in leaves)
         dense = SharedNeighborEngine(data).kneighbors(8)
-        result = _banded_engine(data).kneighbors(8)
+        _force_pruned(monkeypatch)
+        result = SharedNeighborEngine(data).kneighbors(8)
         assert np.array_equal(result.indices, dense.indices)
         assert np.array_equal(result.distances, dense.distances)
         # the duplicate partner is the nearest neighbour, at exactly 0.0
@@ -130,28 +133,27 @@ class TestStreamingChunkBoundaries:
         assert result.indices[11, 0] == 10
         assert result.distances[10, 0] == 0.0
 
-    def test_adaptive_density_every_chunk_size(self):
+    def test_adaptive_density_every_chunk_size(self, monkeypatch):
         data = self.data
         subspaces = [None if a is None else Subspace(a) for a in SUBSPACES]
         scorer = AdaptiveDensityScorer(n_neighbors=5)
         reference = scorer.score_batch(data, subspaces, engine=None)
         n = data.shape[0]
         for chunk in range(1, n + 1):
-            # Bands of `chunk` rows: the engine budgets 24 bytes a cell.
-            engine = SharedNeighborEngine(data, memory_budget_mb=chunk * n * 24 / 2**20)
-            assert engine._chunk_rows() == chunk
-            banded = scorer.score_batch(data, subspaces, engine=engine)
+            _force_band_rows(monkeypatch, chunk, n)
+            banded = scorer.score_batch(data, subspaces, engine=SharedNeighborEngine(data))
             for got, expected in zip(banded, reference):
                 assert np.array_equal(got, expected), chunk
 
-    def test_pruned_search_stays_inside_budget(self, monkeypatch):
+    def test_pruned_search_holds_nothing(self, monkeypatch):
         data = self.data
         monkeypatch.setattr(engine_module, "_LEAF_SIZE", 3)
-        engine = _banded_engine(data)
         dense = SharedNeighborEngine(data).kneighbors(4)
+        _force_pruned(monkeypatch)
+        engine = SharedNeighborEngine(data)
         result = engine.kneighbors(4)
         assert np.array_equal(result.indices, dense.indices)
-        assert engine.cache_bytes <= int(BAND_BUDGET_MB * 1024 * 1024)
+        assert engine.cache_bytes == 0
 
 
 class TestStreamingChunkBoundariesFloat(TestStreamingChunkBoundaries):
@@ -167,22 +169,19 @@ def test_assembly_bands_change_no_bit(chunk, monkeypatch):
     left to right.  One-row bands, three-row bands that split duplicates and
     the default (one band for all of EDGE) give the bits of the
     ``pairwise_distances`` reference and its stable argsort, on inexact
-    floats where the summation order shows."""
+    floats where the summation order shows, whether the bands fill a whole
+    matrix, are yielded one at a time or are reduced to each row's top-k."""
     data = EDGE_FLOAT
     n = data.shape[0]
-    cells = {"one row": 1, "three rows": 3 * 8 * n}.get(chunk)
-    if cells is not None:
-        monkeypatch.setattr(chunks_module, "_CHUNK_CELLS", cells)
+    rows = {"one row": 1, "three rows": 3}.get(chunk)
+    if rows is not None:
+        _force_band_rows(monkeypatch, rows, n)
     for attributes in SUBSPACES + [(4, 0, 2, 1)]:
         dense = pairwise_distances(data, attributes=attributes)
         engine = SharedNeighborEngine(data)
-        assert engine.fused_pass_fits()
         assert np.array_equal(engine.distance_matrix(attributes), dense)
-        for rows_per_band in (1, 4, n):
-            engine = SharedNeighborEngine(data, memory_budget_mb=rows_per_band * n * 24 / 2**20)
-            assembled = np.vstack([rows.copy() for *_, rows in engine.iter_distance_rows(attributes)])
-            assert np.array_equal(assembled, dense), rows_per_band
-        engine = SharedNeighborEngine(data)
+        assembled = np.vstack([band.copy() for *_, band in engine.iter_distance_rows(attributes)])
+        assert np.array_equal(assembled, dense)
         for exclude_self in (True, False):
             reference = dense.copy()
             if exclude_self:
@@ -193,17 +192,16 @@ def test_assembly_bands_change_no_bit(chunk, monkeypatch):
             assert np.array_equal(got.distances, np.take_along_axis(reference, order, axis=1))
 
 
-#: A budget below one block of any input (one byte): kneighbors then always
-#: runs the pruned leaf search, which ``_assert_pruned_is_brute`` checks.
-PRUNED_BUDGET_MB = 2**-20
-
-
 def _assert_pruned_is_brute(data, k, attributes=None, exclude_self=True):
-    engine = SharedNeighborEngine(data, memory_budget_mb=PRUNED_BUDGET_MB)
-    assert engine._chunk_rows() < engine.n_objects
-    with np.errstate(over="ignore"):  # squares of the 1e160 rows overflow
-        got = engine.kneighbors(k, attributes, exclude_self=exclude_self)
-        want = BruteForceKNN(data, attributes).kneighbors(k, exclude_self=exclude_self)
+    # A dense route for no height: kneighbors runs the pruned leaf search.
+    spy = mock.patch.object(
+        engine_module, "_pruned_kneighbors", wraps=engine_module._pruned_kneighbors
+    )
+    with mock.patch.object(engine_module, "_DENSE_MAX_ROWS", 0), spy as pruned:
+        with np.errstate(over="ignore"):  # squares of the 1e160 rows overflow
+            got = SharedNeighborEngine(data).kneighbors(k, attributes, exclude_self=exclude_self)
+            want = BruteForceKNN(data, attributes).kneighbors(k, exclude_self=exclude_self)
+    assert pruned.call_count == 1
     assert np.array_equal(got.indices, want.indices)
     assert np.array_equal(got.distances, want.distances)
 
